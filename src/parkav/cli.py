@@ -10,7 +10,7 @@ Subcommands:
 
 Output is deterministic byte-for-byte for identical invocations; timing is
 only emitted under --timing.  Exit codes: 0 ok, 1 usage or parse error,
-2 verification mismatch, 3 enumeration budget refused.
+2 verification mismatch, 3 brute-force enumeration cap refused.
 """
 
 from __future__ import annotations
@@ -42,11 +42,7 @@ CLASS_FAMILIES = {
 def _count_for(notion: str, patterns_text: str, n: int) -> CountResult:
     patterns = parse_pattern_set(patterns_text)
     if notion == "pk":
-        if all(q.n == 3 for q in patterns):
-            return pk_count(patterns, n)
-        from .counting import generic_weighted_pk
-
-        return generic_weighted_pk(n, patterns)
+        return pk_count(patterns, n)
     if notion == "pf":
         return pf_count(patterns, n)
     raise ValueError(f"unknown notion {notion!r}; use pk or pf")
@@ -114,7 +110,7 @@ def cmd_classes(args, out) -> int:
             {
                 "n": n,
                 "value": value,
-                "method": "enumeration" if args.family == "metasylvester-m" else "formula",
+                "method": "weighted_sum" if args.family == "metasylvester-m" else "formula",
                 "elapsed_ms": round((time.perf_counter() - t0) * 1000, 3),
             }
         )
@@ -206,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args, sys.stdout)
-    except (generalized.PathBudgetExceeded, oracle.OracleCapExceeded) as e:
+    except oracle.OracleCapExceeded as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError) as e:

@@ -23,10 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Sequence
+from functools import lru_cache, partial
+from typing import Callable
 
-from .paths import ascent_word, catalan_number, enumerate_paths
+from .paths import catalan_number, path_weight_sum
 from .permutations import PatternSet, pattern_set, weighted_avoiders_s3
 
 
@@ -151,52 +151,15 @@ def first_run_triangle(n: int, m: int) -> dict[tuple[int, int], int]:
 
 # -- sums over lattice paths -------------------------------------------------
 
-def _weight_prod(w: Sequence[int]) -> int:
-    out = 1
-    for v in w:
-        out *= v
-    return out
-
-
-def _weight_prod_fact(w: Sequence[int]) -> int:
-    out = 1
-    for v in w:
-        out *= math.factorial(v)
-    return out
-
-
-def _weight_suffix_sums(w: Sequence[int]) -> int:
-    out = 1
-    tail = sum(w)
-    for v in w[:-1]:
-        tail -= v
-        out *= 1 + tail
-    return out
-
-
-def _weight_suffix_and_fact(w: Sequence[int]) -> int:
-    out = _weight_suffix_sums(w)
-    for v in w:
-        out *= math.factorial(v - 1)
-    return out
-
-
-def _weight_block_sizes_plus_one(w: Sequence[int]) -> int:
-    out = 1
-    for v in w[:-1]:
-        out *= v + 1
-    return out
-
-
-PATH_WEIGHTS: dict[str, Callable[[Sequence[int]], int]] = {
-    "123": _weight_prod,
-    "213": _weight_prod_fact,
-    "312": _weight_suffix_sums,
-    "321": _weight_suffix_and_fact,
-    "pf-312-321": _weight_block_sizes_plus_one,
+# weight(n, r, u): factor of an up-run of length r after u up-steps in an
+# order-n path; the path weight is the product over its runs.
+PATH_WEIGHTS: dict[str, Callable[[int, int, int], int]] = {
+    "123": lambda n, r, u: r,
+    "213": lambda n, r, u: math.factorial(r),
+    "312": lambda n, r, u: 1 + n - u if u else 1,
+    "321": lambda n, r, u: PATH_WEIGHTS["312"](n, r, u) * math.factorial(r - 1),
+    "pf-312-321": lambda n, r, u: 1 if u + r == n else r + 1,
 }
-
-PATH_SUM_CAP = 12
 
 
 def pk_sum_over_paths(n: int, weight: str) -> CountResult:
@@ -207,13 +170,7 @@ def pk_sum_over_paths(n: int, weight: str) -> CountResult:
     """
     if weight not in PATH_WEIGHTS:
         raise ValueError(f"unknown weight {weight!r}; choose from {sorted(PATH_WEIGHTS)}")
-    if n > PATH_SUM_CAP:
-        raise ValueError(f"path sum capped at n={PATH_SUM_CAP} (got {n})")
-    fn = PATH_WEIGHTS[weight]
-    total = 0
-    for c in enumerate_paths(n, 1):
-        total += fn(ascent_word(c).runs)
-    return CountResult(total, "weighted_sum")
+    return CountResult(path_weight_sum(n, 1, partial(PATH_WEIGHTS[weight], n)), "weighted_sum")
 
 
 # -- dispatch over subsets of S_3 --------------------------------------------
@@ -452,6 +409,8 @@ PF_BRUTE_CAP = 8
 
 def pf_count(patterns: PatternSet, n: int) -> CountResult:
     """Count parking functions whose block permutation avoids ``patterns``."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if n == 0:
         return CountResult(1, "formula")
     key = patterns.key()

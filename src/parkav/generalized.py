@@ -13,8 +13,11 @@ congruences depend only on the packed evaluation beta of a function, via the
 per-class factors prod(1+beta_i) (i>=2), prod(1+suffix sums) (i>=2) and
 2^(|beta|-1) respectively.  Since increasing (m-)parking functions biject
 with (m-)Catalan paths and packed evaluations with ascent words, the totals
-are sums of path weights; closed forms or triangular recurrences are used
-where they exist, and the path sums remain available as cross-checks.
+are sums of path weights.  Each factor is a product over the path's up-runs,
+so ``paths.path_weight_sum`` computes every total in polynomial time: it is
+the route for metasylvester m-parking counts, which have no closed form,
+and a cross-check for the closed forms and triangular recurrences used
+elsewhere.
 
 Everything returns exact Python integers; the 1/n-style prefactors carry
 divisibility assertions.
@@ -23,13 +26,13 @@ divisibility assertions.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from functools import partial
+from typing import Callable, Iterator, Sequence
 
 from .counting import first_run_triangle
 from .parking import is_parking
-from .paths import ascent_word, enumerate_paths, path_count
+from .paths import path_weight_sum
 from .series import PowerSeries, series
 
 
@@ -139,6 +142,14 @@ _FACTORS = {
     "hypoplactic": hypoplactic_factor,
 }
 
+# factor(n, s, r, u): the class factor of s times a size-n ascent word, per
+# up-run of length r after u up-steps (see paths.path_weight_sum)
+_RUN_FACTORS: dict[str, Callable[[int, int, int, int], int]] = {
+    "hyposylvester": lambda n, s, r, u: 1 + s * r if u else 1,
+    "metasylvester": lambda n, s, r, u: 1 + s * (n - u) if u else 1,
+    "hypoplactic": lambda n, s, r, u: 2 if u else 1,
+}
+
 
 # -- m-multiparking class counts ----------------------------------------------
 
@@ -168,54 +179,24 @@ def multipark_class_count_by_paths(n: int, m: int, congruence: str) -> int:
     """Independent route: packed evaluations of m-multiparking functions are
     m times ascent words of ordinary paths, so sum the class factor of
     m*w(C) over all order-n unit paths."""
-    fn = _FACTORS[congruence]
-    total = 0
-    for c in enumerate_paths(n, 1):
-        beta = tuple(m * v for v in ascent_word(c).runs)
-        total += fn(beta)
-    return total
+    return path_weight_sum(n, 1, partial(_RUN_FACTORS[congruence], n, m))
 
 
 # -- m-parking class counts ----------------------------------------------------
 
-DEFAULT_PATH_CAP = 10**7
-PATH_CAP_ENV = "PARKAV_PATH_CAP"
+def mpark_class_count_by_paths(n: int, m: int, congruence: str) -> int:
+    """Sum the class factor of w(C) over all order-n, up-height-m paths."""
+    return path_weight_sum(n, m, partial(_RUN_FACTORS[congruence], n, 1))
 
 
-class PathBudgetExceeded(RuntimeError):
-    """The m-Catalan enumeration would exceed the configured path cap."""
-
-    def __init__(self, needed: int, cap: int):
-        super().__init__(
-            f"enumeration needs {needed} paths, cap is {cap}; "
-            f"raise {PATH_CAP_ENV} to proceed"
-        )
-        self.needed = needed
-        self.cap = cap
-
-
-def _path_cap() -> int:
-    raw = os.environ.get(PATH_CAP_ENV, "")
-    return int(raw) if raw else DEFAULT_PATH_CAP
-
-
-def metasylvester_mpark(n: int, m: int, cap: int | None = None) -> int:
+def metasylvester_mpark(n: int, m: int) -> int:
     """Sum of prod_{i>=2}(1 + suffix sums of w(C)) over m-Catalan paths.
 
-    No closed form is known, so this enumerates; the Fuss-Catalan path count
-    is checked against the cap first and a refusal is raised rather than
-    truncating silently.
+    No closed form is known; the path-weight DP takes O(m n^3) steps.
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    budget = cap if cap is not None else _path_cap()
-    needed = path_count(n, m)
-    if needed > budget:
-        raise PathBudgetExceeded(needed, budget)
-    total = 0
-    for c in enumerate_paths(n, m):
-        total += metasylvester_factor(ascent_word(c).runs)
-    return total
+    return mpark_class_count_by_paths(n, m, "metasylvester")
 
 
 def hypoplactic_mpark(n: int, m: int) -> int:
@@ -242,22 +223,6 @@ def hyposylvester_mpark(n: int, m: int) -> int:
     if r:
         raise ArithmeticError(f"{num} not divisible by {2 * m * n + 1}")
     return q
-
-
-def hyposylvester_mpark_by_paths(n: int, m: int) -> int:
-    """Dual route: sum of prod_{i>=2}(1 + w_i) over m-Catalan paths."""
-    total = 0
-    for c in enumerate_paths(n, m):
-        total += hyposylvester_factor(ascent_word(c).runs)
-    return total
-
-
-def hypoplactic_mpark_by_paths(n: int, m: int) -> int:
-    """Dual route: sum of 2^(peaks-1) over m-Catalan paths."""
-    total = 0
-    for c in enumerate_paths(n, m):
-        total += hypoplactic_factor(ascent_word(c).runs)
-    return total
 
 
 # -- per-evaluation oracle ------------------------------------------------------

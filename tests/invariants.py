@@ -324,8 +324,11 @@ def generalized_per_evaluation(n_max: int = 5, m_max: int = 2) -> None:
 def generalized_path_sums(n_max: int = 6, m_max: int = 3) -> None:
     for m in range(1, m_max + 1):
         for n in range(1, n_max + 1):
-            assert generalized.hypoplactic_mpark_by_paths(n, m) == generalized.hypoplactic_mpark(n, m)
-            assert generalized.hyposylvester_mpark_by_paths(n, m) == generalized.hyposylvester_mpark(n, m)
+            for congruence, formula in (
+                ("hypoplactic", generalized.hypoplactic_mpark),
+                ("hyposylvester", generalized.hyposylvester_mpark),
+            ):
+                assert generalized.mpark_class_count_by_paths(n, m, congruence) == formula(n, m)
 
 
 @lru_cache(maxsize=None)

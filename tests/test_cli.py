@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from parkav.cli import EXIT_BUDGET, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 from tables import PF_312_321
 
@@ -78,11 +80,29 @@ def test_classes(capsys):
     assert out.splitlines() == ["1 1", "2 4", "3 21", "4 126", "5 818"]
 
 
-def test_classes_budget_refusal(capsys, monkeypatch):
-    monkeypatch.setenv("PARKAV_PATH_CAP", "5")
-    code = main(["classes", "--family", "metasylvester-m", "--m", "2", "--n-max", "4"])
+def test_classes_metasylvester_m_past_old_cap(capsys):
+    # m = 1 metasylvester classes are the 312-avoiding pk row; n = 30 is far
+    # beyond what enumerating the Catalan paths could reach
+    code, classes = run(capsys, "classes", "--family", "metasylvester-m", "--m", "1", "--n-max", "30")
+    assert code == EXIT_OK
+    code, sequence = run(capsys, "sequence", "--notion", "pk", "--patterns", "312", "--n-max", "30")
+    assert code == EXIT_OK
+    assert classes == sequence
+    assert len(classes.splitlines()) == 30
+
+
+def test_classes_json_carries_method(capsys):
+    for family, method in (("metasylvester-m", "weighted_sum"), ("hypoplactic-m", "formula")):
+        code, out = run(capsys, "classes", "--family", family, "--m", "2", "--n-max", "3", "--format", "json")
+        assert code == EXIT_OK
+        assert {r["method"] for r in json.loads(out)} == {method}
+
+
+@pytest.mark.parametrize("notion,patterns", [("pk", "1234"), ("pf", "12")])
+def test_negative_n_rejected(capsys, notion, patterns):
+    code = main(["count", "--notion", notion, "--patterns", patterns, "--n", "-1"])
     capsys.readouterr()
-    assert code == EXIT_BUDGET
+    assert code == EXIT_USAGE
 
 
 def test_brute_cap_refusal(capsys):

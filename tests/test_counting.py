@@ -76,8 +76,16 @@ def test_path_weight_sums():
     path_sums_match_tables(10)
     with pytest.raises(ValueError):
         pk_sum_over_paths(3, "nope")
-    with pytest.raises(ValueError):
-        pk_sum_over_paths(13, "123")
+    formula_routes = {
+        "123": counting.pk123,
+        "213": counting.pk213,
+        "312": counting.pk312,
+        "321": counting.pk321,
+        "pf-312-321": lambda n: pf312321_closed_form(n).value,
+    }
+    for weight, formula in formula_routes.items():
+        for n in range(1, 31):
+            assert pk_sum_over_paths(n, weight).value == formula(n), (weight, n)
 
 
 def test_pf_counts():

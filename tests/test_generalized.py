@@ -88,7 +88,7 @@ def test_hyposylvester_mpark_dual_route():
     assert g.hyposylvester_mpark(2, 2) == 5
     for m in range(1, 4):
         for n in range(1, 6):
-            assert g.hyposylvester_mpark(n, m) == g.hyposylvester_mpark_by_paths(n, m)
+            assert g.hyposylvester_mpark(n, m) == g.mpark_class_count_by_paths(n, m, "hyposylvester")
     assert [g.hyposylvester_mpark(n, 1) for n in range(1, 9)] == HYPOSYLVESTER_MULTI[1]
 
 
@@ -115,14 +115,11 @@ def test_consistency_triangle():
     consistency_triangle(8)
 
 
-def test_budget_refusal(monkeypatch):
-    with pytest.raises(g.PathBudgetExceeded):
-        g.metasylvester_mpark(3, 2, cap=10)
-    monkeypatch.setenv(g.PATH_CAP_ENV, "10")
-    with pytest.raises(g.PathBudgetExceeded):
-        g.metasylvester_mpark(3, 2)
-    monkeypatch.setenv(g.PATH_CAP_ENV, "100")
-    assert g.metasylvester_mpark(3, 2) == 45
+def test_metasylvester_mpark_past_old_cap():
+    # from n = 16 on there are more than 10^7 Catalan paths to enumerate;
+    # at m = 1 the triangular recurrence is an independent route
+    for n in range(16, 26):
+        assert g.metasylvester_mpark(n, 1) == g.metasylvester_multipark(n, 1)
 
 
 def test_argument_validation():

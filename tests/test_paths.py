@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from parkav.paths import (
@@ -15,6 +17,7 @@ from parkav.paths import (
     path_count,
     path_to_increasing_pf,
     path_to_increasing_prefs,
+    path_weight_sum,
     peak_count,
 )
 from invariants import narayana_sums, path_bijection_with_increasing, path_surgery_roundtrips
@@ -33,6 +36,39 @@ def test_enumeration_order_is_lexicographic_up_first():
         got = list(enumerate_paths(n, m))
         key = lambda p: [0 if s == "U" else 1 for s in p.steps]
         assert got == sorted(got, key=key)
+
+
+def test_path_weight_sum_matches_enumeration():
+    rng = random.Random(2404)
+    table: dict[tuple[int, int], int] = {}
+
+    def random_factor(r, u):
+        return table.setdefault((r, u), rng.randint(-3, 5))
+
+    for m in range(1, 4):
+        for n in range(0, 8):
+            words = [ascent_word(c).runs for c in enumerate_paths(n, m)]
+            factors = (
+                lambda r, u: 1,
+                lambda r, u: r,
+                lambda r, u: u + 2,
+                lambda r, u: 3 if u == 0 else 5,
+                lambda r, u: 7 if u + r == n else r + 1,
+                random_factor,
+            )
+            for factor in factors:
+                want = 0
+                for runs in words:
+                    weight, u = 1, 0
+                    for r in runs:
+                        weight *= factor(r, u)
+                        u += r
+                    want += weight
+                assert path_weight_sum(n, m, factor) == want, (n, m)
+    with pytest.raises(ValueError):
+        path_weight_sum(-1, 1, lambda r, u: 1)
+    with pytest.raises(ValueError):
+        path_weight_sum(2, 0, lambda r, u: 1)
 
 
 def test_validation():

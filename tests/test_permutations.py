@@ -1,9 +1,12 @@
 import random
+import typing
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parkav import permutations
 from parkav.permutations import (
     PatternSet,
     Permutation,
@@ -51,6 +54,7 @@ def test_listed_set_concatenation():
 
 
 def test_contains():
+    assert typing.get_type_hints(permutations.contains_sequence)["seq"] == Sequence[int]
     assert contains(perm("7561243"), perm("132"))
     assert not contains(perm("7561234"), perm("132"))
     assert contains(perm("123"), perm("123"))
