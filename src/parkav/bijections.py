@@ -25,28 +25,24 @@ Family {123, 213} (clusters: closed / open)
     below a brand new left edge.  The re-rooting preserves the planar cyclic
     order around every vertex, which is exactly what the inverse unwinds.
 
-Base cases (n <= 3) are fixed lookup tables; the generic recursion takes
-over from n = 4 and provably agrees with the tables below its threshold
-(the test suite checks this).
+Both recursions run down to n = 0, whose only parking function is the empty
+one: forward it maps to the one-edge tree (labelled 0 in the {123, 132}
+family), and backward the one-edge tree maps to it.  The test suite checks
+the recursion against the small cases (n <= 3), kept there as fixtures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .parking import Blocks, ParkingFunction, block_permutation_of_blocks, to_blocks
 from .permutations import PatternSet, avoids_all, pattern_set
-from .trees import LEAF, OrderedTree, path_tree, serialize_tree
+from .trees import LEAF, OrderedTree, path_tree
 
 
 class BijectionDefect(AssertionError):
     """An internal structural guarantee failed; indicates a genuine bug."""
-
-
-# sizes handled by the lookup tables at the bottom of this module; the
-# generic recursion takes over above this and agrees with the tables below it
-BASE_THRESHOLD = 3
 
 
 # ---------------------------------------------------------------------------
@@ -73,10 +69,6 @@ class LabeledTree:
         inner = "".join(str(c) for c in self.children)
         head = "*" if self.label is None else str(self.label)
         return f"[{head}{inner}]"
-
-
-def _lnode(label: int | None, *children: LabeledTree) -> LabeledTree:
-    return LabeledTree(label, tuple(children))
 
 
 def _lpath(labels: Sequence[int]) -> LabeledTree:
@@ -142,10 +134,18 @@ def _insert_empty(blocks: list[tuple[int, ...]], gap_end: int | None, opener: in
     raise BijectionDefect("no balanced slot for the empty block")
 
 
-def _validate_family(blocks: Blocks, patterns: PatternSet) -> None:
+def _clusters(f: ParkingFunction | Blocks, patterns: PatternSet, peel) -> list:
+    """Peel clusters off the front of the blocks until none are left."""
+    blocks = to_blocks(f) if isinstance(f, ParkingFunction) else f
     pi = block_permutation_of_blocks(blocks)
     if not avoids_all(pi, patterns):
         raise ValueError(f"block permutation {pi} contains a forbidden pattern")
+    work = list(enumerate(blocks))
+    out = []
+    while work:
+        cluster, work = peel(work)
+        out.append(cluster)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -172,14 +172,7 @@ PATTERNS_123_213 = pattern_set("123", "213")
 def clusters_123_132(f: ParkingFunction | Blocks) -> list[Cluster132]:
     """Partition the blocks into extend/branch/jump clusters (positions are
     0-based indices into the original block sequence)."""
-    blocks = to_blocks(f) if isinstance(f, ParkingFunction) else f
-    _validate_family(blocks, PATTERNS_123_132)
-    work = [(pos, b) for pos, b in enumerate(blocks)]
-    out: list[Cluster132] = []
-    while work:
-        cluster, work = _peel_132(work)
-        out.append(cluster)
-    return out
+    return _clusters(f, PATTERNS_123_132, _peel_132)
 
 
 def _peel_132(
@@ -212,7 +205,7 @@ def _peel_132(
         raise BijectionDefect("jump cluster must be singletons then one size-2 block")
     if work[pair_idx][1] != (k + 1, n):
         raise BijectionDefect(f"size-2 block {work[pair_idx][1]} is not {(k + 1, n)}")
-    empty_work_idx = _match_in_work(work, pair_idx)
+    empty_work_idx = bracket_match([b for _, b in work])[pair_idx]
     cluster = Cluster132(
         "jump",
         k + 1,
@@ -222,18 +215,6 @@ def _peel_132(
     )
     rest = work[p - 1 : empty_work_idx] + work[empty_work_idx + 1 :]
     return cluster, rest
-
-
-def _match_in_work(work: list[tuple[int, Blocks]], opener: int) -> int:
-    stack: list[int] = []
-    for i, (_, b) in enumerate(work):
-        if len(b) == 2:
-            stack.append(i)
-        elif len(b) == 0:
-            j = stack.pop()
-            if j == opener:
-                return i
-    raise BijectionDefect("size-2 block has no matching empty block")
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +237,7 @@ class Cluster213:
 
 def clusters_123_213(f: ParkingFunction | Blocks) -> list[Cluster213]:
     """Partition the blocks into closed/open clusters."""
-    blocks = to_blocks(f) if isinstance(f, ParkingFunction) else f
-    _validate_family(blocks, PATTERNS_123_213)
-    work = [(pos, b) for pos, b in enumerate(blocks)]
-    out: list[Cluster213] = []
-    while work:
-        cluster, work = _peel_213(work)
-        out.append(cluster)
-    return out
+    return _clusters(f, PATTERNS_123_213, _peel_213)
 
 
 def _peel_213(
@@ -288,7 +262,7 @@ def _peel_213(
         return cluster, work[length:]
     if first != (k + 1, n):
         raise BijectionDefect(f"leading size-2 block {first} is not {(k + 1, n)}")
-    empty_idx = _match_in_work(work, 0)
+    empty_idx = bracket_match([b for _, b in work])[0]
     # main portion: the first length-1 nonempty blocks
     main_idx: list[int] = []
     for i, (_, b) in enumerate(work):
@@ -326,16 +300,6 @@ def _peel_213(
     return cluster, rest
 
 
-def _suffix_blocks(blocks: Blocks, clusters: Sequence, start: int) -> Blocks:
-    """Blocks of the parking function formed by the clusters from ``start`` on."""
-    drop: set[int] = set()
-    for c in clusters[:start]:
-        drop.update(c.main_positions)
-        if c.empty_position is not None:
-            drop.add(c.empty_position)
-    return tuple(b for pos, b in enumerate(blocks) if pos not in drop)
-
-
 def _cluster_of_element(clusters: Sequence, e: int):
     for c in clusters:
         if c.lo <= e <= c.hi:
@@ -367,10 +331,8 @@ def phi_123_132_labeled(f: ParkingFunction | Blocks) -> LabeledTree:
 
 
 def _phi_132_from(blocks: Blocks, clusters: list[Cluster132], start: int) -> LabeledTree:
-    suffix = _suffix_blocks(blocks, clusters, start)
-    n = sum(len(b) for b in suffix)
-    if n <= BASE_THRESHOLD:
-        return _BASE_132[suffix]
+    if start == len(clusters):
+        return LabeledTree(None, (LabeledTree(0),))
     c = clusters[start]
     inner = _phi_132_from(blocks, clusters, start + 1)
     k = c.lo - 1
@@ -424,15 +386,13 @@ def _graft_path(t: LabeledTree, target: int, labels: list[int]) -> LabeledTree:
 def _graft_two(t: LabeledTree, target: int | None, n: int, k: int) -> LabeledTree:
     """Prepend the two-branch graft (single vertex n, path k+1..n-1) at the
     vertex labelled ``target`` (None = root)."""
-    new_branches = (_lnode(n), _lpath(list(range(k + 1, n))))
+    new_branches = (LabeledTree(n), _lpath(list(range(k + 1, n))))
 
     def rec(node: LabeledTree) -> LabeledTree:
         if node.label == target:
             return LabeledTree(node.label, new_branches + node.children)
         return LabeledTree(node.label, tuple(rec(ch) for ch in node.children))
 
-    if target is None:
-        return LabeledTree(t.label, new_branches + t.children)
     out = rec(t)
     if out == t:
         raise BijectionDefect(f"no vertex labelled {target}")
@@ -467,13 +427,13 @@ def find_target_path(t: OrderedTree) -> tuple[int, ...]:
 
 def find_target_vertex(t: OrderedTree) -> OrderedTree:
     """The subtree rooted at the vertex find_target_path points to."""
-    node = t
-    for i in find_target_path(t):
-        node = node.children[i]
-    return node
+    return _subtree_at(t, find_target_path(t))
 
 
-def _subtree_at(t: OrderedTree, path: Sequence[int]) -> OrderedTree:
+_Tree = TypeVar("_Tree", OrderedTree, LabeledTree)
+
+
+def _subtree_at(t: _Tree, path: Sequence[int]) -> _Tree:
     node = t
     for i in path:
         node = node.children[i]
@@ -494,8 +454,6 @@ def psi_123_132(t: OrderedTree) -> Blocks:
     n = t.edge_count - 1
     if t.root_degree % 2 == 0:
         raise ValueError("tree must have odd root degree")
-    if n <= BASE_THRESHOLD:
-        return _base_inverse(_BASE_132_INV, t)
     if t.is_path():
         return tuple((v,) for v in range(n, 0, -1))
     vpath = find_target_path(t)
@@ -513,7 +471,7 @@ def psi_123_132(t: OrderedTree) -> Blocks:
     t_prime = _replace_at(t, vpath, OrderedTree(v.children[2:]))
     f_prime = psi_123_132(t_prime)
     labeled = phi_123_132_labeled(f_prime)
-    v_label = _label_at(labeled, vpath)
+    v_label = _subtree_at(labeled, vpath).label
     if v_label == k:
         branch = tuple((v_,) for v_ in range(n - 1, k, -1)) + ((n,),)
         return branch + f_prime
@@ -549,20 +507,6 @@ def _position_of_element(blocks: Blocks, e: int) -> int:
     raise BijectionDefect(f"element {e} not found")
 
 
-def _label_at(t: LabeledTree, path: Sequence[int]) -> int | None:
-    node = t
-    for i in path:
-        node = node.children[i]
-    return node.label
-
-
-def _base_inverse(table: dict[str, Blocks], t: OrderedTree) -> Blocks:
-    key = serialize_tree(t)
-    if key not in table:
-        raise ValueError(f"tree {key} is not in the bijection's image")
-    return table[key]
-
-
 # ---------------------------------------------------------------------------
 # family {123, 213}: forward map
 
@@ -572,14 +516,9 @@ def phi_123_213(f: ParkingFunction | Blocks) -> OrderedTree:
     (for n = 0, the single-edge tree)."""
     blocks = to_blocks(f) if isinstance(f, ParkingFunction) else f
     clusters = clusters_123_213(blocks)
-    trees_by_suffix: dict[int, OrderedTree] = {}
-    for start in range(len(clusters), -1, -1):
-        suffix = _suffix_blocks(blocks, clusters, start)
-        n = sum(len(b) for b in suffix)
-        if n <= BASE_THRESHOLD:
-            trees_by_suffix[start] = _BASE_213[suffix]
-        else:
-            trees_by_suffix[start] = _apply_213(blocks, clusters, start, trees_by_suffix)
+    trees_by_suffix = {len(clusters): path_tree(1)}
+    for start in range(len(clusters) - 1, -1, -1):
+        trees_by_suffix[start] = _apply_213(blocks, clusters, start, trees_by_suffix)
     return trees_by_suffix[0]
 
 
@@ -682,10 +621,10 @@ def _open_op(
 def psi_123_213(t: OrderedTree) -> Blocks:
     """Inverse of phi_123_213 on trees with root degree >= 2 (or one edge)."""
     n = t.edge_count - 1
-    if n >= 1 and t.root_degree < 2:
-        raise ValueError("tree must have root degree >= 2")
-    if n <= BASE_THRESHOLD:
-        return _base_inverse(_BASE_213_INV, t)
+    if n == 0:
+        return ()
+    if t.root_degree < 2:
+        raise ValueError("tree must have root degree >= 2, or be the one-edge tree")
     chain: list[OrderedTree] = [t]
     node = t
     while node.children:
@@ -821,31 +760,37 @@ def is_full_right_subtree(t: OrderedTree, candidate: OrderedTree) -> bool:
 # shared entry points and the independent domain enumerator
 
 
-FAMILIES = ("123-132", "123-213")
+class Family(NamedTuple):
+    """One bijection: the patterns its domain avoids, both maps, its image."""
+
+    patterns: PatternSet
+    forward: Callable[[ParkingFunction | Blocks], OrderedTree]
+    backward: Callable[[OrderedTree], Blocks]
+    constraint: str  # the image, as a trees.enumerate_trees constraint on n+1 edges
+
+
+FAMILIES: dict[str, Family] = {
+    "123-132": Family(PATTERNS_123_132, phi_123_132, psi_123_132, "odd_root"),
+    "123-213": Family(PATTERNS_123_213, phi_123_213, psi_123_213, "root_ge2"),
+}
+
+
+def _family(name: str) -> Family:
+    if name not in FAMILIES:
+        raise ValueError(f"unknown family {name!r}; choose from {tuple(FAMILIES)}")
+    return FAMILIES[name]
 
 
 def forward(f: ParkingFunction | Blocks, family: str) -> OrderedTree:
-    if family == "123-132":
-        return phi_123_132(f)
-    if family == "123-213":
-        return phi_123_213(f)
-    raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    return _family(family).forward(f)
 
 
 def backward(t: OrderedTree, family: str) -> Blocks:
-    if family == "123-132":
-        return psi_123_132(t)
-    if family == "123-213":
-        return psi_123_213(t)
-    raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    return _family(family).backward(t)
 
 
 def family_patterns(family: str) -> PatternSet:
-    if family == "123-132":
-        return PATTERNS_123_132
-    if family == "123-213":
-        return PATTERNS_123_213
-    raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    return _family(family).patterns
 
 
 def enumerate_pf_avoiding(n: int, patterns: PatternSet) -> list[Blocks]:
@@ -907,57 +852,3 @@ def _placements(runs: list[tuple[int, ...]], n: int) -> Iterator[Blocks]:
 def enumerate_pf_family(n: int, family: str) -> list[Blocks]:
     return enumerate_pf_avoiding(n, family_patterns(family))
 
-
-# ---------------------------------------------------------------------------
-# base tables, transcribed from the small cases
-
-
-def _blocks(*bs: tuple[int, ...]) -> Blocks:
-    return tuple(bs)
-
-
-_BASE_132: dict[Blocks, LabeledTree] = {
-    _blocks(): _lnode(None, _lnode(0)),
-    _blocks((1,)): _lnode(None, _lpath([0, 1])),
-    _blocks((1,), (2,)): _lnode(None, _lnode(0, _lnode(2), _lnode(1))),
-    _blocks((1, 2), ()): _lnode(None, _lnode(2), _lnode(1), _lnode(0)),
-    _blocks((2,), (1,)): _lnode(None, _lpath([0, 1, 2])),
-    _blocks((2,), (1,), (3,)): _lnode(None, _lnode(0, _lnode(3), _lpath([1, 2]))),
-    _blocks((2,), (1, 3), ()): _lnode(None, _lnode(3), _lpath([1, 2]), _lnode(0)),
-    _blocks((2,), (3,), (1,)): _lnode(None, _lnode(0, _lnode(1, _lnode(3), _lnode(2)))),
-    _blocks((2, 3), (1,), ()): _lnode(None, _lnode(3), _lnode(2), _lnode(0, _lnode(1))),
-    _blocks((2, 3), (), (1,)): _lnode(None, _lnode(0, _lnode(3), _lnode(2), _lnode(1))),
-    _blocks((3,), (2,), (1,)): _lnode(None, _lpath([0, 1, 2, 3])),
-    _blocks((3,), (1,), (2,)): _lnode(None, _lnode(0, _lnode(2, _lnode(3)), _lnode(1))),
-    _blocks((3,), (1, 2), ()): _lnode(None, _lnode(2, _lnode(3)), _lnode(1), _lnode(0)),
-}
-
-_BASE_132_INV: dict[str, Blocks] = {
-    serialize_tree(v.shape()): k for k, v in _BASE_132.items()
-}
-
-
-def _t(*children: OrderedTree) -> OrderedTree:
-    return OrderedTree(tuple(children))
-
-
-_BASE_213: dict[Blocks, OrderedTree] = {
-    _blocks(): _t(LEAF),
-    _blocks((1,)): _t(LEAF, LEAF),
-    _blocks((1,), (2,)): _t(LEAF, _t(LEAF)),
-    _blocks((1, 2), ()): _t(_t(LEAF), LEAF),
-    _blocks((2,), (1,)): _t(LEAF, LEAF, LEAF),
-    _blocks((1,), (3,), (2,)): _t(LEAF, _t(_t(LEAF))),
-    _blocks((1, 3), (), (2,)): _t(_t(LEAF), _t(LEAF)),
-    _blocks((1, 3), (2,), ()): _t(_t(_t(LEAF)), LEAF),
-    _blocks((2,), (3,), (1,)): _t(LEAF, _t(LEAF, LEAF)),
-    _blocks((2, 3), (), (1,)): _t(_t(LEAF), LEAF, LEAF),
-    _blocks((2, 3), (1,), ()): _t(_t(LEAF, LEAF), LEAF),
-    _blocks((3,), (1,), (2,)): _t(LEAF, LEAF, _t(LEAF)),
-    _blocks((3,), (1, 2), ()): _t(LEAF, _t(LEAF), LEAF),
-    _blocks((3,), (2,), (1,)): _t(LEAF, LEAF, LEAF, LEAF),
-}
-
-_BASE_213_INV: dict[str, Blocks] = {
-    serialize_tree(v): k for k, v in _BASE_213.items()
-}

@@ -119,7 +119,11 @@ def cmd_classes(args, out) -> int:
 
 
 def cmd_bijection(args, out) -> int:
-    text = sys.stdin.read() if args.input == "-" else open(args.input).read()
+    if args.input == "-":
+        text = sys.stdin.read()
+    else:
+        with open(args.input) as f:
+            text = f.read()
     text = text.strip()
     if args.direction == "forward":
         blocks = parse_blocks(text)
@@ -133,8 +137,10 @@ def cmd_bijection(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
-    suites = args.suite if args.suite != "all" else "formulas,bijections,classes"
-    reports = oracle.verify_all(args.n_max, suites)
+    for suite, reached in oracle.checked_range(args.n_max, args.suite).items():
+        if reached < args.n_max:
+            print(f"note: suite {suite} checked n <= {reached}, not {args.n_max}", file=sys.stderr)
+    reports = oracle.verify_all(args.n_max, args.suite)
     bad = 0
     for report in reports:
         if not report.agree or args.verbose:
@@ -143,6 +149,13 @@ def cmd_verify(args, out) -> int:
             bad += 1
     out.write(f"{len(reports)} checks, {bad} mismatches\n")
     return EXIT_OK if bad == 0 else EXIT_MISMATCH
+
+
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sequence", help="values for n = 1..n_max")
     p.add_argument("--notion", choices=["pk", "pf"], required=True)
     p.add_argument("--patterns", required=True)
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=positive_int, required=True)
     p.add_argument("--format", choices=["bfile", "csv", "json"], default="bfile")
     p.add_argument("--timing", action="store_true")
     p.set_defaults(fn=cmd_sequence)
@@ -171,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classes", help="generalized parking-function class counts")
     p.add_argument("--family", choices=sorted(CLASS_FAMILIES), required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=positive_int, required=True)
     p.add_argument("--format", choices=["bfile", "csv", "json"], default="bfile")
     p.add_argument("--timing", action="store_true")
     p.set_defaults(fn=cmd_classes)
@@ -188,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="all, or comma-joined subset of formulas,bijections,classes",
     )
-    p.add_argument("--n-max", type=int, default=6)
+    p.add_argument("--n-max", type=positive_int, default=6)
     p.add_argument("--verbose", action="store_true")
     p.set_defaults(fn=cmd_verify)
     return parser

@@ -221,7 +221,7 @@ def verify_bijections(n_max: int) -> list[OracleReport]:
 
     reports = []
     for n in range(0, n_max + 1):
-        for family, constraint in (("123-132", "odd_root"), ("123-213", "root_ge2")):
+        for family, spec in bijections.FAMILIES.items():
             functions = bijections.enumerate_pf_family(n, family)
             images = set()
             good = 0
@@ -231,26 +231,42 @@ def verify_bijections(n_max: int) -> list[OracleReport]:
                 if bijections.backward(t, family) == blocks:
                     good += 1
             reports.append(OracleReport(f"roundtrip {family}", n, None, len(functions), good))
-            expected = trees.count_trees(n + 1, constraint)
+            expected = trees.count_trees(n + 1, spec.constraint)
             reports.append(OracleReport(f"image {family}", n, None, expected, len(images)))
     return reports
+
+
+# the largest n each verify suite reaches, whatever n_max asks for
+SUITE_LIMITS = {"formulas": BRUTE_CAP - 1, "classes": 5, "bijections": 7}
+
+
+def checked_range(n_max: int, families: str = "all") -> dict[str, int]:
+    """The largest n each chosen suite checks: n_max, clamped to its limit.
+
+    families: comma-joined subset of {formulas, bijections, classes} or "all".
+    """
+    chosen = set(SUITE_LIMITS) if families == "all" else {
+        f.strip() for f in families.split(",")}
+    unknown = sorted(chosen - set(SUITE_LIMITS))
+    if unknown:
+        raise ValueError(f"unknown suite {', '.join(unknown)}; choose from all or {', '.join(SUITE_LIMITS)}")
+    return {name: min(n_max, limit) for name, limit in SUITE_LIMITS.items() if name in chosen}
 
 
 def verify_all(n_max: int, families: str = "all") -> list[OracleReport]:
     """Run the formula-vs-oracle pairings; one failing report fails the run.
 
-    families: comma-joined subset of {formulas, bijections, classes} or "all".
+    families: as for checked_range, which also gives the range each suite checks.
     """
-    chosen = {f.strip() for f in families.split(",")} if families != "all" else {
-        "formulas", "bijections", "classes"}
+    reach = checked_range(n_max, families)
     reports: list[OracleReport] = []
-    if "formulas" in chosen:
-        reports += verify_pk(min(n_max, BRUTE_CAP - 1))
-        reports += verify_pf(min(n_max, BRUTE_CAP - 1))
-    if "classes" in chosen:
-        reports += verify_generalized(min(n_max, 5), 2)
-    if "bijections" in chosen:
-        reports += verify_bijections(min(n_max, 7))
+    if "formulas" in reach:
+        reports += verify_pk(reach["formulas"])
+        reports += verify_pf(reach["formulas"])
+    if "classes" in reach:
+        reports += verify_generalized(reach["classes"], 2)
+    if "bijections" in reach:
+        reports += verify_bijections(reach["bijections"])
     return reports
 
 

@@ -194,7 +194,8 @@ def path_sums_match_tables(n_max: int = 10) -> None:
 def bijection_roundtrips(n_max: int = 9) -> dict[tuple[str, int], int]:
     """Exhaustive roundtrips for both families; returns domain sizes."""
     sizes: dict[tuple[str, int], int] = {}
-    for family, constraint in (("123-132", "odd_root"), ("123-213", "root_ge2")):
+    for family, spec in bj.FAMILIES.items():
+        constraint = spec.constraint
         for n in range(0, n_max + 1):
             functions = bj.enumerate_pf_family(n, family)
             images = set()
@@ -265,7 +266,7 @@ def full_right_subtree_condition(n_max: int = 8) -> None:
             for j, c in enumerate(clusters):
                 if c.kind != "closed" or c.parameter is None:
                     continue
-                suffix = bj._suffix_blocks(blocks, clusters, j + 1)
+                suffix = _suffix_blocks(blocks, clusters, j + 1)
                 inner = bj.phi_123_213(suffix)
                 for ell in range(0, c.parameter + 1):
                     if _open_cluster_interferes(blocks, clusters, j, ell):
@@ -274,6 +275,16 @@ def full_right_subtree_condition(n_max: int = 8) -> None:
                     for _ in range(ell):
                         candidate = trees.OrderedTree((candidate,))
                     assert bj.is_full_right_subtree(whole, candidate), (blocks, j, ell)
+
+
+def _suffix_blocks(blocks, clusters, start: int):
+    """Blocks of the parking function formed by the clusters from ``start`` on."""
+    drop: set[int] = set()
+    for c in clusters[:start]:
+        drop.update(c.main_positions)
+        if c.empty_position is not None:
+            drop.add(c.empty_position)
+    return tuple(b for pos, b in enumerate(blocks) if pos not in drop)
 
 
 def _open_cluster_interferes(blocks, clusters, j, ell) -> bool:

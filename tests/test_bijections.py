@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from parkav import bijections as bj
@@ -11,6 +13,7 @@ from invariants import (
     family_cardinalities,
     full_right_subtree_condition,
 )
+from tables import SMALL_123_132, SMALL_123_213
 
 # the two worked 25- and 20-car examples, with their published images
 FIG25_BLOCKS = parse_blocks(
@@ -104,19 +107,24 @@ def test_small_case_tables():
     assert serialize_tree(bj.phi_123_213(parse_blocks("({2},{1})"))) == "(()()())"
 
 
-def test_generic_recursion_reproduces_base_tables(monkeypatch):
-    """Running the n >= 4 machinery below its threshold must agree with the
-    transcribed lookup tables, in both directions."""
-    monkeypatch.setattr(bj, "BASE_THRESHOLD", 0)
-    for family in bj.FAMILIES:
-        for n in range(0, 4):
-            for blocks in bj.enumerate_pf_family(n, family):
-                t = bj.forward(blocks, family)
-                assert bj.backward(t, family) == blocks
-    for blocks, labeled in bj._BASE_132.items():
-        assert bj.phi_123_132(blocks) == labeled.shape(), blocks
-    for blocks, t in bj._BASE_213.items():
-        assert bj.phi_123_213(blocks) == t, blocks
+def _shape_of_labeled(text: str) -> OrderedTree:
+    return trees.parse_tree(re.sub(r"[*0-9]", "", text).replace("[", "(").replace("]", ")"))
+
+
+def test_recursion_reproduces_small_case_tables():
+    """The cluster recursion, seeded only at n = 0, must agree with the
+    small cases transcribed in tables.py, labels included."""
+    for blocks_text, labeled in SMALL_123_132.items():
+        blocks = parse_blocks(blocks_text)
+        assert str(bj.phi_123_132_labeled(blocks)) == labeled, blocks_text
+        assert bj.psi_123_132(_shape_of_labeled(labeled)) == blocks, blocks_text
+    for blocks_text, tree_text in SMALL_123_213.items():
+        blocks = parse_blocks(blocks_text)
+        assert serialize_tree(bj.phi_123_213(blocks)) == tree_text, blocks_text
+        assert bj.psi_123_213(trees.parse_tree(tree_text)) == blocks, blocks_text
+    for family, table in (("123-132", SMALL_123_132), ("123-213", SMALL_123_213)):
+        domain = [b for n in range(4) for b in bj.enumerate_pf_family(n, family)]
+        assert sorted(domain) == sorted(parse_blocks(b) for b in table), family
 
 
 def test_roundtrips_exhaustive_to_seven():

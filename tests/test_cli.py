@@ -98,10 +98,21 @@ def test_classes_json_carries_method(capsys):
         assert {r["method"] for r in json.loads(out)} == {method}
 
 
-@pytest.mark.parametrize("notion,patterns", [("pk", "1234"), ("pf", "12")])
-def test_negative_n_rejected(capsys, notion, patterns):
-    code = main(["count", "--notion", notion, "--patterns", patterns, "--n", "-1"])
-    capsys.readouterr()
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["count", "--notion", "pk", "--patterns", "1234", "--n", "-1"], id="pk-1234"),
+        pytest.param(["count", "--notion", "pf", "--patterns", "12", "--n", "-1"], id="pf-12"),
+        pytest.param(["sequence", "--notion", "pk", "--patterns", "123", "--n-max", "0"], id="sequence"),
+        pytest.param(
+            ["classes", "--family", "metasylvester-m", "--m", "2", "--n-max", "-3"], id="classes"
+        ),
+        pytest.param(["verify", "--suite", "bijections", "--n-max", "0"], id="verify"),
+    ],
+)
+def test_negative_n_rejected(capsys, argv):
+    code = main(argv)
+    assert capsys.readouterr().out == ""
     assert code == EXIT_USAGE
 
 
@@ -136,6 +147,20 @@ def test_bijection_forward_backward(tmp_path, capsys):
     assert (code, out.strip()) == (EXIT_OK, blocks_text)
 
 
+@pytest.mark.parametrize("family", ["123-132", "123-213"])
+def test_bijection_backward_smallest_trees(tmp_path, capsys, family):
+    # the 0-edge tree is in neither image; the one-edge tree is the image of
+    # the empty parking function
+    for tree_text, want in (("()", None), ("(())", "()\n")):
+        src = tmp_path / "t.txt"
+        src.write_text(tree_text + "\n")
+        code, out = run(
+            capsys, "bijection", "--family", family, "--direction", "backward",
+            "--input", str(src),
+        )
+        assert (code, out) == ((EXIT_USAGE, "") if want is None else (EXIT_OK, want))
+
+
 def test_bijection_worked_example(tmp_path, capsys):
     from test_bijections import FIG25_ADJACENCY, FIG25_BLOCKS, _tree_from
     from parkav.parking import format_blocks
@@ -155,6 +180,27 @@ def test_verify_ok(capsys):
     code, out = run(capsys, "verify", "--suite", "formulas", "--n-max", "4")
     assert code == EXIT_OK
     assert "0 mismatches" in out
+
+
+def test_verify_rejects_unknown_suite(capsys):
+    code = main(["verify", "--suite", "formulas,foo", "--n-max", "3"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "foo" in captured.err
+
+
+def test_verify_reports_clamped_range(capsys):
+    # the classes suite stops at n = 5; the bijection suite reaches n = 6
+    code = main(["verify", "--suite", "classes,bijections", "--n-max", "6", "--verbose"])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert captured.err == "note: suite classes checked n <= 5, not 6\n"
+    classes_n = {line.split(" n=")[1].split()[0] for line in captured.out.splitlines() if " m=" in line}
+    assert classes_n == {"1", "2", "3", "4", "5"}
+    assert "roundtrip 123-213 n=6:" in captured.out
+    code = main(["verify", "--suite", "classes", "--n-max", "5"])
+    assert (code, capsys.readouterr().err) == (EXIT_OK, "")
 
 
 def test_verify_flags_mismatch(capsys, monkeypatch):
