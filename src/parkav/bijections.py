@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
-from .parking import Blocks, ParkingFunction, block_permutation_of_blocks, to_blocks
+from .parking import Blocks, ParkingFunction, block_permutation_of_blocks, from_blocks, to_blocks
 from .permutations import PatternSet, avoids_all, pattern_set
 from .trees import LEAF, OrderedTree, path_tree
 
@@ -136,7 +136,11 @@ def _insert_empty(blocks: list[tuple[int, ...]], gap_end: int | None, opener: in
 
 def _clusters(f: ParkingFunction | Blocks, patterns: PatternSet, peel) -> list:
     """Peel clusters off the front of the blocks until none are left."""
-    blocks = to_blocks(f) if isinstance(f, ParkingFunction) else f
+    if isinstance(f, ParkingFunction):
+        blocks = to_blocks(f)
+    else:
+        from_blocks(f)  # raises ValueError unless f is a parking function
+        blocks = f
     pi = block_permutation_of_blocks(blocks)
     if not avoids_all(pi, patterns):
         raise ValueError(f"block permutation {pi} contains a forbidden pattern")

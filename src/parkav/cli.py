@@ -19,9 +19,10 @@ import argparse
 import json
 import sys
 import time
+from typing import Iterator
 
 from . import bijections, generalized, oracle, trees
-from .counting import CountResult, pf_count, pk_count
+from .counting import CountResult, pf_count, pf_route, pk_count, pk_route, row_of
 from .parking import format_blocks, parse_blocks
 from .permutations import parse_pattern_set
 
@@ -30,22 +31,26 @@ EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_BUDGET = 3
 
-CLASS_FAMILIES = {
-    "hyposylvester-multi": lambda n, m: generalized.hyposylvester_multipark(n, m),
-    "metasylvester-multi": lambda n, m: generalized.metasylvester_multipark(n, m),
-    "metasylvester-m": lambda n, m: generalized.metasylvester_mpark(n, m),
-    "hypoplactic-m": lambda n, m: generalized.hypoplactic_mpark(n, m),
-    "hyposylvester-m": lambda n, m: generalized.hyposylvester_mpark(n, m),
-}
+# family -> value(n, m), read from the one registry in generalized
+CLASS_FAMILIES = {name: value for name, (_, value, _) in generalized.CLASS_FAMILIES.items()}
+
+# notion -> (the count at one n, the route whose row gives a sequence)
+NOTIONS = {"pk": (pk_count, pk_route), "pf": (pf_count, pf_route)}
 
 
-def _count_for(notion: str, patterns_text: str, n: int) -> CountResult:
-    patterns = parse_pattern_set(patterns_text)
-    if notion == "pk":
-        return pk_count(patterns, n)
-    if notion == "pf":
-        return pf_count(patterns, n)
-    raise ValueError(f"unknown notion {notion!r}; use pk or pf")
+def _record(n: int, result: CountResult, t0: float) -> dict:
+    elapsed_ms = round((time.perf_counter() - t0) * 1000, 3)
+    return {"n": n, "value": result.value, "method": result.method, "elapsed_ms": elapsed_ms}
+
+
+def _row_records(rows: Iterator[tuple[int, CountResult]]) -> list[dict]:
+    """One record per n; elapsed_ms is the time the row took to yield that n."""
+    records = []
+    t0 = time.perf_counter()
+    for n, result in rows:
+        records.append(_record(n, result, t0))
+        t0 = time.perf_counter()
+    return records
 
 
 def _emit_records(records: list[dict], fmt: str, timing: bool, out) -> None:
@@ -69,52 +74,25 @@ def _emit_records(records: list[dict], fmt: str, timing: bool, out) -> None:
 
 def cmd_count(args, out) -> int:
     t0 = time.perf_counter()
-    result = _count_for(args.notion, args.patterns, args.n)
-    record = {
-        "n": args.n,
-        "value": result.value,
-        "method": result.method,
-        "elapsed_ms": round((time.perf_counter() - t0) * 1000, 3),
-    }
+    count, _ = NOTIONS[args.notion]
+    result = count(parse_pattern_set(args.patterns), args.n)
     if args.format == "plain":
         out.write(f"{result.value}\n")
     else:
-        _emit_records([record], args.format, args.timing, out)
+        _emit_records([_record(args.n, result, t0)], args.format, args.timing, out)
     return EXIT_OK
 
 
 def cmd_sequence(args, out) -> int:
-    records = []
-    for n in range(1, args.n_max + 1):
-        t0 = time.perf_counter()
-        result = _count_for(args.notion, args.patterns, n)
-        records.append(
-            {
-                "n": n,
-                "value": result.value,
-                "method": result.method,
-                "elapsed_ms": round((time.perf_counter() - t0) * 1000, 3),
-            }
-        )
-    _emit_records(records, args.format, args.timing, out)
+    _, route = NOTIONS[args.notion]
+    rows = row_of(route(parse_pattern_set(args.patterns)), args.n_max)
+    _emit_records(_row_records(rows), args.format, args.timing, out)
     return EXIT_OK
 
 
 def cmd_classes(args, out) -> int:
-    fn = CLASS_FAMILIES[args.family]
-    records = []
-    for n in range(1, args.n_max + 1):
-        t0 = time.perf_counter()
-        value = fn(n, args.m)
-        records.append(
-            {
-                "n": n,
-                "value": value,
-                "method": "weighted_sum" if args.family == "metasylvester-m" else "formula",
-                "elapsed_ms": round((time.perf_counter() - t0) * 1000, 3),
-            }
-        )
-    _emit_records(records, args.format, args.timing, out)
+    rows = row_of(generalized.CLASS_FAMILIES[args.family], args.n_max, args.m)
+    _emit_records(_row_records(rows), args.format, args.timing, out)
     return EXIT_OK
 
 
@@ -166,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="one exact count")
-    p.add_argument("--notion", choices=["pk", "pf"], required=True)
+    p.add_argument("--notion", choices=list(NOTIONS), required=True)
     p.add_argument("--patterns", required=True, help='comma-separated, e.g. "123,132"')
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=["plain", "bfile", "csv", "json"], default="plain")
@@ -174,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("sequence", help="values for n = 1..n_max")
-    p.add_argument("--notion", choices=["pk", "pf"], required=True)
+    p.add_argument("--notion", choices=list(NOTIONS), required=True)
     p.add_argument("--patterns", required=True)
     p.add_argument("--n-max", type=positive_int, required=True)
     p.add_argument("--format", choices=["bfile", "csv", "json"], default="bfile")
@@ -183,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classes", help="generalized parking-function class counts")
     p.add_argument("--family", choices=sorted(CLASS_FAMILIES), required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=positive_int, required=True)
     p.add_argument("--n-max", type=positive_int, required=True)
     p.add_argument("--format", choices=["bfile", "csv", "json"], default="bfile")
     p.add_argument("--timing", action="store_true")

@@ -16,15 +16,19 @@ Radical-laden closed forms (golden-ratio or 1+sqrt(2) powers) are computed
 through the integer linear recurrences they solve, so everything stays in
 exact integer arithmetic.  Values that involve a leading 1/n carry an exact
 divisibility assertion.
+
+Every route (``pk_route``, ``pf_route``) is a (method, value, row) triple:
+``pk_count``/``pf_count`` ask its value at one n, and ``row_of`` reads its
+row n = 1..n_max, which builds each table or recurrence once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache, partial
-from typing import Callable
+from functools import partial
+from typing import Callable, Iterator
 
 from .paths import catalan_number, path_weight_sum
 from .permutations import PatternSet, pattern_set, weighted_avoiders_s3
@@ -41,7 +45,7 @@ class CountResult:
         return self.value
 
 
-def _exact_div(numerator: int, denominator: int) -> int:
+def exact_div(numerator: int, denominator: int) -> int:
     q, r = divmod(numerator, denominator)
     if r:
         raise ArithmeticError(f"{numerator} not divisible by {denominator}")
@@ -58,6 +62,32 @@ def generic_weighted_pk(n: int, patterns: PatternSet) -> CountResult:
     return CountResult(total, "weighted_sum")
 
 
+# -- rows and routes ---------------------------------------------------------
+
+# (n, value) for n = 1..n_max, computed in one pass
+Row = Iterator[tuple[int, int]]
+
+# (method, value(n, *args), row(n_max, *args)); a row of None is the per-n
+# value mapped over n, which is how closed forms make their rows
+Route = tuple[str, Callable[..., int], Callable[..., Row] | None]
+
+
+def last_value(row: Row) -> int:
+    """The value of a row's last entry: its n_max term (1 for an empty row)."""
+    value = 1
+    for _, value in row:
+        pass
+    return value
+
+
+def row_of(route: Route, n_max: int, *args: int) -> Iterator[tuple[int, CountResult]]:
+    """(n, CountResult) for n = 1..n_max along one route."""
+    method, value, row = route
+    values = row(n_max, *args) if row else ((n, value(n, *args)) for n in range(1, n_max + 1))
+    for n, v in values:
+        yield n, CountResult(v, method)
+
+
 # -- single-pattern tables ---------------------------------------------------
 
 def pk123(n: int) -> int:
@@ -65,88 +95,103 @@ def pk123(n: int) -> int:
     if n == 0:
         return 1
     total = sum(math.comb(n + 1, k) * math.comb(n + k - 1, 2 * k - 1) for k in range(1, n + 1))
-    return _exact_div(total, n + 1)
+    return exact_div(total, n + 1)
+
+
+def pk213_row(n_max: int) -> Row:
+    """p_n = (1/(n+1)) [x^n] F^(n+1) with F = sum_k k! x^k: one running power
+    of F, truncated at x^n_max, and one convolution per n."""
+    factorials = [math.factorial(k) for k in range(n_max + 1)]
+    power = factorials
+    for n in range(1, n_max + 1):
+        nxt = [0] * (n_max + 1)
+        for i, a in enumerate(power):
+            for j in range(n_max + 1 - i):
+                nxt[i + j] += a * factorials[j]
+        power = nxt
+        yield n, exact_div(power[n], n + 1)
 
 
 def pk213(n: int) -> int:
-    """(1/(n+1)) [x^n] (sum_k k! x^k)^(n+1), via integer convolution."""
-    if n == 0:
-        return 1
-    factorials = [math.factorial(k) for k in range(n + 1)]
-    acc = [0] * (n + 1)
-    acc[0] = 1
-    for _ in range(n + 1):
-        nxt = [0] * (n + 1)
-        for i, a in enumerate(acc):
-            if a:
-                for j in range(n + 1 - i):
-                    nxt[i + j] += a * factorials[j]
-        acc = nxt
-    return _exact_div(acc[n], n + 1)
+    return last_value(pk213_row(n))
 
 
-@lru_cache(maxsize=None)
-def pk132_sequence(n_max: int) -> tuple[int, ...]:
+def pk132_row(n_max: int) -> Row:
     """p_0 = 1, p_n = sum_{k=1}^{n} k p_{k-1} p_{n-k}; counts both the 132
     and the 231 avoidance flavours."""
     p = [1]
     for n in range(1, n_max + 1):
         p.append(sum(k * p[k - 1] * p[n - k] for k in range(1, n + 1)))
-    return tuple(p)
+        yield n, p[n]
 
 
 def pk132(n: int) -> int:
-    return pk132_sequence(n)[n]
+    return last_value(pk132_row(n))
+
+
+def triangle(
+    n: int, row_factor: Callable[[int, int], int], diag_kernel: Callable[[int], int]
+) -> dict[tuple[int, int], int]:
+    """Triangular table with t[r,r] = 1 and, for 1 <= k < r <= n,
+    t[r,k] = f(r,k) * sum_{i=r-k}^{r-1} sum_{j=k+1-r+i}^{i} K(r-i+j-k-1) t[i,j].
+
+    With D = r-k-1, the cell (i, j) lies on diagonal d = i-j in 0..D and
+    its kernel is K(D-d).  So with P_d[i] the running sum of t down diagonal
+    d, the double sum is sum_{d=0}^{D} K(D-d) (P_d[r-1] - P_d[D]): O(n^3)
+    for the whole table.
+    """
+    kernel = [diag_kernel(x) for x in range(n + 1)]
+    t: dict[tuple[int, int], int] = {}
+    prefix: list[int] = []  # prefix[d] = P_d[r-1] while row r is built
+    base = [0]  # base[D] = sum_{d<=D} K(D-d) P_d[D], fixed once row D is done
+    for r in range(1, n + 1):
+        t[r, r] = 1
+        for k in range(r - 1, 0, -1):
+            D = r - k - 1
+            acc = sum(map(operator.mul, kernel[D::-1], prefix[: D + 1]))
+            t[r, k] = row_factor(r, k) * (acc - base[D])
+        prefix.append(0)
+        for d in range(r):
+            prefix[d] += t[r, r - d]
+        base.append(sum(map(operator.mul, kernel[r:0:-1], prefix)))
+    return t
+
+
+def first_run_triangle(n: int, m: int) -> dict[tuple[int, int], int]:
+    """The triangle with f(n,k) = 1 + m(n-k) and a constant kernel: a plain
+    sum over the sliding window.  m = 1 specializes to the 312 table."""
+    return triangle(n, lambda r, k: 1 + m * (r - k), lambda d: 1)
+
+
+def first_run_row(n_max: int, m: int) -> Row:
+    """Row sums of one first_run_triangle(n_max, m)."""
+    t = first_run_triangle(n_max, m)
+    for n in range(1, n_max + 1):
+        yield n, sum(t[n, k] for k in range(1, n + 1))
 
 
 def pk312_table(n: int) -> dict[tuple[int, int], int]:
-    """Triangular table with t[n,n] = 1 and
-    t[n,k] = (n-k+1) * sum_{i=n-k}^{n-1} sum_{j=k+1-n+i}^{i} t[i,j]."""
+    """The 312 triangle: f(n,k) = n-k+1 and a constant kernel."""
     return first_run_triangle(n, 1)
 
 
 def pk312(n: int) -> int:
-    if n == 0:
-        return 1
-    t = pk312_table(n)
-    return sum(t[n, k] for k in range(1, n + 1))
+    return last_value(first_run_row(n, 1))
 
 
 def pk321_table(n: int) -> dict[tuple[int, int], int]:
-    """Triangular table with t[n,n] = 1 and
-    t[n,k] = (n-k+1) * sum_i sum_j (n-i+j-k-1)! t[i,j]."""
-    t: dict[tuple[int, int], int] = {}
-    for nn in range(1, n + 1):
-        t[nn, nn] = 1
-        for k in range(nn - 1, 0, -1):
-            acc = 0
-            for i in range(nn - k, nn):
-                for j in range(k + 1 - nn + i, i + 1):
-                    acc += math.factorial(nn - i + j - k - 1) * t[i, j]
-            t[nn, k] = (nn - k + 1) * acc
-    return t
+    """The 321 triangle: f(n,k) = n-k+1 and the kernel K(x) = x!."""
+    return triangle(n, lambda r, k: r - k + 1, math.factorial)
+
+
+def pk321_row(n_max: int) -> Row:
+    t = pk321_table(n_max)
+    for n in range(1, n_max + 1):
+        yield n, sum(math.factorial(k - 1) * t[n, k] for k in range(1, n + 1))
 
 
 def pk321(n: int) -> int:
-    if n == 0:
-        return 1
-    t = pk321_table(n)
-    return sum(math.factorial(k - 1) * t[n, k] for k in range(1, n + 1))
-
-
-def first_run_triangle(n: int, m: int) -> dict[tuple[int, int], int]:
-    """Shared triangle: t[n,k] = (1 + m(n-k)) * sum over the sliding window.
-    m = 1 specializes to the 312 table."""
-    t: dict[tuple[int, int], int] = {}
-    for nn in range(1, n + 1):
-        t[nn, nn] = 1
-        for k in range(nn - 1, 0, -1):
-            acc = 0
-            for i in range(nn - k, nn):
-                for j in range(k + 1 - nn + i, i + 1):
-                    acc += t[i, j]
-            t[nn, k] = (1 + m * (nn - k)) * acc
-    return t
+    return last_value(pk321_row(n))
 
 
 # -- sums over lattice paths -------------------------------------------------
@@ -175,77 +220,71 @@ def pk_sum_over_paths(n: int, weight: str) -> CountResult:
 
 # -- dispatch over subsets of S_3 --------------------------------------------
 
-def _sum_factorials(n: int) -> int:
-    return sum(math.factorial(k) for k in range(1, n + 1))
+def _linear_row(step: Callable[[int, int], int]) -> Callable[[int], Row]:
+    """p_1 = 1, p_2 = 3 and p_n = step(p_{n-1}, p_{n-2})."""
+
+    def row(n_max: int) -> Row:
+        a, b = 1, 3
+        for n in range(1, n_max + 1):
+            yield n, a
+            a, b = b, step(b, a)
+
+    return row
 
 
-def _linear_recurrence(n: int, p1: int, p2: int, step: Callable[[int, int], int]) -> int:
-    if n == 1:
-        return p1
-    if n == 2:
-        return p2
-    a, b = p1, p2
-    for _ in range(3, n + 1):
-        a, b = b, step(b, a)
-    return b
-
-
-def _pk_conv_factorial(n: int) -> int:
+def _pk_conv_factorial_row(n_max: int) -> Row:
     # p_n = sum_{k=1}^{n} k! p_{n-k}, p_0 = 1
+    factorials = [math.factorial(k) for k in range(n_max + 1)]
     p = [1]
-    for nn in range(1, n + 1):
-        p.append(sum(math.factorial(k) * p[nn - k] for k in range(1, nn + 1)))
-    return p[n]
+    for n in range(1, n_max + 1):
+        p.append(sum(factorials[k] * p[n - k] for k in range(1, n + 1)))
+        yield n, p[n]
 
 
-def _pk_231_321(n: int) -> int:
+def _pk_231_321_row(n_max: int) -> Row:
     # p_n = (n+1)! - sum_{k=0}^{n-1} p_k (n-k)!, p_0 = 1
+    factorials = [math.factorial(k) for k in range(n_max + 2)]
     p = [1]
-    for nn in range(1, n + 1):
-        p.append(math.factorial(nn + 1) - sum(p[k] * math.factorial(nn - k) for k in range(nn)))
-    return p[n]
+    for n in range(1, n_max + 1):
+        p.append(factorials[n + 1] - sum(p[k] * factorials[n - k] for k in range(n)))
+        yield n, p[n]
 
 
-def _pk5_all_but_321(n: int) -> int:
-    return 3 if n == 2 else 1
+def _dispatch_table() -> dict[tuple[tuple[int, ...], ...], Route]:
+    t: dict[tuple[tuple[int, ...], ...], Route] = {}
 
-
-def _pk5_all_but_123(n: int) -> int:
-    return 3 if n == 2 else math.factorial(n)
-
-
-_FOUR_CONST3 = lambda n: 1 if n == 1 else 3
-_FOUR_NPLUS1 = lambda n: 1 if n == 1 else n + 1
-_FOUR_FACT1 = lambda n: 1 if n == 1 else math.factorial(n) + 1
-_FOUR_FACT_RATIO = lambda n: 1 if n == 1 else _exact_div(math.factorial(n + 1), n)
-_FOUR_FACT32 = lambda n: 1 if n == 1 else _exact_div(3 * math.factorial(n), 2)
-
-
-def _dispatch_table() -> dict[tuple[tuple[int, ...], ...], tuple[str, Callable[[int], int]]]:
-    t: dict[tuple[tuple[int, ...], ...], tuple[str, Callable[[int], int]]] = {}
-
-    def put(names: list[str], method: str, fn: Callable[[int], int]) -> None:
+    def put(
+        names: list[str],
+        method: str,
+        fn: Callable[[int], int] | None = None,
+        row: Callable[[int], Row] | None = None,
+    ) -> None:
+        """fn is the value at one n; a recurrence without one reads its row."""
         for name in names:
             key = pattern_set(*name.split("/")).key()
-            t[key] = (method, fn)
+            t[key] = (method, fn or (lambda n: last_value(row(n))), row)
 
     # five patterns
-    put(["123/132/213/231/312"], "formula", _pk5_all_but_321)
-    put(["132/213/231/312/321"], "formula", _pk5_all_but_123)
+    put(["123/132/213/231/312"], "formula", lambda n: 3 if n == 2 else 1)
+    put(["132/213/231/312/321"], "formula", lambda n: 3 if n == 2 else math.factorial(n))
     # four patterns
     put(
         ["123/132/213/231", "123/132/213/312", "123/213/231/312"],
         "formula",
-        _FOUR_CONST3,
+        lambda n: 1 if n == 1 else 3,
     )
-    put(["123/132/231/312"], "formula", _FOUR_NPLUS1)
-    put(["132/213/231/312"], "formula", _FOUR_FACT1)
+    put(["123/132/231/312"], "formula", lambda n: 1 if n == 1 else n + 1)
+    put(["132/213/231/312"], "formula", lambda n: 1 if n == 1 else math.factorial(n) + 1)
     put(
         ["132/213/231/321", "132/213/312/321", "213/231/312/321"],
         "formula",
-        _FOUR_FACT_RATIO,
+        lambda n: 1 if n == 1 else exact_div(math.factorial(n + 1), n),
     )
-    put(["132/231/312/321"], "formula", _FOUR_FACT32)
+    put(
+        ["132/231/312/321"],
+        "formula",
+        lambda n: 1 if n == 1 else exact_div(3 * math.factorial(n), 2),
+    )
     # three patterns
     put(
         ["123/132/231", "123/132/312", "123/231/312"],
@@ -256,18 +295,22 @@ def _dispatch_table() -> dict[tuple[tuple[int, ...], ...], tuple[str, Callable[[
     put(
         ["123/132/213"],
         "formula",
-        lambda n: _exact_div(2 ** (n + 1) + (-1) ** n, 3),
+        lambda n: exact_div(2 ** (n + 1) + (-1) ** n, 3),
     )
-    put(["132/213/231", "132/213/312", "213/231/312"], "formula", _sum_factorials)
+    put(
+        ["132/213/231", "132/213/312", "213/231/312"],
+        "formula",
+        lambda n: sum(math.factorial(k) for k in range(1, n + 1)),
+    )
     put(
         ["132/231/312"],
         "formula",
-        lambda n: sum(_exact_div(math.factorial(n), math.factorial(k)) for k in range(1, n + 1)),
+        lambda n: sum(exact_div(math.factorial(n), math.factorial(k)) for k in range(1, n + 1)),
     )
     put(
         ["132/231/321", "132/312/321"],
         "formula",
-        lambda n: sum(_exact_div(math.factorial(n), k) for k in range(1, n + 1)),
+        lambda n: sum(exact_div(math.factorial(n), k) for k in range(1, n + 1)),
     )
     put(
         ["132/213/321", "213/231/321"],
@@ -279,7 +322,7 @@ def _dispatch_table() -> dict[tuple[tuple[int, ...], ...], tuple[str, Callable[[
         ["231/312/321"],
         "formula",
         lambda n: sum(
-            (-1) ** k * _exact_div(math.factorial(n), math.factorial(k)) * (n - k + 1)
+            (-1) ** k * exact_div(math.factorial(n), math.factorial(k)) * (n - k + 1)
             for k in range(0, n + 1)
         ),
     )
@@ -287,30 +330,22 @@ def _dispatch_table() -> dict[tuple[tuple[int, ...], ...], tuple[str, Callable[[
     put(
         ["123/231", "123/312"],
         "formula",
-        lambda n: _exact_div(n * (n - 1) * (n + 4), 6) + 1,
+        lambda n: exact_div(n * (n - 1) * (n + 4), 6) + 1,
     )
-    put(
-        ["123/132"],
-        "recurrence",
-        lambda n: _linear_recurrence(n, 1, 3, lambda b, a: 3 * b - a),
-    )
-    put(
-        ["123/213"],
-        "recurrence",
-        lambda n: _linear_recurrence(n, 1, 3, lambda b, a: 2 * b + a),
-    )
+    put(["123/132"], "recurrence", row=_linear_row(lambda b, a: 3 * b - a))
+    put(["123/213"], "recurrence", row=_linear_row(lambda b, a: 2 * b + a))
     put(
         ["132/231", "132/312", "231/312"],
         "formula",
-        lambda n: _exact_div(math.factorial(n + 1), 2),
+        lambda n: exact_div(math.factorial(n + 1), 2),
     )
-    put(["132/213", "213/231"], "recurrence", _pk_conv_factorial)
+    put(["132/213", "213/231"], "recurrence", row=_pk_conv_factorial_row)
     put(
         ["132/321"],
         "formula",
         lambda n: math.factorial(n)
         + sum(
-            _exact_div(
+            exact_div(
                 math.factorial(a) * math.factorial(b) * math.factorial(n),
                 math.factorial(a + b),
             )
@@ -329,105 +364,125 @@ def _dispatch_table() -> dict[tuple[tuple[int, ...], ...], tuple[str, Callable[[
         "formula",
         lambda n: sum(math.comb(n - 1, k) * math.factorial(k + 1) for k in range(0, n)),
     )
-    put(["231/321"], "recurrence", _pk_231_321)
+    put(["231/321"], "recurrence", row=_pk_231_321_row)
     put(
         ["312/321"],
         "formula",
         lambda n: sum(
-            math.comb(n - 1, k - 1) * _exact_div(math.factorial(n), math.factorial(k))
+            math.comb(n - 1, k - 1) * exact_div(math.factorial(n), math.factorial(k))
             for k in range(1, n + 1)
         ),
     )
     # single patterns
     put(["123"], "formula", pk123)
-    put(["213"], "formula", pk213)
-    put(["132", "231"], "recurrence", pk132)
-    put(["312"], "recurrence", pk312)
-    put(["321"], "recurrence", pk321)
+    put(["213"], "formula", pk213, pk213_row)
+    put(["132", "231"], "recurrence", pk132, pk132_row)
+    put(["312"], "recurrence", pk312, partial(first_run_row, m=1))
+    put(["321"], "recurrence", pk321, pk321_row)
     return t
 
 
 _DISPATCH = _dispatch_table()
 
 
-def pk_count(patterns: PatternSet, n: int) -> CountResult:
-    """Count parking functions whose outcome permutation avoids ``patterns``.
+def pk_route(patterns: PatternSet) -> Route:
+    """The route that counts ``patterns``-avoiding outcome permutations.
 
     Every nonempty subset of S_3 hits a dedicated formula or recurrence
     except the ones containing both 123 and 321 (whose avoidance class dies
     at size 5); those fall back to the generic weighted sum.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
     if len(patterns) == 0:
         raise ValueError("pattern set must be nonempty")
+    route = _DISPATCH.get(patterns.key())
+    if route is None:
+        return "weighted_sum", (lambda n: generic_weighted_pk(n, patterns).value), None
+    return route
+
+
+def _count_at(route: Route, n: int) -> CountResult:
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if n == 0:
         return CountResult(1, "formula")
-    entry = _DISPATCH.get(patterns.key())
-    if entry is None:
-        return generic_weighted_pk(n, patterns)
-    method, fn = entry
-    return CountResult(fn(n), method)
+    method, value, _ = route
+    return CountResult(value(n), method)
+
+
+def pk_count(patterns: PatternSet, n: int) -> CountResult:
+    """Count parking functions whose outcome permutation avoids ``patterns``."""
+    return _count_at(pk_route(patterns), n)
 
 
 # -- block-permutation counts -------------------------------------------------
 
 def pf_tree_census_123_132(n: int) -> int:
-    """Ordered rooted trees with n+1 edges and odd root degree, counted as
-    sum over odd d of [x^(n+1-d)] Cat(x)^d (forests of d subtrees)."""
+    """Ordered rooted trees with N = n+1 edges and odd root degree: a root
+    of degree d carries d planted subtrees with N edges in all (root edges
+    included), and there are d/N C(2N-d-1, N-1) of those (ballot numbers)."""
     edges = n + 1
-    cat = [catalan_number(k) for k in range(edges + 1)]
-    total = 0
-    power = [1] + [0] * edges  # Cat(x)^0
-    for d in range(1, edges + 1):
-        nxt = [0] * (edges + 1)
-        for i, a in enumerate(power):
-            if a:
-                for j in range(edges + 1 - i):
-                    nxt[i + j] += a * cat[j]
-        power = nxt
-        if d % 2 == 1:
-            total += power[edges - d]
-    return total
+    total = sum(d * math.comb(2 * edges - d - 1, edges - 1) for d in range(1, edges + 1, 2))
+    return exact_div(total, edges)
+
+
+def pf312321_row(n_max: int) -> Row:
+    """2^n p_n = a_{n+1} 2^(n-1) - sum_{m=2}^{n} a_m 2^(m-2), where
+    a_m = C(3m-2, m-1)/m; each lead term is the next n's last summand."""
+    tail = 0  # sum_{m=2}^{n} a_m 2^(m-2)
+    for n in range(1, n_max + 1):
+        lead = exact_div(math.comb(3 * n + 1, n), n + 1) << (n - 1)
+        yield n, exact_div(lead - tail, 1 << n)
+        tail += lead
 
 
 def pf312321_closed_form(n: int) -> CountResult:
-    """C(3n+1, n)/(2(n+1)) - sum_{k=0}^{n-2} C(3n-2-3k, n-k-1)/(2^(k+2)(n-k));
-    the rational pieces always cancel to an exact integer."""
+    """C(3n+1, n)/(2(n+1)) - sum_{k=0}^{n-2} C(3n-2-3k, n-k-1)/(2^(k+2)(n-k)),
+    in integers: multiplied through by 2^n, see pf312321_row."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    total = Fraction(math.comb(3 * n + 1, n), 2 * (n + 1))
-    for k in range(0, n - 1):
-        total -= Fraction(math.comb(3 * n - 2 - 3 * k, n - k - 1), 2 ** (k + 2) * (n - k))
-    if total.denominator != 1:
-        raise ArithmeticError(f"expected an integer, got {total}")
-    return CountResult(int(total), "formula")
+    return CountResult(last_value(pf312321_row(n)), "formula")
 
 
 PF_BRUTE_CAP = 8
 
+# the block-permutation pattern sets with a closed form, and their routes
+PF_ROUTES: dict[PatternSet, Route] = {
+    pattern_set("12"): ("formula", lambda n: 1, None),
+    pattern_set("21"): ("formula", catalan_number, None),
+    pattern_set("123", "132"): ("formula", pf_tree_census_123_132, None),
+    pattern_set("123", "213"): (
+        "formula", lambda n: catalan_number(n + 1) - catalan_number(n), None
+    ),
+    pattern_set("312", "321"): ("formula", lambda n: pf312321_closed_form(n).value, pf312321_row),
+}
+
+
+def _check_pf_cap(patterns: PatternSet, n: int) -> None:
+    if n > PF_BRUTE_CAP:
+        from .oracle import OracleCapExceeded
+
+        raise OracleCapExceeded(
+            f"no closed form for {patterns}; brute force capped at n={PF_BRUTE_CAP}"
+        )
+
+
+def pf_route(patterns: PatternSet) -> Route:
+    """The closed form for ``patterns``, or brute force up to PF_BRUTE_CAP."""
+    if patterns in PF_ROUTES:
+        return PF_ROUTES[patterns]
+    from . import oracle
+
+    def value(n: int) -> int:
+        _check_pf_cap(patterns, n)
+        return oracle.brute_pf(n, patterns)
+
+    def row(n_max: int) -> Row:
+        _check_pf_cap(patterns, n_max)  # refuse before enumerating any n
+        yield from ((n, oracle.brute_pf(n, patterns)) for n in range(1, n_max + 1))
+
+    return "brute_force", value, row
+
 
 def pf_count(patterns: PatternSet, n: int) -> CountResult:
     """Count parking functions whose block permutation avoids ``patterns``."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return CountResult(1, "formula")
-    key = patterns.key()
-    if key == pattern_set("12").key():
-        return CountResult(1, "formula")
-    if key == pattern_set("21").key():
-        return CountResult(catalan_number(n), "formula")
-    if key == pattern_set("123", "132").key():
-        return CountResult(pf_tree_census_123_132(n), "formula")
-    if key == pattern_set("123", "213").key():
-        return CountResult(catalan_number(n + 1) - catalan_number(n), "formula")
-    if key == pattern_set("312", "321").key():
-        return pf312321_closed_form(n)
-    from . import oracle
-
-    if n > PF_BRUTE_CAP:
-        raise oracle.OracleCapExceeded(
-            f"no closed form for {patterns}; brute force capped at n={PF_BRUTE_CAP}"
-        )
-    return CountResult(oracle.brute_pf(n, patterns), "brute_force")
+    return _count_at(pf_route(patterns), n)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Sequence
 
-from .counting import first_run_triangle
+from .counting import Route, exact_div, first_run_row, last_value
 from .parking import is_parking
 from .paths import path_weight_sum
 from .series import PowerSeries, series
@@ -161,18 +161,14 @@ def hyposylvester_multipark(n: int, m: int) -> int:
         math.comb(n, k) * math.comb(3 * n - k, 2 * n + 1) * (m - 1) ** k
         for k in range(0, n)
     )
-    q, r = divmod(total, n)
-    if r:
-        raise ArithmeticError(f"{total} not divisible by {n}")
-    return q
+    return exact_div(total, n)
 
 
 def metasylvester_multipark(n: int, m: int) -> int:
     """Row sum of the (1 + m(n-k))-weighted triangular recurrence."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    t = first_run_triangle(n, m)
-    return sum(t[n, k] for k in range(1, n + 1))
+    return last_value(first_run_row(n, m))
 
 
 def multipark_class_count_by_paths(n: int, m: int, congruence: str) -> int:
@@ -207,10 +203,7 @@ def hypoplactic_mpark(n: int, m: int) -> int:
         math.comb(m * n, k - 1) * math.comb(n, k) * 2 ** (k - 1)
         for k in range(1, n + 1)
     )
-    q, r = divmod(total, n)
-    if r:
-        raise ArithmeticError(f"{total} not divisible by {n}")
-    return q
+    return exact_div(total, n)
 
 
 def hyposylvester_mpark(n: int, m: int) -> int:
@@ -219,10 +212,20 @@ def hyposylvester_mpark(n: int, m: int) -> int:
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     num = math.comb((2 * m + 1) * n, n)
-    q, r = divmod(num, 2 * m * n + 1)
-    if r:
-        raise ArithmeticError(f"{num} not divisible by {2 * m * n + 1}")
-    return q
+    return exact_div(num, 2 * m * n + 1)
+
+
+# -- the family registry -------------------------------------------------------
+
+# name -> (method, value(n, m), row(n_max, m)); a row of None maps the value
+# over n.  The CLI, verify and the tests read this one table.
+CLASS_FAMILIES: dict[str, Route] = {
+    "hyposylvester-multi": ("formula", hyposylvester_multipark, None),
+    "metasylvester-multi": ("formula", metasylvester_multipark, first_run_row),
+    "metasylvester-m": ("weighted_sum", metasylvester_mpark, None),
+    "hypoplactic-m": ("formula", hypoplactic_mpark, None),
+    "hyposylvester-m": ("formula", hyposylvester_mpark, None),
+}
 
 
 # -- per-evaluation oracle ------------------------------------------------------
@@ -281,9 +284,9 @@ def metasylvester_identity_sides(m: int, order: int) -> tuple[PowerSeries, Power
     numer = one(order)
     one_minus_x = series([1, -1], order)
     xs = x(order)
-    for n in range(1, order + 1):
+    for n, p_n in first_run_row(order, m):
         numer = numer * one_minus_x * xs
         denom = denom * series([1, m * n], order)
         term = numer * reciprocal(denom)
-        rhs = rhs + term.scale(metasylvester_multipark(n, m))
+        rhs = rhs + term.scale(p_n)
     return lhs, rhs

@@ -171,18 +171,10 @@ def verify_pk(n_max: int) -> list[OracleReport]:
 
 def verify_pf(n_max: int) -> list[OracleReport]:
     """pf closed forms vs simulation for the supported pattern sets."""
-    from .counting import pf_count
-    from .permutations import pattern_set
+    from .counting import PF_ROUTES, pf_count
 
-    supported = [
-        pattern_set("12"),
-        pattern_set("21"),
-        pattern_set("123", "132"),
-        pattern_set("123", "213"),
-        pattern_set("312", "321"),
-    ]
     reports = []
-    for patterns in supported:
+    for patterns in PF_ROUTES:
         name = f"pf({patterns})"
         for n in range(1, n_max + 1):
             reports.append(
@@ -195,23 +187,18 @@ def verify_generalized(n_max: int, m_max: int = 2) -> list[OracleReport]:
     """Class-count formulas vs the per-evaluation enumeration oracle."""
     from . import generalized
 
+    # family names are <congruence>-multi (m-multiparking) or <congruence>-m
+    by_evaluations = {
+        "multi": generalized.multipark_class_count_by_evaluations,
+        "m": generalized.mpark_class_count_by_evaluations,
+    }
     reports = []
     for m in range(1, m_max + 1):
         for n in range(1, n_max + 1):
-            pairs = [
-                ("hyposylvester-multi", generalized.hyposylvester_multipark(n, m),
-                 generalized.multipark_class_count_by_evaluations(n, m, "hyposylvester")),
-                ("metasylvester-multi", generalized.metasylvester_multipark(n, m),
-                 generalized.multipark_class_count_by_evaluations(n, m, "metasylvester")),
-                ("metasylvester-m", generalized.metasylvester_mpark(n, m),
-                 generalized.mpark_class_count_by_evaluations(n, m, "metasylvester")),
-                ("hypoplactic-m", generalized.hypoplactic_mpark(n, m),
-                 generalized.mpark_class_count_by_evaluations(n, m, "hypoplactic")),
-                ("hyposylvester-m", generalized.hyposylvester_mpark(n, m),
-                 generalized.mpark_class_count_by_evaluations(n, m, "hyposylvester")),
-            ]
-            for name, formula, oracle_value in pairs:
-                reports.append(OracleReport(name, n, m, oracle_value, formula))
+            for name, (_, value, _) in generalized.CLASS_FAMILIES.items():
+                congruence, side = name.rsplit("-", 1)
+                oracle_value = by_evaluations[side](n, m, congruence)
+                reports.append(OracleReport(name, n, m, oracle_value, value(n, m)))
     return reports
 
 

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from parkav.cli import EXIT_BUDGET, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
-from tables import PF_312_321
+from tables import PF_312_321, PK_ROWS
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -65,6 +71,43 @@ def test_sequence_csv(capsys):
     ]
 
 
+def test_sequence_timing_csv(capsys):
+    code, out = run(
+        capsys, "sequence", "--notion", "pk", "--patterns", "321",
+        "--n-max", "8", "--format", "csv", "--timing",
+    )
+    assert code == EXIT_OK
+    header, *lines = out.splitlines()
+    assert header == "n,value,method,elapsed_ms"
+    records = [line.split(",") for line in lines]
+    assert [(int(n), int(v), m) for n, v, m, _ in records] == [
+        (n, v, "recurrence") for n, v in zip(range(1, 9), PK_ROWS["321"])
+    ]
+    assert all(float(ms) >= 0 for *_, ms in records)
+
+
+def test_trace_child_runs_sequence():
+    # the benchmark's tracer wraps counting functions by name: a rename
+    # must fail here, not in a traced benchmark run
+    argv = ["sequence", "--notion", "pk", "--patterns", "321", "--n-max", "5"]
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def call(*cmd):
+        return subprocess.run(
+            [sys.executable, *cmd, *argv], capture_output=True, text=True, env=env, cwd=ROOT, timeout=120
+        )
+
+    traced = call(str(ROOT / "perfbench" / "trace_child.py"), "t")
+    plain = call("-m", "parkav")
+    assert traced.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout != ""
+    prefix = "perfbench-trace "
+    [line] = [line for line in traced.stderr.splitlines() if line.startswith(prefix)]
+    # the whole row reads one triangle
+    assert json.loads(line[len(prefix):])["calls"]["counting.triangle"] == 1
+
+
 def test_deterministic_output(capsys):
     args = ("sequence", "--notion", "pk", "--patterns", "312", "--n-max", "8")
     _, first = run(capsys, *args)
@@ -106,6 +149,9 @@ def test_classes_json_carries_method(capsys):
         pytest.param(["sequence", "--notion", "pk", "--patterns", "123", "--n-max", "0"], id="sequence"),
         pytest.param(
             ["classes", "--family", "metasylvester-m", "--m", "2", "--n-max", "-3"], id="classes"
+        ),
+        pytest.param(
+            ["classes", "--family", "metasylvester-multi", "--m", "0", "--n-max", "3"], id="classes-m"
         ),
         pytest.param(["verify", "--suite", "bijections", "--n-max", "0"], id="verify"),
     ],
@@ -159,6 +205,21 @@ def test_bijection_backward_smallest_trees(tmp_path, capsys, family):
             "--input", str(src),
         )
         assert (code, out) == ((EXIT_USAGE, "") if want is None else (EXIT_OK, want))
+
+
+@pytest.mark.parametrize("family", ["123-132", "123-213"])
+@pytest.mark.parametrize(
+    "blocks_text,reason",
+    [("({},{1,2})", "prefix condition fails"), ("({},{1})", "blocks must partition")],
+)
+def test_bijection_forward_rejects_non_parking(tmp_path, capfd, family, blocks_text, reason):
+    src = tmp_path / "f.txt"
+    src.write_text(blocks_text + "\n")
+    code = main(["bijection", "--family", family, "--direction", "forward", "--input", str(src)])
+    captured = capfd.readouterr()
+    assert (code, captured.out) == (EXIT_USAGE, "")
+    assert captured.err.startswith(f"error: {reason}")
+    assert "Traceback" not in captured.err
 
 
 def test_bijection_worked_example(tmp_path, capsys):

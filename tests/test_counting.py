@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import pytest
 
 from parkav import counting, oracle
@@ -12,6 +15,7 @@ from parkav.counting import (
 from parkav.paths import catalan_number
 from parkav.permutations import parse_pattern_set, pattern_set
 from invariants import (
+    all_s3_subsets,
     pk_dispatch_matches_weighted,
     path_sums_match_tables,
     weighted_matches_oracle,
@@ -62,6 +66,79 @@ def test_triangular_tables():
     assert counting.pk321_table(1)[1, 1] == 1
     assert [counting.pk312(n) for n in range(1, 9)] == PK_ROWS["312"]
     assert [counting.pk321(n) for n in range(1, 9)] == PK_ROWS["321"]
+
+
+def _double_sum_triangle(n, row_factor, kernel):
+    """The defining double sum of counting.triangle, O(n^4): the reference."""
+    t = {}
+    for r in range(1, n + 1):
+        t[r, r] = 1
+        for k in range(r - 1, 0, -1):
+            acc = 0
+            for i in range(r - k, r):
+                for j in range(k + 1 - r + i, i + 1):
+                    acc += kernel(r - i + j - k - 1) * t[i, j]
+            t[r, k] = row_factor(r, k) * acc
+    return t
+
+
+def test_triangles_match_double_sum():
+    n = 25
+    first_run = lambda m: _double_sum_triangle(n, lambda r, k: 1 + m * (r - k), lambda d: 1)
+    assert counting.pk312_table(n) == first_run(1)
+    assert counting.pk321_table(n) == _double_sum_triangle(n, lambda r, k: r - k + 1, math.factorial)
+    for m in (1, 2, 3):
+        assert counting.first_run_triangle(n, m) == first_run(m)
+
+
+def test_rows_match_single_counts():
+    # every subset of S_3 with its own formula or recurrence
+    routed = [p for p in all_s3_subsets() if not {"123", "321"} <= {str(q) for q in p}]
+    assert len(routed) == 47
+    for patterns in routed:
+        assert counting.pk_route(patterns)[0] != "weighted_sum", patterns
+        want = [(n, pk_count(patterns, n)) for n in range(1, 41)]
+        assert list(counting.row_of(counting.pk_route(patterns), 40)) == want, patterns
+    assert len(counting.PF_ROUTES) == 5
+    for patterns in counting.PF_ROUTES:
+        want = [(n, pf_count(patterns, n)) for n in range(1, 41)]
+        assert list(counting.row_of(counting.pf_route(patterns), 40)) == want, patterns
+
+
+def _pf312321_fraction(n):
+    """The closed form as printed, in rationals."""
+    total = Fraction(math.comb(3 * n + 1, n), 2 * (n + 1))
+    for k in range(0, n - 1):
+        total -= Fraction(math.comb(3 * n - 2 - 3 * k, n - k - 1), 2 ** (k + 2) * (n - k))
+    assert total.denominator == 1
+    return int(total)
+
+
+def test_pf312321_integer_form_matches_fractions():
+    assert list(counting.pf312321_row(200)) == [(n, _pf312321_fraction(n)) for n in range(1, 201)]
+
+
+def _tree_census_by_convolution(n):
+    """sum over odd d of [x^(n+1-d)] Cat(x)^d, by repeated convolution."""
+    edges = n + 1
+    cat = [catalan_number(k) for k in range(edges + 1)]
+    total = 0
+    power = [1] + [0] * edges
+    for d in range(1, edges + 1):
+        power = [sum(power[i] * cat[k - i] for i in range(k + 1)) for k in range(edges + 1)]
+        if d % 2 == 1:
+            total += power[edges - d]
+    return total
+
+
+def test_tree_census_matches_convolution():
+    for n in range(0, 41):
+        assert counting.pf_tree_census_123_132(n) == _tree_census_by_convolution(n), n
+
+
+def test_pf_brute_row_refuses_up_front():
+    with pytest.raises(oracle.OracleCapExceeded):
+        next(counting.row_of(counting.pf_route(pattern_set("132")), counting.PF_BRUTE_CAP + 1))
 
 
 def test_recurrence_rows_first_terms():

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from parkav import generalized as g
+from parkav.counting import CountResult, row_of
 from parkav.parking import is_parking
 from invariants import (
     consistency_triangle,
@@ -151,3 +152,12 @@ def test_wrapper_types():
     assert p.evaluation().counts == (1, 0, 1, 0, 1)
     with pytest.raises(ValueError):
         g.MParking((2, 3, 5), 2)
+
+
+@pytest.mark.parametrize("family", sorted(g.CLASS_FAMILIES))
+def test_class_rows_match_single_values(family):
+    route = g.CLASS_FAMILIES[family]
+    method, value, _ = route
+    for m in (1, 2, 3):
+        want = [(n, CountResult(value(n, m), method)) for n in range(1, 41)]
+        assert list(row_of(route, 40, m)) == want, m
