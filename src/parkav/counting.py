@@ -234,19 +234,17 @@ def _linear_row(step: Callable[[int, int], int]) -> Callable[[int], Row]:
 
 def _pk_conv_factorial_row(n_max: int) -> Row:
     # p_n = sum_{k=1}^{n} k! p_{n-k}, p_0 = 1
-    factorials = [math.factorial(k) for k in range(n_max + 1)]
     p = [1]
     for n in range(1, n_max + 1):
-        p.append(sum(factorials[k] * p[n - k] for k in range(1, n + 1)))
+        p.append(sum(math.factorial(k) * p[n - k] for k in range(1, n + 1)))
         yield n, p[n]
 
 
 def _pk_231_321_row(n_max: int) -> Row:
     # p_n = (n+1)! - sum_{k=0}^{n-1} p_k (n-k)!, p_0 = 1
-    factorials = [math.factorial(k) for k in range(n_max + 2)]
     p = [1]
     for n in range(1, n_max + 1):
-        p.append(factorials[n + 1] - sum(p[k] * factorials[n - k] for k in range(n)))
+        p.append(math.factorial(n + 1) - sum(p[k] * math.factorial(n - k) for k in range(n)))
         yield n, p[n]
 
 
