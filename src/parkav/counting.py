@@ -31,7 +31,13 @@ from functools import partial
 from typing import Callable, Iterator
 
 from .paths import catalan_number, path_weight_sum
-from .permutations import PatternSet, pattern_set, weighted_avoiders_s3
+from .permutations import (
+    PatternSet,
+    avoidance_class,
+    ell_weight,
+    pattern_set,
+    weighted_avoiders_s3,
+)
 
 
 @dataclass(frozen=True)
@@ -56,9 +62,7 @@ def generic_weighted_pk(n: int, patterns: PatternSet) -> CountResult:
     """Sum of ell_weight over the avoidance class; works for any pattern set."""
     if all(q.n == 3 for q in patterns):
         return CountResult(weighted_avoiders_s3(n, patterns), "weighted_sum")
-    from .permutations import all_permutations, avoids_all, ell_weight
-
-    total = sum(ell_weight(p) for p in all_permutations(n) if avoids_all(p, patterns))
+    total = sum(ell_weight(p) for p in avoidance_class(n, patterns))
     return CountResult(total, "weighted_sum")
 
 
@@ -441,8 +445,6 @@ def pf312321_closed_form(n: int) -> CountResult:
     return CountResult(last_value(pf312321_row(n)), "formula")
 
 
-PF_BRUTE_CAP = 8
-
 # the block-permutation pattern sets with a closed form, and their routes
 PF_ROUTES: dict[PatternSet, Route] = {
     pattern_set("12"): ("formula", lambda n: 1, None),
@@ -455,30 +457,17 @@ PF_ROUTES: dict[PatternSet, Route] = {
 }
 
 
-def _check_pf_cap(patterns: PatternSet, n: int) -> None:
-    if n > PF_BRUTE_CAP:
-        from .oracle import OracleCapExceeded
-
-        raise OracleCapExceeded(
-            f"no closed form for {patterns}; brute force capped at n={PF_BRUTE_CAP}"
-        )
-
-
 def pf_route(patterns: PatternSet) -> Route:
-    """The closed form for ``patterns``, or brute force up to PF_BRUTE_CAP."""
+    """The closed form for ``patterns``, or brute force up to oracle.BRUTE_CAP."""
     if patterns in PF_ROUTES:
         return PF_ROUTES[patterns]
     from . import oracle
 
-    def value(n: int) -> int:
-        _check_pf_cap(patterns, n)
-        return oracle.brute_pf(n, patterns)
-
     def row(n_max: int) -> Row:
-        _check_pf_cap(patterns, n_max)  # refuse before enumerating any n
+        oracle.check_cap(n_max)  # refuse before enumerating any n
         yield from ((n, oracle.brute_pf(n, patterns)) for n in range(1, n_max + 1))
 
-    return "brute_force", value, row
+    return "brute_force", partial(oracle.brute_pf, patterns=patterns), row
 
 
 def pf_count(patterns: PatternSet, n: int) -> CountResult:

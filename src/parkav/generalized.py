@@ -136,18 +136,15 @@ def hypoplactic_factor(beta: Sequence[int]) -> int:
     return 2 ** (len(beta) - 1) if beta else 1
 
 
-_FACTORS = {
-    "hyposylvester": hyposylvester_factor,
-    "metasylvester": metasylvester_factor,
-    "hypoplactic": hypoplactic_factor,
-}
-
-# factor(n, s, r, u): the class factor of s times a size-n ascent word, per
-# up-run of length r after u up-steps (see paths.path_weight_sum)
-_RUN_FACTORS: dict[str, Callable[[int, int, int, int], int]] = {
-    "hyposylvester": lambda n, s, r, u: 1 + s * r if u else 1,
-    "metasylvester": lambda n, s, r, u: 1 + s * (n - u) if u else 1,
-    "hypoplactic": lambda n, s, r, u: 2 if u else 1,
+# congruence -> (class factor of a packed evaluation, the same factor per
+# up-run: factor(n, s, r, u) for s times a size-n ascent word, per up-run of
+# length r after u up-steps, see paths.path_weight_sum)
+_CONGRUENCES: dict[
+    str, tuple[Callable[[Sequence[int]], int], Callable[[int, int, int, int], int]]
+] = {
+    "hyposylvester": (hyposylvester_factor, lambda n, s, r, u: 1 + s * r if u else 1),
+    "metasylvester": (metasylvester_factor, lambda n, s, r, u: 1 + s * (n - u) if u else 1),
+    "hypoplactic": (hypoplactic_factor, lambda n, s, r, u: 2 if u else 1),
 }
 
 
@@ -175,14 +172,14 @@ def multipark_class_count_by_paths(n: int, m: int, congruence: str) -> int:
     """Independent route: packed evaluations of m-multiparking functions are
     m times ascent words of ordinary paths, so sum the class factor of
     m*w(C) over all order-n unit paths."""
-    return path_weight_sum(n, 1, partial(_RUN_FACTORS[congruence], n, m))
+    return path_weight_sum(n, 1, partial(_CONGRUENCES[congruence][1], n, m))
 
 
 # -- m-parking class counts ----------------------------------------------------
 
 def mpark_class_count_by_paths(n: int, m: int, congruence: str) -> int:
     """Sum the class factor of w(C) over all order-n, up-height-m paths."""
-    return path_weight_sum(n, m, partial(_RUN_FACTORS[congruence], n, 1))
+    return path_weight_sum(n, m, partial(_CONGRUENCES[congruence][1], n, 1))
 
 
 def metasylvester_mpark(n: int, m: int) -> int:
@@ -250,7 +247,7 @@ def mpark_class_count_by_evaluations(n: int, m: int, congruence: str) -> int:
     """Independent route for the m-parking tables: enumerate increasing
     m-parking functions directly (sorted tuples, not paths), take packed
     evaluations, and sum the class factor."""
-    fn = _FACTORS[congruence]
+    fn = _CONGRUENCES[congruence][0]
     codomain = 1 + m * (n - 1)
     total = 0
     for f in enumerate_increasing_mpark(n, m):
@@ -261,7 +258,7 @@ def mpark_class_count_by_evaluations(n: int, m: int, congruence: str) -> int:
 def multipark_class_count_by_evaluations(n: int, m: int, congruence: str) -> int:
     """Per-evaluation oracle on the multiparking side: scale each increasing
     ordinary parking evaluation by m."""
-    fn = _FACTORS[congruence]
+    fn = _CONGRUENCES[congruence][0]
     total = 0
     for f in enumerate_increasing_mpark(n, 1):
         if not is_parking(f):

@@ -2,30 +2,20 @@
 
 The oracle never touches the closed forms: it enumerates preference lists,
 runs the parking simulation, reads the outcome/block permutations off the
-result and filters by honest pattern containment.  One simulation pass per
-size is cached as a pair of profiles (counts of parking functions per
-containment mask of the outcome and block permutations), so sweeping all 63
-pattern subsets costs a single enumeration.
+result and filters by honest pattern containment.  One enumeration per size
+and side is cached as a profile (how many parking functions have each
+outcome, or each block, permutation), and one filter over it counts any
+pattern set, so sweeping all 63 subsets of S_3 costs a single enumeration.
 """
 
 from __future__ import annotations
 
-import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .parking import (
-    block_permutation_of_blocks,
-    enumerate_parking_functions,
-    simulate,
-    to_blocks,
-)
-from .permutations import (
-    PatternSet,
-    Permutation,
-    s3_containment_mask,
-    s3_pattern_bits,
-)
+from .parking import block_permutation, enumerate_parking_functions, parking_permutation
+from .permutations import PatternSet, Permutation, contains_sequence
 
 BRUTE_CAP = 8
 
@@ -34,7 +24,8 @@ class OracleCapExceeded(ValueError):
     """The requested size is beyond the exhaustive-simulation cap."""
 
 
-def _check_cap(n: int) -> None:
+def check_cap(n: int) -> None:
+    """Refuse any size past BRUTE_CAP: the one brute-force cap."""
     if n > BRUTE_CAP:
         raise OracleCapExceeded(
             f"oracle enumeration capped at n={BRUTE_CAP}; n={n} needs {(n + 1) ** (n - 1)} simulations"
@@ -42,84 +33,45 @@ def _check_cap(n: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _profiles(n: int) -> tuple[dict[int, int], dict[int, int]]:
-    """(outcome-permutation, block-permutation) mask profiles for size n.
+def _profiles(n: int, use_rho: bool) -> Counter[tuple[int, ...]]:
+    """How many parking functions of size n have each outcome permutation
+    (use_rho) or each block permutation, keyed by its entries."""
+    perm_of = parking_permutation if use_rho else block_permutation
+    return Counter(perm_of(f).entries for f in enumerate_parking_functions(n))
 
-    Each maps an S_3 containment bitmask to the number of parking functions
-    whose respective permutation has that mask.
-    """
-    mask_of: dict[tuple[int, ...], int] = {}
 
-    def mask(p: Permutation) -> int:
-        m = mask_of.get(p.entries)
-        if m is None:
-            m = s3_containment_mask(p)
-            mask_of[p.entries] = m
-        return m
+@lru_cache(maxsize=None)
+def _contains(entries: tuple[int, ...], pattern: Permutation) -> bool:
+    # a pattern sweep tests each (permutation, pattern) pair once
+    return contains_sequence(entries, pattern)
 
-    rho_profile: dict[int, int] = {}
-    pi_profile: dict[int, int] = {}
-    for f in enumerate_parking_functions(n):
-        outcome = simulate(f.prefs)
-        assert outcome is not None
-        rho_mask = mask(outcome.rho)
-        rho_profile[rho_mask] = rho_profile.get(rho_mask, 0) + 1
-        pi_mask = mask(block_permutation_of_blocks(to_blocks(f)))
-        pi_profile[pi_mask] = pi_profile.get(pi_mask, 0) + 1
-    return rho_profile, pi_profile
+
+def _brute_general(n: int, patterns: PatternSet, use_rho: bool) -> int:
+    """Parking functions of size n whose outcome (use_rho) or block
+    permutation avoids every pattern, for pattern sets of any sizes."""
+    check_cap(n)
+    return sum(
+        count
+        for entries, count in _profiles(n, use_rho).items()
+        if not any(_contains(entries, q) for q in patterns)
+    )
 
 
 def brute_pk(n: int, patterns: PatternSet) -> int:
     """Count parking functions whose outcome permutation avoids the patterns,
     by direct simulation."""
-    _check_cap(n)
-    if n == 0:
-        return 1
-    if all(q.n == 3 for q in patterns):
-        bits = s3_pattern_bits(patterns)
-        rho_profile, _ = _profiles(n)
-        return sum(c for mask, c in rho_profile.items() if not mask & bits)
-    return _brute_general(n, patterns, use_rho=True)
+    return _brute_general(n, patterns, True)
 
 
 def brute_pf(n: int, patterns: PatternSet) -> int:
     """Count parking functions whose block permutation avoids the patterns."""
-    _check_cap(n)
-    if n == 0:
-        return 1
-    if all(q.n == 3 for q in patterns):
-        bits = s3_pattern_bits(patterns)
-        _, pi_profile = _profiles(n)
-        return sum(c for mask, c in pi_profile.items() if not mask & bits)
-    return _brute_general(n, patterns, use_rho=False)
-
-
-def _brute_general(n: int, patterns: PatternSet, use_rho: bool) -> int:
-    """Simulation-based count for pattern sets of any sizes."""
-    from .permutations import avoids_all
-
-    verdicts: dict[tuple[int, ...], bool] = {}
-    total = 0
-    for f in enumerate_parking_functions(n):
-        if use_rho:
-            outcome = simulate(f.prefs)
-            assert outcome is not None
-            p = outcome.rho
-        else:
-            p = block_permutation_of_blocks(to_blocks(f))
-        verdict = verdicts.get(p.entries)
-        if verdict is None:
-            verdict = avoids_all(p, patterns)
-            verdicts[p.entries] = verdict
-        total += verdict
-    return total
+    return _brute_general(n, patterns, False)
 
 
 def brute_total(n: int) -> int:
     """Number of parking functions of size n, by enumeration."""
-    _check_cap(n)
-    rho_profile, _ = _profiles(n)
-    return sum(rho_profile.values())
+    check_cap(n)
+    return sum(_profiles(n, True).values())
 
 
 @dataclass(frozen=True)
@@ -256,6 +208,3 @@ def verify_all(n_max: int, families: str = "all") -> list[OracleReport]:
         reports += verify_bijections(reach["bijections"])
     return reports
 
-
-def slow_tests_enabled() -> bool:
-    return os.environ.get("PARKAV_SLOW", "") not in ("", "0")

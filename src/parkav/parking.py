@@ -196,11 +196,6 @@ def enumerate_parking_functions(n: int) -> Iterator[ParkingFunction]:
     yield from rec()
 
 
-def parking_function_count(n: int) -> int:
-    """(n+1)^(n-1), the total number of parking functions of size n."""
-    return (n + 1) ** (n - 1) if n >= 1 else 1
-
-
 # -- text formats -----------------------------------------------------------
 
 def parse_prefs(text: str) -> tuple[int, ...]:

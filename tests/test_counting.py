@@ -13,7 +13,13 @@ from parkav.counting import (
     pk_sum_over_paths,
 )
 from parkav.paths import catalan_number
-from parkav.permutations import parse_pattern_set, pattern_set
+from parkav.permutations import (
+    all_permutations,
+    avoids_all,
+    ell_weight,
+    parse_pattern_set,
+    pattern_set,
+)
 from invariants import (
     all_s3_subsets,
     pk_dispatch_matches_weighted,
@@ -34,6 +40,18 @@ def test_generic_weighted_examples():
     assert generic_weighted_pk(4, pattern_set("21")).value == 24
     assert generic_weighted_pk(5, pattern_set("123", "321")).value == 0
     assert generic_weighted_pk(0, pattern_set("123")).value == 1
+
+
+def _weighted_by_scan(n, patterns):
+    """ell_weight summed over every permutation that avoids the patterns."""
+    return sum(ell_weight(p) for p in all_permutations(n) if avoids_all(p, patterns))
+
+
+@pytest.mark.parametrize("text", ["1", "12", "21", "1234", "2143", "12,321"])
+def test_generic_weighted_matches_scan(text):
+    patterns = parse_pattern_set(text)
+    for n in range(0, 8):
+        assert generic_weighted_pk(n, patterns).value == _weighted_by_scan(n, patterns), n
 
 
 def test_both_monotone_patterns_fall_back():
@@ -138,7 +156,7 @@ def test_tree_census_matches_convolution():
 
 def test_pf_brute_row_refuses_up_front():
     with pytest.raises(oracle.OracleCapExceeded):
-        next(counting.row_of(counting.pf_route(pattern_set("132")), counting.PF_BRUTE_CAP + 1))
+        next(counting.row_of(counting.pf_route(pattern_set("132")), oracle.BRUTE_CAP + 1))
 
 
 def test_recurrence_rows_first_terms():

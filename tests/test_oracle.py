@@ -8,7 +8,7 @@ from parkav.parking import (
     enumerate_parking_functions,
     parking_permutation,
 )
-from parkav.permutations import PatternSet, avoids_all, pattern_set
+from parkav.permutations import PatternSet, avoids_all, parse_pattern_set, pattern_set
 
 
 def test_brute_pk_examples():
@@ -39,24 +39,37 @@ def test_cap():
         oracle.brute_pf(9, pattern_set("123"))
 
 
-def test_order_independence():
-    """Recount with the enumeration order reversed must agree."""
-    patterns = pattern_set("132")
+@pytest.mark.parametrize("text", ["132", "12", "21", "1234", "123,321", "12,123"])
+@pytest.mark.parametrize("side", ["pk", "pf"])
+def test_order_independence(side, text):
+    """A direct count, forward and with the enumeration order reversed, must
+    agree with the oracle's cached profile and containment memo."""
+    patterns = parse_pattern_set(text)
+    perm_of = parking_permutation if side == "pk" else block_permutation
+    brute = oracle.brute_pk if side == "pk" else oracle.brute_pf
     for n in range(1, 6):
         functions = list(enumerate_parking_functions(n))
-        forward = sum(
-            1 for f in functions if avoids_all(parking_permutation(f), patterns)
-        )
-        backward = sum(
-            1
-            for f in reversed(functions)
-            if avoids_all(parking_permutation(f), patterns)
-        )
-        assert forward == backward == oracle.brute_pk(n, patterns)
-        pf_forward = sum(
-            1 for f in functions if avoids_all(block_permutation(f), patterns)
-        )
-        assert pf_forward == oracle.brute_pf(n, patterns)
+        forward = sum(1 for f in functions if avoids_all(perm_of(f), patterns))
+        backward = sum(1 for f in reversed(functions) if avoids_all(perm_of(f), patterns))
+        assert forward == backward == brute(n, patterns), n
+
+
+def test_verify_enumerates_once_per_size_and_side(monkeypatch):
+    calls = []
+    real = oracle.enumerate_parking_functions
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(oracle, "enumerate_parking_functions", counted)
+    oracle._profiles.cache_clear()
+    try:
+        reports = oracle.verify_all(4, "formulas")
+    finally:
+        oracle._profiles.cache_clear()
+    assert reports and all(r.agree for r in reports)
+    assert sorted(calls) == [1, 1, 2, 2, 3, 3, 4, 4]
 
 
 def test_mixed_size_patterns():
