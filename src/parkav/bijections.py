@@ -134,8 +134,13 @@ def _insert_empty(blocks: list[tuple[int, ...]], gap_end: int | None, opener: in
     raise BijectionDefect("no balanced slot for the empty block")
 
 
-def _clusters(f: ParkingFunction | Blocks, patterns: PatternSet, peel) -> list:
-    """Peel clusters off the front of the blocks until none are left."""
+def _domain_blocks(f: ParkingFunction | Blocks, patterns: PatternSet) -> Blocks:
+    """The blocks of f, once f is checked to lie in the family's domain: a
+    parking function whose block permutation avoids ``patterns``.
+
+    This is the one input check of each public map; the recursions below
+    only ever feed the unchecked helpers blocks they built themselves.
+    """
     if isinstance(f, ParkingFunction):
         blocks = to_blocks(f)
     else:
@@ -144,6 +149,11 @@ def _clusters(f: ParkingFunction | Blocks, patterns: PatternSet, peel) -> list:
     pi = block_permutation_of_blocks(blocks)
     if not avoids_all(pi, patterns):
         raise ValueError(f"block permutation {pi} contains a forbidden pattern")
+    return blocks
+
+
+def _clusters(blocks: Blocks, peel) -> list:
+    """Peel clusters off the front of the blocks until none are left."""
     work = list(enumerate(blocks))
     out = []
     while work:
@@ -176,7 +186,7 @@ PATTERNS_123_213 = pattern_set("123", "213")
 def clusters_123_132(f: ParkingFunction | Blocks) -> list[Cluster132]:
     """Partition the blocks into extend/branch/jump clusters (positions are
     0-based indices into the original block sequence)."""
-    return _clusters(f, PATTERNS_123_132, _peel_132)
+    return _clusters(_domain_blocks(f, PATTERNS_123_132), _peel_132)
 
 
 def _peel_132(
@@ -241,7 +251,7 @@ class Cluster213:
 
 def clusters_123_213(f: ParkingFunction | Blocks) -> list[Cluster213]:
     """Partition the blocks into closed/open clusters."""
-    return _clusters(f, PATTERNS_123_213, _peel_213)
+    return _clusters(_domain_blocks(f, PATTERNS_123_213), _peel_213)
 
 
 def _peel_213(
@@ -329,9 +339,11 @@ def phi_123_132(f: ParkingFunction | Blocks) -> OrderedTree:
 
 def phi_123_132_labeled(f: ParkingFunction | Blocks) -> LabeledTree:
     """Forward map with creation labels 0..n on the non-root vertices."""
-    blocks = to_blocks(f) if isinstance(f, ParkingFunction) else f
-    clusters = clusters_123_132(blocks)
-    return _phi_132_from(blocks, clusters, 0)
+    return _phi_132_labeled(_domain_blocks(f, PATTERNS_123_132))
+
+
+def _phi_132_labeled(blocks: Blocks) -> LabeledTree:
+    return _phi_132_from(blocks, _clusters(blocks, _peel_132), 0)
 
 
 def _phi_132_from(blocks: Blocks, clusters: list[Cluster132], start: int) -> LabeledTree:
@@ -474,7 +486,7 @@ def psi_123_132(t: OrderedTree) -> Blocks:
     k = n - 1 - len2
     t_prime = _replace_at(t, vpath, OrderedTree(v.children[2:]))
     f_prime = psi_123_132(t_prime)
-    labeled = phi_123_132_labeled(f_prime)
+    labeled = _phi_132_labeled(f_prime)
     v_label = _subtree_at(labeled, vpath).label
     if v_label == k:
         branch = tuple((v_,) for v_ in range(n - 1, k, -1)) + ((n,),)
@@ -485,7 +497,7 @@ def psi_123_132(t: OrderedTree) -> Blocks:
     if v_label is None:
         _insert_empty(out, None, opener)
         return tuple(out)
-    clusters = clusters_123_132(f_prime)
+    clusters = _clusters(f_prime, _peel_132)
     host = _cluster_of_element(clusters, v_label + 1)
     offset = len(main)
     fp = f_prime
@@ -518,8 +530,8 @@ def _position_of_element(blocks: Blocks, e: int) -> int:
 def phi_123_213(f: ParkingFunction | Blocks) -> OrderedTree:
     """Tree with n+1 edges and root degree >= 2 for f avoiding {123, 213}
     (for n = 0, the single-edge tree)."""
-    blocks = to_blocks(f) if isinstance(f, ParkingFunction) else f
-    clusters = clusters_123_213(blocks)
+    blocks = _domain_blocks(f, PATTERNS_123_213)
+    clusters = _clusters(blocks, _peel_213)
     trees_by_suffix = {len(clusters): path_tree(1)}
     for start in range(len(clusters) - 1, -1, -1):
         trees_by_suffix[start] = _apply_213(blocks, clusters, start, trees_by_suffix)
@@ -715,7 +727,7 @@ def _psi_213_open(t: OrderedTree, n: int, chain: list[OrderedTree], z_idx: int) 
     else:
         ell = 0
         b = OrderedTree(t.children[1:]).edge_count - 1
-    clusters = clusters_123_213(f_prime)
+    clusters = _clusters(f_prime, _peel_213)
     host = _cluster_of_element(clusters, b + 1)
     if host.kind != "closed":
         raise BijectionDefect("the receiving cluster must be closed")

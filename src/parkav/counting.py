@@ -58,9 +58,17 @@ def exact_div(numerator: int, denominator: int) -> int:
     return q
 
 
+_123_321 = frozenset(pattern_set("123", "321"))
+
+
 def generic_weighted_pk(n: int, patterns: PatternSet) -> CountResult:
-    """Sum of ell_weight over the avoidance class; works for any pattern set."""
-    if all(q.n == 3 for q in patterns):
+    """Sum of ell_weight over the avoidance class; works for any pattern set.
+
+    Subsets of S_3 read the S_3 profile of size n, except those holding both
+    123 and 321: their class is empty from n = 5 on (Erdos-Szekeres), so the
+    pruned walk beats the n! profile scan.
+    """
+    if all(q.n == 3 for q in patterns) and not _123_321 <= set(patterns):
         return CountResult(weighted_avoiders_s3(n, patterns), "weighted_sum")
     total = sum(ell_weight(p) for p in avoidance_class(n, patterns))
     return CountResult(total, "weighted_sum")

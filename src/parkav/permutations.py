@@ -140,11 +140,11 @@ def _rank_order(values: Sequence[int]) -> tuple[int, ...]:
     return tuple(sorted(range(len(values)), key=lambda j: values[j]))
 
 
-def contains_sequence(seq: Sequence[int], pattern: Permutation) -> bool:
-    """Order-isomorphic subsequence search on any distinct-value sequence.
+def _contains_by_subsets(seq: Sequence[int], pattern: Permutation) -> bool:
+    """Order-isomorphic subsequence search over all C(n, m) index subsets.
 
-    Brute force over index subsets with early exit; fine for the pattern
-    sizes (<= 4) this library ever dispatches on.
+    The fallback for patterns of size >= 4, and the reference the fast
+    paths of contains_sequence are tested against.
     """
     m = pattern.n
     if m == 0:
@@ -154,6 +154,104 @@ def contains_sequence(seq: Sequence[int], pattern: Permutation) -> bool:
     order = _rank_order(pattern.entries)
     for positions in itertools.combinations(range(len(seq)), m):
         if _rank_order([seq[i] for i in positions]) == order:
+            return True
+    return False
+
+
+def _has_123(seq: Sequence[int]) -> bool:
+    """One left-to-right pass, O(n): ``low`` is the smallest entry so far and
+    ``mid`` the smallest entry so far with a smaller one before it, so an
+    entry above ``mid`` completes a 123."""
+    low = mid = None
+    for v in seq:
+        if mid is not None and v > mid:
+            return True
+        if low is None or v < low:
+            low = v
+        elif v > low:
+            mid = v
+    return False
+
+
+def _has_132(seq: Sequence[int]) -> bool:
+    """Right-to-left stack scan, O(n).  The stack holds candidates for the
+    3 (decreasing from the bottom); ``two`` is the largest entry popped by a
+    larger one to its left, so a 32 pair exists with 2 = ``two``, and any
+    later-scanned entry below it completes a 132."""
+    stack: list[int] = []
+    two = None
+    for v in reversed(seq):
+        if two is not None and v < two:
+            return True
+        while stack and stack[-1] < v:
+            two = stack.pop()
+        stack.append(v)
+    return False
+
+
+def _negated(seq: Sequence[int]) -> list[int]:
+    return [-v for v in seq]
+
+
+# each size-3 pattern as a symmetry of 123 or 132: reverse and/or complement
+# (negation keeps the value order reversed on sequences with gaps)
+_S3_SCANS = {
+    (1, 2, 3): _has_123,
+    (3, 2, 1): lambda s: _has_123(s[::-1]),
+    (1, 3, 2): _has_132,
+    (2, 3, 1): lambda s: _has_132(s[::-1]),
+    (3, 1, 2): lambda s: _has_132(_negated(s)),
+    (2, 1, 3): lambda s: _has_132(_negated(s[::-1])),
+}
+
+
+def contains_sequence(seq: Sequence[int], pattern: Permutation) -> bool:
+    """Order-isomorphic subsequence search on any distinct-value sequence.
+
+    Patterns of size <= 2 take one pass over adjacent pairs and size 3 a
+    linear scan; larger patterns fall back to the subset search.
+    """
+    q = pattern.entries
+    m = len(q)
+    if m <= 1:
+        return m <= len(seq)
+    if m == 2:
+        rising = q == (1, 2)
+        return any((a < b) == rising for a, b in zip(seq, seq[1:]))
+    if m == 3:
+        return _S3_SCANS[q](seq)
+    return _contains_by_subsets(seq, pattern)
+
+
+def ends_with_occurrence(seq: Sequence[int], pattern: Permutation) -> bool:
+    """True iff some occurrence of pattern in seq uses seq's last entry.
+
+    For size 3 this is one O(n) pass: with x the last entry, the two earlier
+    entries must lie on the sides of x that the pattern's last letter fixes,
+    in the pattern's order, so keep the extreme candidate for the first of
+    them (its minimum if the pattern rises there, its maximum otherwise).
+    Other sizes try the C(n-1, m-1) subsets of the earlier entries.
+    """
+    q = pattern.entries
+    m = len(q)
+    if m == 0 or m > len(seq):
+        return False
+    x = seq[-1]
+    if m == 3:
+        a, b, c = q
+        first_below, second_below, rising = a < c, b < c, a < b
+        best = None
+        for v in seq[:-1]:
+            if best is not None and (v < x) == second_below and (best < v) == rising:
+                return True
+            if (v < x) == first_below and (best is None or (v < best) == rising):
+                best = v
+        return False
+    order = _rank_order(q)
+    for combo in itertools.combinations(seq[:-1], m - 1):
+        values = combo + (x,)
+        # order-isomorphic iff read in the pattern's rank order, values rise
+        if sorted(values) == [values[j] for j in order]:
             return True
     return False
 
@@ -229,26 +327,12 @@ def avoidance_class(n: int, patterns: PatternSet) -> list[Permutation]:
     (lexicographic) order.  Size 0 yields the empty permutation alone.
 
     Containment is hereditary under extension, so the search prunes any
-    prefix that already contains a pattern; only subsequences through the
-    newest entry need checking at each step.
+    prefix that already contains a pattern; only occurrences through the
+    newest entry need checking at each step (ends_with_occurrence).
     """
-    pats = [(q.entries, _rank_order(q.entries)) for q in patterns]
     out: list[Permutation] = []
     prefix: list[int] = []
     free = [True] * (n + 1)
-
-    def last_entry_completes_a_pattern() -> bool:
-        i = len(prefix) - 1
-        for pat, order in pats:
-            m = len(pat)
-            if m > i + 1:
-                continue
-            for combo in itertools.combinations(range(i), m - 1):
-                values = [prefix[j] for j in combo]
-                values.append(prefix[i])
-                if _rank_order(values) == order:
-                    return True
-        return False
 
     def rec() -> None:
         if len(prefix) == n:
@@ -259,7 +343,7 @@ def avoidance_class(n: int, patterns: PatternSet) -> list[Permutation]:
                 continue
             free[v] = False
             prefix.append(v)
-            if not last_entry_completes_a_pattern():
+            if not any(ends_with_occurrence(prefix, q) for q in patterns):
                 rec()
             prefix.pop()
             free[v] = True

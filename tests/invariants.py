@@ -216,6 +216,36 @@ def bijection_roundtrips(n_max: int = 9) -> dict[tuple[str, int], int]:
     return sizes
 
 
+def random_family_tree(edges: int, family: str, rng) -> trees.OrderedTree:
+    """A uniformly random ordered tree with ``edges`` edges in the image of
+    ``family``, drawn by rejection from uniform trees.
+
+    A shuffled word of ``edges`` up steps and edges+1 down steps has exactly
+    one rotation that stays at height >= 0 until its last step (the cycle
+    lemma): the one starting after the first minimum.  Dropping that last
+    step leaves a uniform Dyck word, read as a tree with "(" = go down an edge.
+    """
+    constraint = bj.FAMILIES[family].constraint
+    while True:
+        steps = [1] * edges + [-1] * (edges + 1)
+        rng.shuffle(steps)
+        height = low = cut = 0
+        for i, step in enumerate(steps):
+            height += step
+            if height < low:
+                low, cut = height, i + 1
+        word = (steps[cut:] + steps[:cut])[:-1]
+        t = trees.parse_tree("(" + "".join("(" if s > 0 else ")" for s in word) + ")")
+        if _in_image(t, constraint):
+            return t
+
+
+def _in_image(t: trees.OrderedTree, constraint: str) -> bool:
+    if constraint == "odd_root":
+        return t.root_degree % 2 == 1
+    return t.root_degree >= 2 or t.edge_count == 1
+
+
 @lru_cache(maxsize=None)
 def family_cardinalities(n_max: int = 10) -> None:
     """Domain sizes match the tree counts and the closed forms up to n=10."""

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -12,6 +13,7 @@ from invariants import (
     creation_order_claim,
     family_cardinalities,
     full_right_subtree_condition,
+    random_family_tree,
 )
 from tables import SMALL_123_132, SMALL_123_213
 
@@ -206,3 +208,28 @@ def test_psi_rejects_foreign_trees():
     # path does; use a 3-edge even-root tree for the other family instead
     with pytest.raises(ValueError):
         bj.psi_123_213(trees.parse_tree("(((())))"))  # degree-1 root, n=2
+
+
+@pytest.mark.parametrize("family", list(bj.FAMILIES))
+def test_domain_checked_once_at_the_boundary(monkeypatch, family):
+    """forward checks avoidance once; backward's recursion feeds itself
+    blocks it built and checks none of them."""
+    calls = []
+    real = bj.avoids_all
+    monkeypatch.setattr(bj, "avoids_all", lambda p, q: calls.append(p) or real(p, q))
+    t = random_family_tree(40, family, random.Random(40))
+    blocks = bj.backward(t, family)
+    assert len(calls) <= 1
+    calls.clear()
+    assert bj.forward(blocks, family) == t
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("family", list(bj.FAMILIES))
+def test_roundtrip_on_large_trees(family):
+    rng = random.Random(150)
+    for _ in range(2):
+        t = random_family_tree(150, family, rng)
+        blocks = bj.backward(t, family)
+        assert len(blocks) == 149
+        assert bj.forward(blocks, family) == t

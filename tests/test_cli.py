@@ -222,6 +222,27 @@ def test_bijection_forward_rejects_non_parking(tmp_path, capfd, family, blocks_t
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "family,blocks_text,pattern",
+    [
+        ("123-132", "({1},{2},{3})", "123"),
+        ("123-213", "({1},{2},{3})", "123"),
+        ("123-132", "({1},{3},{2})", "132"),
+        ("123-213", "({2},{1},{3})", "213"),
+    ],
+)
+def test_bijection_forward_rejects_forbidden_pattern(tmp_path, capfd, family, blocks_text, pattern):
+    src = tmp_path / "f.txt"
+    src.write_text(blocks_text + "\n")
+    code = main(["bijection", "--family", family, "--direction", "forward", "--input", str(src)])
+    captured = capfd.readouterr()
+    assert (code, captured.out) == (EXIT_USAGE, "")
+    assert captured.err.startswith(
+        f"error: block permutation {pattern} contains a forbidden pattern"
+    )
+    assert "Traceback" not in captured.err
+
+
 def test_bijection_worked_example(tmp_path, capsys):
     from test_bijections import FIG25_ADJACENCY, FIG25_BLOCKS, _tree_from
     from parkav.parking import format_blocks

@@ -63,6 +63,17 @@ def test_both_monotone_patterns_fall_back():
         assert pk_count(patterns, n).value == oracle.brute_pk(n, patterns)
 
 
+def test_sets_with_both_monotone_patterns_die_at_five():
+    """Erdos-Szekeres: a permutation of size >= 5 holds a 123 or a 321, so
+    every subset of S_3 holding both counts 0; the pruned walk gets there
+    without scanning S_n."""
+    both = [p for p in all_s3_subsets() if {"123", "321"} <= set(str(p).split(","))]
+    assert len(both) == 16
+    for patterns in both:
+        for n in range(5, 13):
+            assert pk_count(patterns, n) == CountResult(0, "weighted_sum"), (str(patterns), n)
+
+
 def test_method_provenance():
     assert pk_count(pattern_set("123"), 4).method == "formula"
     assert pk_count(pattern_set("312"), 4).method == "recurrence"

@@ -1,3 +1,4 @@
+import itertools
 import random
 import typing
 from typing import Sequence
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from parkav import permutations
 from parkav.permutations import (
+    S3_PATTERNS,
     PatternSet,
     Permutation,
     all_permutations,
@@ -15,6 +17,7 @@ from parkav.permutations import (
     avoids,
     concat,
     contains,
+    contains_sequence,
     direct_sum,
     ell_factor,
     ell_weight,
@@ -26,9 +29,11 @@ from parkav.permutations import (
     pattern_set,
     perm,
     reverse_identity,
+    s3_containment_mask,
+    s3_pattern_bits,
     skew_sum,
 )
-from invariants import ell_weights_match_outcome_counts
+from invariants import all_s3_subsets, ell_weights_match_outcome_counts
 
 
 def test_identity_and_reversal():
@@ -92,6 +97,95 @@ def test_containment_transitive_on_random_triples():
         small, mid, big = ps
         if contains(big, mid) and contains(mid, small):
             assert contains(big, small)
+
+
+# the subset search the fast paths must agree with
+reference = permutations._contains_by_subsets
+
+
+def _masks_by_subsets(n: int) -> dict[tuple[int, ...], int]:
+    """The s3_containment_mask of every permutation of size n, read off the
+    C(n, 3) index subsets of each: the subset search without early exit,
+    one pass serving all six patterns."""
+    bit = {}
+    for i, q in enumerate(S3_PATTERNS):
+        a, b, c = q.entries
+        bit[a < b, a < c, b < c] = 1 << i
+    out = {}
+    for entries in itertools.permutations(range(1, n + 1)):
+        mask = 0
+        for a, b, c in itertools.combinations(entries, 3):
+            mask |= bit[a < b, a < c, b < c]
+        out[entries] = mask
+    return out
+
+
+def test_size3_scans_match_subset_search_on_all_of_sn():
+    for n in range(6):
+        for entries in itertools.permutations(range(1, n + 1)):
+            for q in S3_PATTERNS:
+                assert contains_sequence(entries, q) == reference(entries, q), (entries, q)
+    for n in (6, 7, 8):
+        for entries, mask in _masks_by_subsets(n).items():
+            assert s3_containment_mask(Permutation(entries)) == mask, entries
+
+
+def _two_run_merge(length: int, rng: random.Random) -> list[int]:
+    """Two increasing runs interleaved at random: a 321-avoider with gaps."""
+    values = rng.sample(range(-3 * length, 3 * length), length)
+    split = rng.randint(0, length)
+    runs = [sorted(values[:split]), sorted(values[split:])]
+    out = []
+    while runs[0] or runs[1]:
+        side = rng.randrange(2) if runs[0] and runs[1] else int(not runs[0])
+        out.append(runs[side].pop(0))
+    return out
+
+
+def test_size3_scans_match_subset_search_on_sequences_with_gaps():
+    rng = random.Random(2001)
+    cases = [rng.sample(range(-100, 300), rng.randint(0, 60)) for _ in range(300)]
+    for length in (3, 10, 25, 40, 60):
+        merged = _two_run_merge(length, rng)
+        # its reverse, complement and reverse-complement avoid 123, 123, 321
+        negated = [-v for v in merged]
+        cases += [merged, merged[::-1], negated, negated[::-1]]
+    for seq in cases:
+        for q in S3_PATTERNS:
+            want = reference(seq, q)
+            assert contains_sequence(seq, q) == contains_sequence(tuple(seq), q) == want, (seq, q)
+
+
+def test_small_and_size4_patterns_through_the_engine():
+    patterns = [Permutation(()), perm("1"), perm("12"), perm("21")]
+    patterns += [Permutation(q) for q in itertools.permutations(range(1, 5))]
+    rng = random.Random(4)
+    cases = [e for n in range(6) for e in itertools.permutations(range(1, n + 1))]
+    cases += [rng.sample(range(-20, 40), rng.randint(0, 12)) for _ in range(100)]
+    for seq in cases:
+        for q in patterns:
+            assert contains_sequence(seq, q) == reference(seq, q), (seq, q)
+
+
+def test_ends_with_occurrence_matches_subset_search():
+    patterns = list(S3_PATTERNS) + [perm("1"), perm("21"), perm("1234"), perm("2413")]
+    for n in range(7):
+        for entries in itertools.permutations(range(1, n + 1)):
+            for q in patterns:
+                want = any(
+                    reference([entries[j] for j in combo] + [entries[-1]], q)
+                    for combo in itertools.combinations(range(n - 1), q.n - 1)
+                ) if n else False
+                assert permutations.ends_with_occurrence(entries, q) == want, (entries, q)
+
+
+def test_avoidance_class_is_the_filtered_sn():
+    for n in range(8):
+        masks = [(p, s3_containment_mask(p)) for p in all_permutations(n)]
+        for patterns in all_s3_subsets():
+            bits = s3_pattern_bits(patterns)
+            want = [p for p, mask in masks if not mask & bits]
+            assert avoidance_class(n, patterns) == want, (n, str(patterns))
 
 
 def test_avoidance_class_respects_union():
