@@ -10,7 +10,7 @@ Subcommands:
 
 Output is deterministic byte-for-byte for identical invocations; timing is
 only emitted under --timing.  Exit codes: 0 ok, 1 usage or parse error,
-2 verification mismatch, 3 brute-force enumeration cap refused.
+2 verification mismatch, 3 refused by a work budget (BudgetExceeded).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterator
 from . import bijections, generalized, oracle, trees
 from .counting import CountResult, pf_count, pf_route, pk_count, pk_route, row_of
 from .parking import format_blocks, parse_blocks
-from .permutations import parse_pattern_set
+from .permutations import BudgetExceeded, parse_pattern_set
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -193,7 +193,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args, sys.stdout)
-    except oracle.OracleCapExceeded as e:
+    except BudgetExceeded as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError) as e:

@@ -4,13 +4,13 @@ Two families are counted, by which permutation carries the pattern
 condition:
 
 - ``pk``: parking functions whose outcome permutation (spot -> car) avoids
-  every pattern in a set P of size-3 patterns.  A weighted sum over the
-  avoidance class (ell_weight) always works; for every subset of S_3 not
-  containing both 123 and 321 a closed form, linear recurrence or triangular
-  recurrence is dispatched instead.
+  every pattern in a set P.  Every subset of S_3 not containing both 123
+  and 321 dispatches a closed form, linear or triangular recurrence.
 - ``pf``: parking functions whose block permutation avoids P.  Closed forms
-  exist for {12}, {21}, {123,132}, {123,213} and {312,321}; everything else
-  falls back to brute enumeration.
+  exist for {12}, {21}, {123,132}, {123,213} and {312,321}.
+
+Every other set is a weighted sum over one walk of the avoidance class,
+``permutations.avoider_walk``, which refuses past its work budget.
 
 Radical-laden closed forms (golden-ratio or 1+sqrt(2) powers) are computed
 through the integer linear recurrences they solve, so everything stays in
@@ -19,7 +19,7 @@ divisibility assertion.
 
 Every route (``pk_route``, ``pf_route``) is a (method, value, row) triple:
 ``pk_count``/``pf_count`` ask its value at one n, and ``row_of`` reads its
-row n = 1..n_max, which builds each table or recurrence once.
+row n = 1..n_max, which builds each table, recurrence or walk once.
 """
 
 from __future__ import annotations
@@ -31,13 +31,7 @@ from functools import partial
 from typing import Callable, Iterator
 
 from .paths import catalan_number, path_weight_sum
-from .permutations import (
-    PatternSet,
-    avoidance_class,
-    ell_weight,
-    pattern_set,
-    weighted_avoiders_s3,
-)
+from .permutations import PatternSet, avoider_walk, pattern_set
 
 
 @dataclass(frozen=True)
@@ -45,7 +39,7 @@ class CountResult:
     """An exact count plus the provenance of the computation."""
 
     value: int
-    method: str  # formula | recurrence | weighted_sum | brute_force
+    method: str  # formula | recurrence | weighted_sum (avoider walk or path weights)
 
     def __int__(self) -> int:
         return self.value
@@ -58,20 +52,9 @@ def exact_div(numerator: int, denominator: int) -> int:
     return q
 
 
-_123_321 = frozenset(pattern_set("123", "321"))
-
-
 def generic_weighted_pk(n: int, patterns: PatternSet) -> CountResult:
-    """Sum of ell_weight over the avoidance class; works for any pattern set.
-
-    Subsets of S_3 read the S_3 profile of size n, except those holding both
-    123 and 321: their class is empty from n = 5 on (Erdos-Szekeres), so the
-    pruned walk beats the n! profile scan.
-    """
-    if all(q.n == 3 for q in patterns) and not _123_321 <= set(patterns):
-        return CountResult(weighted_avoiders_s3(n, patterns), "weighted_sum")
-    total = sum(ell_weight(p) for p in avoidance_class(n, patterns))
-    return CountResult(total, "weighted_sum")
+    """Sum of ell_weight over the avoidance class; works for any pattern set."""
+    return CountResult(avoider_walk(n, patterns).ell[n], "weighted_sum")
 
 
 # -- rows and routes ---------------------------------------------------------
@@ -98,6 +81,16 @@ def row_of(route: Route, n_max: int, *args: int) -> Iterator[tuple[int, CountRes
     values = row(n_max, *args) if row else ((n, value(n, *args)) for n in range(1, n_max + 1))
     for n, v in values:
         yield n, CountResult(v, method)
+
+
+def _walk_route(weight: str, patterns: PatternSet) -> Route:
+    """The weighted sum over the avoider walk ("ell" for pk, "blocks" for
+    pf); one walk to n_max gives the whole row."""
+
+    def row(n_max: int) -> Row:
+        return enumerate(getattr(avoider_walk(n_max, patterns), weight)[1:], 1)
+
+    return "weighted_sum", lambda n: last_value(row(n)), row
 
 
 # -- single-pattern tables ---------------------------------------------------
@@ -400,14 +393,11 @@ def pk_route(patterns: PatternSet) -> Route:
 
     Every nonempty subset of S_3 hits a dedicated formula or recurrence
     except the ones containing both 123 and 321 (whose avoidance class dies
-    at size 5); those fall back to the generic weighted sum.
+    at size 5); those, and every other set, take the weighted sum.
     """
     if len(patterns) == 0:
         raise ValueError("pattern set must be nonempty")
-    route = _DISPATCH.get(patterns.key())
-    if route is None:
-        return "weighted_sum", (lambda n: generic_weighted_pk(n, patterns).value), None
-    return route
+    return _DISPATCH.get(patterns.key()) or _walk_route("ell", patterns)
 
 
 def _count_at(route: Route, n: int) -> CountResult:
@@ -466,16 +456,9 @@ PF_ROUTES: dict[PatternSet, Route] = {
 
 
 def pf_route(patterns: PatternSet) -> Route:
-    """The closed form for ``patterns``, or brute force up to oracle.BRUTE_CAP."""
-    if patterns in PF_ROUTES:
-        return PF_ROUTES[patterns]
-    from . import oracle
-
-    def row(n_max: int) -> Row:
-        oracle.check_cap(n_max)  # refuse before enumerating any n
-        yield from ((n, oracle.brute_pf(n, patterns)) for n in range(1, n_max + 1))
-
-    return "brute_force", partial(oracle.brute_pf, patterns=patterns), row
+    """The closed form for ``patterns``, or the block weight summed over the
+    avoider walk."""
+    return PF_ROUTES.get(patterns) or _walk_route("blocks", patterns)
 
 
 def pf_count(patterns: PatternSet, n: int) -> CountResult:

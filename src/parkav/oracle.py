@@ -10,24 +10,21 @@ pattern set, so sweeping all 63 subsets of S_3 costs a single enumeration.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .parking import block_permutation, enumerate_parking_functions, parking_permutation
-from .permutations import PatternSet, Permutation, contains_sequence
+from .permutations import S3_PATTERNS, BudgetExceeded, PatternSet, Permutation, contains_sequence
 
 BRUTE_CAP = 8
-
-
-class OracleCapExceeded(ValueError):
-    """The requested size is beyond the exhaustive-simulation cap."""
 
 
 def check_cap(n: int) -> None:
     """Refuse any size past BRUTE_CAP: the one brute-force cap."""
     if n > BRUTE_CAP:
-        raise OracleCapExceeded(
+        raise BudgetExceeded(
             f"oracle enumeration capped at n={BRUTE_CAP}; n={n} needs {(n + 1) ** (n - 1)} simulations"
         )
 
@@ -93,24 +90,13 @@ class OracleReport:
         return out
 
 
-def _all_s3_subsets() -> list[PatternSet]:
-    import itertools
-
-    from .permutations import S3_PATTERNS
-
-    out = []
-    for r in range(1, 7):
-        for combo in itertools.combinations(S3_PATTERNS, r):
-            out.append(PatternSet(combo))
-    return out
-
-
 def verify_pk(n_max: int) -> list[OracleReport]:
     """pk formulas vs weighted sums vs simulation, every subset of S_3."""
     from .counting import generic_weighted_pk, pk_count
 
     reports = []
-    for patterns in _all_s3_subsets():
+    subsets = (PatternSet(c) for r in range(1, 7) for c in itertools.combinations(S3_PATTERNS, r))
+    for patterns in subsets:
         name = f"pk({patterns})"
         for n in range(1, n_max + 1):
             brute = brute_pk(n, patterns)
@@ -177,15 +163,23 @@ def verify_bijections(n_max: int) -> list[OracleReport]:
 
 # the largest n each verify suite reaches, whatever n_max asks for
 SUITE_LIMITS = {"formulas": BRUTE_CAP - 1, "classes": 5, "bijections": 7}
+"""formulas: the simulation oracle refuses past BRUTE_CAP, and its n = 8
+pass enumerates 4.78 M parking functions per side, 18 times n = 7.
+classes: not cost.  Both sides of the evaluation oracle at m = 1, 2 take
+0.05 s at n = 5, 0.11 s at n = 6 and 1.0 s at n = 8 (one process, 2-vCPU
+host), but raising the limit changes what ``verify --n-max 6`` prints."""
 
 
 def checked_range(n_max: int, families: str = "all") -> dict[str, int]:
     """The largest n each chosen suite checks: n_max, clamped to its limit.
 
-    families: comma-joined subset of {formulas, bijections, classes} or "all".
+    families: comma-joined subset of {formulas, bijections, classes} or
+    "all"; empty names are skipped, so "formulas," means "formulas".
     """
     chosen = set(SUITE_LIMITS) if families == "all" else {
-        f.strip() for f in families.split(",")}
+        f.strip() for f in families.split(",") if f.strip()}
+    if not chosen:
+        raise ValueError(f"empty suite list; choose from all or {', '.join(SUITE_LIMITS)}")
     unknown = sorted(chosen - set(SUITE_LIMITS))
     if unknown:
         raise ValueError(f"unknown suite {', '.join(unknown)}; choose from all or {', '.join(SUITE_LIMITS)}")

@@ -7,8 +7,8 @@ describe avoidance classes (direct and skew sums, increasing/decreasing
 listings of a set) and the window statistic ``ell_weight``: the product over
 positions i of the length of the longest window ending at i whose values are
 all <= p(i).  That product counts the parking functions whose outcome
-permutation equals p, which is what makes weighted sums over avoidance
-classes count pattern-restricted parking functions.
+permutation equals p; ``avoider_walk`` sums it, and the matching count for
+block permutations, over an avoidance class.
 
 Text format: digits for n <= 9 ("7561234"), comma-separated otherwise.
 """
@@ -16,6 +16,7 @@ Text format: digits for n <= 9 ("7561234"), comma-separated otherwise.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -226,17 +227,21 @@ def contains_sequence(seq: Sequence[int], pattern: Permutation) -> bool:
 def ends_with_occurrence(seq: Sequence[int], pattern: Permutation) -> bool:
     """True iff some occurrence of pattern in seq uses seq's last entry.
 
-    For size 3 this is one O(n) pass: with x the last entry, the two earlier
-    entries must lie on the sides of x that the pattern's last letter fixes,
-    in the pattern's order, so keep the extreme candidate for the first of
-    them (its minimum if the pattern rises there, its maximum otherwise).
-    Other sizes try the C(n-1, m-1) subsets of the earlier entries.
+    Size 2 asks for one earlier entry on the pattern's side of the last
+    entry x.  Size 3 is one O(n) pass: the two earlier entries must lie on
+    the sides of x that the pattern's last letter fixes, in the pattern's
+    order, so keep the extreme candidate for the first of them (its minimum
+    if the pattern rises there, its maximum otherwise).  Other sizes try the
+    C(n-1, m-1) subsets of the earlier entries.
     """
     q = pattern.entries
     m = len(q)
     if m == 0 or m > len(seq):
         return False
     x = seq[-1]
+    if m == 2:
+        below = q[0] < q[1]
+        return any((v < x) == below for v in seq[:-1])
     if m == 3:
         a, b, c = q
         first_below, second_below, rising = a < c, b < c, a < b
@@ -248,12 +253,11 @@ def ends_with_occurrence(seq: Sequence[int], pattern: Permutation) -> bool:
                 best = v
         return False
     order = _rank_order(q)
-    for combo in itertools.combinations(seq[:-1], m - 1):
-        values = combo + (x,)
-        # order-isomorphic iff read in the pattern's rank order, values rise
-        if sorted(values) == [values[j] for j in order]:
-            return True
-    return False
+    # order-isomorphic iff read in the pattern's rank order, the values rise
+    return any(
+        sorted(values := combo + (x,)) == [values[j] for j in order]
+        for combo in itertools.combinations(seq[:-1], m - 1)
+    )
 
 
 def contains(p: Permutation, pattern: Permutation) -> bool:
@@ -294,9 +298,6 @@ class PatternSet:
     def __str__(self) -> str:
         return ",".join(format_permutation(q) for q in self.patterns)
 
-    def __or__(self, other: "PatternSet") -> "PatternSet":
-        return PatternSet(self.patterns + other.patterns)
-
     def key(self) -> tuple[tuple[int, ...], ...]:
         return tuple(q.entries for q in self.patterns)
 
@@ -322,34 +323,73 @@ def all_permutations(n: int) -> Iterator[Permutation]:
         yield Permutation(entries)
 
 
-def avoidance_class(n: int, patterns: PatternSet) -> list[Permutation]:
-    """All permutations of size n avoiding every pattern, in canonical
-    (lexicographic) order.  Size 0 yields the empty permutation alone.
+class BudgetExceeded(ValueError):
+    """Work past a documented budget; the CLI exits 3 before printing."""
 
-    Containment is hereditary under extension, so the search prunes any
-    prefix that already contains a pattern; only occurrences through the
-    newest entry need checking at each step (ends_with_occurrence).
+
+# Entries the avoider walk may scan: about 8-15 s of CPython on a 2-vCPU
+# host.  Counted in entries, not nodes: Av_n(12) has one node per level but
+# O(n^2) work per level.
+WALK_BUDGET = 50_000_000
+
+
+@dataclass(frozen=True)
+class AvoiderSums:
+    """One avoider walk to n_max, indexed by n = 0..n_max."""
+
+    ell: list[int]  # sum of ell_weight over Av_n(P): the pk count
+    blocks: list[int]  # parking functions whose block permutation is in Av_n(P)
+    leaves: list[tuple[int, ...]]  # Av_{n_max}(P), when kept
+
+
+def avoider_walk(n_max: int, patterns: PatternSet, keep_leaves: bool = False) -> AvoiderSums:
+    """Depth-first over the avoiders of size <= n_max, with two running weights.
+
+    A size-k avoider grows by a last entry of each rank r in 1..k+1 (entries
+    >= r shift up), kept iff no occurrence ends at it, so every node is an
+    avoider and the work is sum_k |Av_k(P)| * poly(k).  The new entry's
+    ell_factor is one plus the entries just before it that lie below it.  A
+    block permutation p is cut into increasing blocks, each in a later slot
+    but no later than the entries before it; the walk keeps their count by
+    the last block's slot: a descent opens a block, an ascent may also
+    extend the last one.  A candidate of size k scans k entries plus, per
+    pattern of size m, k - 1 (m <= 3) or C(k-1, m-1) * m; past WALK_BUDGET
+    in all the walk raises BudgetExceeded.
     """
-    out: list[Permutation] = []
-    prefix: list[int] = []
-    free = [True] * (n + 1)
-
-    def rec() -> None:
-        if len(prefix) == n:
-            out.append(Permutation(tuple(prefix)))
-            return
-        for v in range(1, n + 1):
-            if not free[v]:
+    ell, blocks, leaves = [0] * (n_max + 1), [0] * (n_max + 1), []
+    sizes = [q.n for q in patterns]
+    cost = [k + 1 + sum(k if m <= 3 else math.comb(k, m - 1) * m for m in sizes) for k in range(n_max)]
+    spent = 0
+    stack = [((), 1, [1])]  # (entries, ell product, block weights by last block slot + 1)
+    while stack:
+        seq, w_ell, w_slots = stack.pop()
+        k = len(seq)
+        ell[k] += w_ell
+        blocks[k] += sum(w_slots)
+        if k == n_max:
+            if keep_leaves:
+                leaves.append(seq)
+            continue
+        spent += (k + 1) * cost[k]
+        if spent > WALK_BUDGET:
+            raise BudgetExceeded(f"avoider walk for {patterns} to n={n_max}: past {WALK_BUDGET} entries")
+        opened = [0, *itertools.accumulate(w_slots)]  # a new block after the last one
+        extended = opened[1:] + opened[-1:]  # or the last block extended
+        probe = [2 * v for v in seq] + [0]
+        for r in range(1, k + 2):
+            probe[-1] = 2 * r - 1  # order-isomorphic to the child
+            if any(ends_with_occurrence(probe, q) for q in patterns):
                 continue
-            free[v] = False
-            prefix.append(v)
-            if not any(ends_with_occurrence(prefix, q) for q in patterns):
-                rec()
-            prefix.pop()
-            free[v] = True
+            below = next((i for i, v in enumerate(reversed(seq)) if v >= r), k)
+            child = tuple(v + (v >= r) for v in seq) + (r,)
+            stack.append((child, w_ell * (below + 1), extended if k and seq[-1] < r else opened))
+    return AvoiderSums(ell, blocks, leaves)
 
-    rec()
-    return out
+
+def avoidance_class(n: int, patterns: PatternSet) -> list[Permutation]:
+    """All permutations of size n avoiding every pattern, in lexicographic
+    order: the leaves of avoider_walk.  Size 0 gives the empty permutation."""
+    return [Permutation(e) for e in sorted(avoider_walk(n, patterns, keep_leaves=True).leaves)]
 
 
 def ell_factor(p: Permutation, i: int) -> int:
@@ -395,27 +435,9 @@ def s3_containment_mask(p: Permutation) -> int:
     return mask
 
 
-def s3_pattern_bits(patterns: PatternSet) -> int:
-    """Bitmask of a subset of S_3 in the same order as s3_containment_mask."""
-    mask = 0
-    for q in patterns:
-        if q.n != 3:
-            raise ValueError(f"pattern {q} is not a size-3 permutation")
-        mask |= 1 << S3_PATTERNS.index(q)
-    return mask
-
-
+# kept for perfbench/trace_child.py, which looks it up by name at start-up
 @lru_cache(maxsize=None)
 def _s3_profile(n: int) -> tuple[tuple[int, int], ...]:
     """(containment mask, ell weight) for every permutation of size n."""
     return tuple((s3_containment_mask(p), ell_weight(p)) for p in all_permutations(n))
 
-
-def weighted_avoiders_s3(n: int, patterns: PatternSet) -> int:
-    """Sum of ell_weight over permutations of size n avoiding a subset of S_3.
-
-    Backs the generic weighted count; profiled once per n so sweeping all 63
-    subsets stays cheap.
-    """
-    bits = s3_pattern_bits(patterns)
-    return sum(w for mask, w in _s3_profile(n) if not mask & bits)

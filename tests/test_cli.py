@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -162,10 +163,40 @@ def test_negative_n_rejected(capsys, argv):
     assert code == EXIT_USAGE
 
 
-def test_brute_cap_refusal(capsys):
-    code = main(["count", "--notion", "pf", "--patterns", "132", "--n", "9"])
-    capsys.readouterr()
-    assert code == EXIT_BUDGET
+def test_walk_budget_refusal(capsys, monkeypatch):
+    from parkav import permutations
+
+    monkeypatch.setattr(permutations, "WALK_BUDGET", 1000)
+    for notion, patterns in (("pk", "1234"), ("pf", "132")):
+        for size in (["count", "--n", "8"], ["sequence", "--n-max", "8"]):
+            argv = [size[0], "--notion", notion, "--patterns", patterns, *size[1:]]
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (EXIT_BUDGET, ""), argv
+            assert captured.err.startswith("refused: "), argv
+
+
+@pytest.mark.parametrize(
+    "patterns,n,want", [("123,321", 40, "0\n"), ("123,321", 400, "0\n"), ("12", 60, "1\n")]
+)
+def test_dead_and_thin_classes_answer_fast(capsys, patterns, n, want):
+    # the walk grows only avoiders: {123,321} dies at size 5, Av_n(12) is one node per level
+    t0 = time.perf_counter()
+    code, out = run(capsys, "count", "--notion", "pk", "--patterns", patterns, "--n", str(n))
+    assert (code, out) == (EXIT_OK, want)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_deep_walk_has_no_traceback(capfd):
+    code = main(["count", "--notion", "pk", "--patterns", "12", "--n", "5000"])
+    captured = capfd.readouterr()
+    assert code in (EXIT_OK, EXIT_BUDGET)
+    assert "Traceback" not in captured.err and "RecursionError" not in captured.err
+
+
+def test_pf_without_closed_form_past_old_cap(capsys):
+    code, out = run(capsys, "count", "--notion", "pf", "--patterns", "132", "--n", "9")
+    assert (code, out) == (EXIT_OK, "1127649\n")
 
 
 def test_verify_all_suite(capsys):
@@ -270,6 +301,17 @@ def test_verify_rejects_unknown_suite(capsys):
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert "foo" in captured.err
+
+
+def test_verify_suite_skips_empty_names(capsys):
+    code, out = run(capsys, "verify", "--suite", "formulas,", "--n-max", "3")
+    assert (code, out) == run(capsys, "verify", "--suite", "formulas", "--n-max", "3")
+    assert code == EXIT_OK
+    for suite in ("", ",", " , "):
+        code = main(["verify", "--suite", suite, "--n-max", "3"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (EXIT_USAGE, "")
+        assert captured.err.startswith("error: empty suite list; choose from all or formulas")
 
 
 def test_verify_reports_clamped_range(capsys):

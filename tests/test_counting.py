@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from parkav import counting, oracle
+from parkav import counting, oracle, permutations
 from parkav.counting import (
     CountResult,
     generic_weighted_pk,
@@ -14,6 +14,7 @@ from parkav.counting import (
 )
 from parkav.paths import catalan_number
 from parkav.permutations import (
+    BudgetExceeded,
     all_permutations,
     avoids_all,
     ell_weight,
@@ -78,7 +79,7 @@ def test_method_provenance():
     assert pk_count(pattern_set("123"), 4).method == "formula"
     assert pk_count(pattern_set("312"), 4).method == "recurrence"
     assert pk_count(pattern_set("123", "132"), 4).method == "recurrence"
-    assert pf_count(pattern_set("132"), 3).method == "brute_force"
+    assert pf_count(pattern_set("132"), 3).method == "weighted_sum"
     assert int(CountResult(7, "formula")) == 7
 
 
@@ -165,9 +166,10 @@ def test_tree_census_matches_convolution():
         assert counting.pf_tree_census_123_132(n) == _tree_census_by_convolution(n), n
 
 
-def test_pf_brute_row_refuses_up_front():
-    with pytest.raises(oracle.OracleCapExceeded):
-        next(counting.row_of(counting.pf_route(pattern_set("132")), oracle.BRUTE_CAP + 1))
+def test_pf_walk_row_refuses_up_front(monkeypatch):
+    monkeypatch.setattr(permutations, "WALK_BUDGET", 1000)
+    with pytest.raises(BudgetExceeded):
+        next(counting.row_of(counting.pf_route(pattern_set("132")), 9))
 
 
 def test_recurrence_rows_first_terms():
@@ -210,11 +212,11 @@ def test_pf_closed_forms_match_brute():
             assert pf_count(patterns, n).value == oracle.brute_pf(n, patterns), (text, n)
 
 
-def test_pf_brute_fallback():
+def test_pf_weighted_sum_fallback():
     patterns = pattern_set("132")
     assert pf_count(patterns, 3).value == oracle.brute_pf(3, patterns)
-    with pytest.raises(ValueError):
-        pf_count(patterns, 9)
+    # past the oracle's cap, where the old brute-force route refused
+    assert pf_count(patterns, 9) == CountResult(1127649, "weighted_sum")
 
 
 def test_pf312321_always_integral():

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from parkav import permutations
 from parkav.permutations import (
     S3_PATTERNS,
+    BudgetExceeded,
     PatternSet,
     Permutation,
     all_permutations,
     avoidance_class,
+    avoider_walk,
     avoids,
     concat,
     contains,
@@ -30,7 +32,6 @@ from parkav.permutations import (
     perm,
     reverse_identity,
     s3_containment_mask,
-    s3_pattern_bits,
     skew_sum,
 )
 from invariants import all_s3_subsets, ell_weights_match_outcome_counts
@@ -183,7 +184,7 @@ def test_avoidance_class_is_the_filtered_sn():
     for n in range(8):
         masks = [(p, s3_containment_mask(p)) for p in all_permutations(n)]
         for patterns in all_s3_subsets():
-            bits = s3_pattern_bits(patterns)
+            bits = sum(1 << S3_PATTERNS.index(q) for q in patterns)
             want = [p for p, mask in masks if not mask & bits]
             assert avoidance_class(n, patterns) == want, (n, str(patterns))
 
@@ -252,3 +253,34 @@ def test_ell_factor_bounds():
         ell_factor(perm("123"), 0)
     with pytest.raises(ValueError):
         ell_factor(perm("123"), 4)
+
+
+def test_avoider_walk_matches_oracle():
+    # both running weights against direct simulation: the ell weight against
+    # outcome permutations, the block weight against block permutations
+    from parkav import oracle
+
+    extra = [parse_pattern_set(text) for text in ("1234", "2143", "12,321")]
+    for patterns in all_s3_subsets() + extra:
+        sums = avoider_walk(7, patterns)
+        assert sums.ell[0] == sums.blocks[0] == 1
+        for n in range(1, 8):
+            assert sums.ell[n] == oracle.brute_pk(n, patterns), (str(patterns), n)
+            assert sums.blocks[n] == oracle.brute_pf(n, patterns), (str(patterns), n)
+
+
+@pytest.mark.parametrize("text", ["132", "1234", "2143"])
+def test_block_weight_matches_enumeration(text):
+    from parkav.bijections import enumerate_pf_avoiding
+
+    patterns = parse_pattern_set(text)
+    sums = avoider_walk(7, patterns)
+    assert sums.blocks == [len(enumerate_pf_avoiding(n, patterns)) for n in range(8)]
+
+
+def test_avoider_walk_budget(monkeypatch):
+    monkeypatch.setattr(permutations, "WALK_BUDGET", 1000)
+    with pytest.raises(BudgetExceeded):
+        avoider_walk(9, pattern_set("132"))
+    # a dead class stops by itself, far under any budget
+    assert avoider_walk(400, pattern_set("123", "321")).ell[5:] == [0] * 396
