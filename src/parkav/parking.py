@@ -158,42 +158,40 @@ def block_permutation_of_blocks(blocks: Blocks) -> Permutation:
     return Permutation(tuple(v for b in blocks for v in b))
 
 
-def enumerate_parking_functions(n: int) -> Iterator[ParkingFunction]:
-    """All parking functions of size n, lexicographic on preferences.
+def parking_walk(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
+    """Every parking function of size n, lexicographic on preferences, as
+    (preferences, outcome entries, block-permutation entries).
 
-    Recursive with pruning: a partial assignment of t values stays feasible
-    iff setting the rest to 1 would satisfy every prefix count, i.e.
-    count(<= i) + (n - t) >= i for all i.
+    Depth first on an explicit stack: each car parks as its preference is
+    chosen, and a branch dies when the car finds no free spot at or past its
+    preference, which is the parking condition.  Sorting the cars stably by
+    preference concatenates the increasing blocks: the block permutation.
     """
-    if n == 0:
-        yield ParkingFunction(())
-        return
+    occupied = [0] * (n + 2)  # occupied[s] = car in spot s, 0 = free; n + 1 stays free
+    prefs, spots = [0] * (n + 1), [0] * (n + 1)  # by car; 0 = nothing chosen yet
+    cars = range(1, n + 1)
+    car = 1  # the car whose preference advances; n + 1 once every car parked
+    while car:
+        if car > n:
+            yield tuple(prefs[1:]), tuple(occupied[1:-1]), tuple(sorted(cars, key=prefs.__getitem__))
+            car -= 1
+            continue
+        v, s = prefs[car] + 1, spots[car]
+        occupied[s] = 0  # take back the car's previous spot (spot 0 if none)
+        s = max(s, v)
+        while occupied[s]:
+            s += 1
+        if s > n:  # no free spot at or past v, so none past any larger v
+            prefs[car] = spots[car] = 0
+            car -= 1
+            continue
+        occupied[s], prefs[car], spots[car] = car, v, s
+        car += 1
 
-    counts = [0] * (n + 1)
-    prefs: list[int] = []
 
-    def feasible() -> bool:
-        slack = n - len(prefs)
-        seen = 0
-        for i in range(1, n + 1):
-            seen += counts[i]
-            if seen + slack < i:
-                return False
-        return True
-
-    def rec() -> Iterator[ParkingFunction]:
-        if len(prefs) == n:
-            yield ParkingFunction(tuple(prefs))
-            return
-        for v in range(1, n + 1):
-            counts[v] += 1
-            prefs.append(v)
-            if feasible():
-                yield from rec()
-            prefs.pop()
-            counts[v] -= 1
-
-    yield from rec()
+def enumerate_parking_functions(n: int) -> Iterator[ParkingFunction]:
+    """All parking functions of size n, lexicographic on preferences."""
+    return (ParkingFunction(prefs) for prefs, _, _ in parking_walk(n))
 
 
 # -- text formats -----------------------------------------------------------

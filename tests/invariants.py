@@ -12,6 +12,7 @@ from functools import lru_cache
 from parkav import bijections as bj
 from parkav import counting, generalized, oracle, series, trees
 from parkav.parking import (
+    ParkingFunction,
     block_permutation,
     enumerate_parking_functions,
     from_blocks,
@@ -48,6 +49,19 @@ def all_s3_subsets(nonempty: bool = True) -> list[PatternSet]:
         for combo in itertools.combinations(S3_PATTERNS, r):
             out.append(PatternSet(combo))
     return out
+
+
+@lru_cache(maxsize=None)
+def reference_leaves(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...]:
+    """Every parking function of size n, found by filtering all n^n preference
+    lists with is_parking, lexicographic, as (preferences, outcome entries,
+    block-permutation entries): the reference for parking.parking_walk."""
+    leaves = []
+    for prefs in itertools.product(range(1, n + 1), repeat=n):
+        if is_parking(prefs):
+            blocks = to_blocks(ParkingFunction(prefs))
+            leaves.append((prefs, simulate(prefs).rho.entries, tuple(v for b in blocks for v in b)))
+    return tuple(leaves)
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
@@ -8,7 +9,14 @@ from parkav.parking import (
     enumerate_parking_functions,
     parking_permutation,
 )
-from parkav.permutations import PatternSet, avoids_all, parse_pattern_set, pattern_set
+from parkav.permutations import (
+    PatternSet,
+    _contains_by_subsets,
+    avoids_all,
+    parse_pattern_set,
+    pattern_set,
+)
+from invariants import reference_leaves
 
 
 def test_brute_pk_examples():
@@ -43,7 +51,7 @@ def test_cap():
 @pytest.mark.parametrize("side", ["pk", "pf"])
 def test_order_independence(side, text):
     """A direct count, forward and with the enumeration order reversed, must
-    agree with the oracle's cached profile and containment memo."""
+    agree with the oracle's cached profile and avoiding-key sets."""
     patterns = parse_pattern_set(text)
     perm_of = parking_permutation if side == "pk" else block_permutation
     brute = oracle.brute_pk if side == "pk" else oracle.brute_pf
@@ -54,22 +62,61 @@ def test_order_independence(side, text):
         assert forward == backward == brute(n, patterns), n
 
 
-def test_verify_enumerates_once_per_size_and_side(monkeypatch):
+def test_verify_walks_once_per_size(monkeypatch):
+    """One parking walk per size serves both sides of the formula suite."""
     calls = []
-    real = oracle.enumerate_parking_functions
+    real = oracle.parking_walk
 
     def counted(n):
         calls.append(n)
         return real(n)
 
-    monkeypatch.setattr(oracle, "enumerate_parking_functions", counted)
+    monkeypatch.setattr(oracle, "parking_walk", counted)
     oracle._profiles.cache_clear()
+    oracle._avoiders.cache_clear()
     try:
         reports = oracle.verify_all(4, "formulas")
     finally:
         oracle._profiles.cache_clear()
+        oracle._avoiders.cache_clear()
     assert reports and all(r.agree for r in reports)
-    assert sorted(calls) == [1, 1, 2, 2, 3, 3, 4, 4]
+    assert sorted(calls) == [1, 2, 3, 4]
+
+
+@lru_cache(maxsize=None)
+def reference_profile(n, side):
+    """Multiplicity of each outcome ("pk") or block ("pf") permutation over
+    the filtered-product reference list."""
+    return Counter(rho if side == "pk" else pi for _, rho, pi in reference_leaves(n))
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        (),  # the empty set counts every parking function
+        ("123", "123"),
+        ("12", "21", "12"),
+        ("12",),
+        ("12", "123"),
+        ("21", "1234"),
+        ("132", "2143"),
+        ("12", "123", "1234"),
+        ("231", "3412", "321"),
+    ],
+)
+@pytest.mark.parametrize("side", ["pk", "pf"])
+def test_filter_matches_direct_count(side, texts):
+    patterns = pattern_set(*texts)
+    brute = oracle.brute_pk if side == "pk" else oracle.brute_pf
+    for n in range(7):
+        direct = sum(
+            count
+            for entries, count in reference_profile(n, side).items()
+            if not any(_contains_by_subsets(entries, q) for q in patterns)
+        )
+        assert brute(n, patterns) == direct, n
+        if not texts:
+            assert direct == (n + 1) ** n // (n + 1)
 
 
 def test_mixed_size_patterns():

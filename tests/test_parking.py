@@ -12,6 +12,7 @@ from parkav.parking import (
     is_parking,
     parking_function,
     parking_permutation,
+    parking_walk,
     parse_blocks,
     parse_prefs,
     simulate,
@@ -22,6 +23,7 @@ from invariants import (
     block_condition_characterizes_acceptance,
     parking_checks,
     parking_counts,
+    reference_leaves,
 )
 
 EXAMPLE = (4, 4, 6, 4, 2, 2, 1)
@@ -86,6 +88,16 @@ def test_enumeration_small():
     assert [f.prefs for f in enumerate_parking_functions(2)] == [(1, 1), (1, 2), (2, 1)]
     assert sum(1 for _ in enumerate_parking_functions(3)) == 16
     assert [f.prefs for f in enumerate_parking_functions(0)] == [()]
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_walk_matches_filtered_product(n):
+    """The walk's leaves are the parking functions that filtering every
+    preference list finds, in the same order, with the same outcome and
+    block permutations; n = 0 gives the one empty function."""
+    leaves = list(parking_walk(n))
+    assert leaves == list(reference_leaves(n))
+    assert len(leaves) == (n + 1) ** n // (n + 1)  # (n+1)^(n-1), exact at n = 0
 
 
 def test_enumeration_counts():
