@@ -33,9 +33,9 @@ the recursion against the small cases (n <= 3), kept there as fixtures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
 
+from ._record import Record
 from .parking import Blocks, ParkingFunction, block_permutation_of_blocks, from_blocks, to_blocks
 from .permutations import PatternSet, avoids_all, pattern_set
 from .trees import LEAF, OrderedTree, path_tree
@@ -49,12 +49,14 @@ class BijectionDefect(AssertionError):
 # labelled trees (used by the {123,132} family)
 
 
-@dataclass(frozen=True)
-class LabeledTree:
+class LabeledTree(Record):
     """Ordered tree whose non-root vertices carry the labels 0..n."""
 
-    label: int | None  # None marks the root
-    children: tuple["LabeledTree", ...] = ()
+    __slots__ = ("label", "children")
+
+    def __init__(self, label: int | None, children: tuple[LabeledTree, ...] = ()) -> None:
+        object.__setattr__(self, "label", label)  # None marks the root
+        object.__setattr__(self, "children", children)
 
     def shape(self) -> OrderedTree:
         return OrderedTree(tuple(c.shape() for c in self.children))
@@ -166,13 +168,22 @@ def _clusters(blocks: Blocks, peel) -> list:
 # clusters, family {123, 132}
 
 
-@dataclass(frozen=True)
-class Cluster132:
-    kind: str  # extend | branch | jump
-    lo: int
-    hi: int  # covers elements lo..hi
-    main_positions: tuple[int, ...]
-    empty_position: int | None  # jump only
+class Cluster132(Record):
+    __slots__ = ("kind", "lo", "hi", "main_positions", "empty_position")
+
+    def __init__(
+        self,
+        kind: str,  # extend | branch | jump
+        lo: int,
+        hi: int,  # covers elements lo..hi
+        main_positions: tuple[int, ...],
+        empty_position: int | None,  # jump only
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "main_positions", main_positions)
+        object.__setattr__(self, "empty_position", empty_position)
 
     @property
     def length(self) -> int:
@@ -235,14 +246,24 @@ def _peel_132(
 # clusters, family {123, 213}
 
 
-@dataclass(frozen=True)
-class Cluster213:
-    kind: str  # closed | open
-    lo: int
-    hi: int
-    parameter: int | None  # closed only
-    main_positions: tuple[int, ...]
-    empty_position: int | None  # the matched empty block, when the cluster has one
+class Cluster213(Record):
+    __slots__ = ("kind", "lo", "hi", "parameter", "main_positions", "empty_position")
+
+    def __init__(
+        self,
+        kind: str,  # closed | open
+        lo: int,
+        hi: int,
+        parameter: int | None,  # closed only
+        main_positions: tuple[int, ...],
+        empty_position: int | None,  # the matched empty block, when the cluster has one
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "parameter", parameter)
+        object.__setattr__(self, "main_positions", main_positions)
+        object.__setattr__(self, "empty_position", empty_position)
 
     @property
     def length(self) -> int:

@@ -16,12 +16,11 @@ only emitted under --timing.  Exit codes: 0 ok, 1 usage or parse error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from typing import Iterator
 
-from . import bijections, generalized, oracle, trees
+from . import bijections, generalized, trees
 from .counting import CountResult, pf_count, pf_route, pk_count, pk_route, row_of
 from .parking import format_blocks, parse_blocks
 from .permutations import BudgetExceeded, parse_pattern_set
@@ -65,6 +64,8 @@ def _emit_records(records: list[dict], fmt: str, timing: bool, out) -> None:
             out.write(",".join(str(r[c]) for c in cols) + "\n")
         return
     if fmt == "json":
+        import json
+
         if not timing:
             records = [{k: v for k, v in r.items() if k != "elapsed_ms"} for r in records]
         out.write(json.dumps(records, indent=None, separators=(",", ":")) + "\n")
@@ -115,6 +116,8 @@ def cmd_bijection(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    from . import oracle
+
     for suite, reached in oracle.checked_range(args.n_max, args.suite).items():
         if reached < args.n_max:
             print(f"note: suite {suite} checked n <= {reached}, not {args.n_max}", file=sys.stderr)

@@ -26,20 +26,23 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator
 
+from ._record import Record
 from .paths import catalan_number, path_weight_sum
 from .permutations import PatternSet, avoider_walk, pattern_set
 
 
-@dataclass(frozen=True)
-class CountResult:
+class CountResult(Record):
     """An exact count plus the provenance of the computation."""
 
-    value: int
-    method: str  # formula | recurrence | weighted_sum (avoider walk or path weights)
+    __slots__ = ("value", "method")
+
+    def __init__(self, value: int, method: str) -> None:
+        object.__setattr__(self, "value", value)
+        # formula | recurrence | weighted_sum (avoider walk or path weights)
+        object.__setattr__(self, "method", method)
 
     def __int__(self) -> int:
         return self.value

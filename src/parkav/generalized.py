@@ -26,21 +26,25 @@ divisibility assertions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
+from ._record import Record
 from .counting import Route, exact_div, first_run_row, last_value
 from .parking import is_parking
 from .paths import path_weight_sum
-from .series import PowerSeries, series
+
+if TYPE_CHECKING:
+    from .series import PowerSeries
 
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(Record):
     """Value multiplicities of f : [n] -> [N] plus the packed (nonzero) view."""
 
-    counts: tuple[int, ...]
+    __slots__ = ("counts",)
+
+    def __init__(self, counts: tuple[int, ...]) -> None:
+        object.__setattr__(self, "counts", counts)
 
     @property
     def packed(self) -> tuple[int, ...]:
@@ -83,32 +87,32 @@ def is_m_parking(values: Sequence[int], m: int, n: int) -> bool:
     return all(v <= 1 + m * i for i, v in enumerate(sorted(values)))
 
 
-@dataclass(frozen=True)
-class MMultiparking:
+class MMultiparking(Record):
     """Validated f : [mn] -> [n] whose evaluation is m times a parking one."""
 
-    values: tuple[int, ...]
-    m: int
-    n: int
+    __slots__ = ("values", "m", "n")
 
-    def __post_init__(self) -> None:
-        if not is_m_multiparking(self.values, self.m, self.n):
-            raise ValueError(f"not an {self.m}-multiparking function of size {self.m * self.n}")
+    def __init__(self, values: tuple[int, ...], m: int, n: int) -> None:
+        if not is_m_multiparking(values, m, n):
+            raise ValueError(f"not an {m}-multiparking function of size {m * n}")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
 
     def evaluation(self) -> Evaluation:
         return evaluation(self.values, self.n)
 
 
-@dataclass(frozen=True)
-class MParking:
+class MParking(Record):
     """Validated f : [n] -> [1+m(n-1)] with sorted values below the ramp."""
 
-    values: tuple[int, ...]
-    m: int
+    __slots__ = ("values", "m")
 
-    def __post_init__(self) -> None:
-        if not is_m_parking(self.values, self.m, len(self.values)):
-            raise ValueError(f"not an {self.m}-parking function: {self.values!r}")
+    def __init__(self, values: tuple[int, ...], m: int) -> None:
+        if not is_m_parking(values, m, len(values)):
+            raise ValueError(f"not an {m}-parking function: {values!r}")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "m", m)
 
     def evaluation(self) -> Evaluation:
         return evaluation(self.values, 1 + self.m * (len(self.values) - 1))
@@ -273,7 +277,7 @@ def multipark_class_count_by_evaluations(n: int, m: int, congruence: str) -> int
 def metasylvester_identity_sides(m: int, order: int) -> tuple[PowerSeries, PowerSeries]:
     """Both sides of x/(1-x) = sum_n p_n x^n (1-x)^n / prod_l (1+mlx),
     truncated at ``order`` (terms beyond n = order cannot contribute)."""
-    from .series import geometric, one, reciprocal, x, zero
+    from .series import geometric, one, reciprocal, series, x, zero
 
     lhs = x(order) * geometric(order)
     rhs = zero(order)

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .parking import parking_walk
 from .permutations import S3_PATTERNS, BudgetExceeded, PatternSet, Permutation, contains_sequence
 
@@ -71,13 +71,15 @@ def brute_total(n: int) -> int:
     return sum(_profiles(n)["pk"].values())
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    quantity: str
-    n: int
-    m: int | None
-    oracle_value: int
-    formula_value: int
+class OracleReport(Record):
+    __slots__ = ("quantity", "n", "m", "oracle_value", "formula_value")
+
+    def __init__(self, quantity: str, n: int, m: int | None, oracle_value: int, formula_value: int) -> None:
+        object.__setattr__(self, "quantity", quantity)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "oracle_value", oracle_value)
+        object.__setattr__(self, "formula_value", formula_value)
 
     @property
     def agree(self) -> bool:

@@ -17,9 +17,9 @@ Text formats: preferences "4,4,6,4,2,2,1"; blocks "({7},{5,6},{},{1,2,4},{},{3},
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from ._record import Record
 from .permutations import Permutation
 
 Blocks = tuple[tuple[int, ...], ...]
@@ -41,16 +41,18 @@ def is_parking(prefs: Sequence[int]) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ParkingOutcome:
+class ParkingOutcome(Record):
     """Result of a successful simulation.
 
     ``spots[i-1]`` is the spot taken by car i; ``rho`` maps each spot to the
     car occupying it.
     """
 
-    spots: tuple[int, ...]
-    rho: Permutation
+    __slots__ = ("spots", "rho")
+
+    def __init__(self, spots: tuple[int, ...], rho: Permutation) -> None:
+        object.__setattr__(self, "spots", spots)
+        object.__setattr__(self, "rho", rho)
 
 
 def simulate(prefs: Sequence[int]) -> ParkingOutcome | None:
@@ -77,15 +79,15 @@ def simulate(prefs: Sequence[int]) -> ParkingOutcome | None:
     return ParkingOutcome(tuple(spots), Permutation(tuple(occupied[1:])))
 
 
-@dataclass(frozen=True)
-class ParkingFunction:
+class ParkingFunction(Record):
     """A validated parking function in preference form."""
 
-    prefs: tuple[int, ...]
+    __slots__ = ("prefs",)
 
-    def __post_init__(self) -> None:
-        if not is_parking(self.prefs):
-            raise ValueError(f"not a parking function: {self.prefs!r}")
+    def __init__(self, prefs: tuple[int, ...]) -> None:
+        if not is_parking(prefs):
+            raise ValueError(f"not a parking function: {prefs!r}")
+        object.__setattr__(self, "prefs", prefs)
 
     @property
     def n(self) -> int:
@@ -190,8 +192,10 @@ def parking_walk(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tup
 
 
 def enumerate_parking_functions(n: int) -> Iterator[ParkingFunction]:
-    """All parking functions of size n, lexicographic on preferences."""
-    return (ParkingFunction(prefs) for prefs, _, _ in parking_walk(n))
+    """All parking functions of size n, lexicographic on preferences.  The
+    walk only yields parking functions, so none is validated again."""
+    trusted = ParkingFunction._trusted
+    return (trusted(prefs) for prefs, _, _ in parking_walk(n))
 
 
 # -- text formats -----------------------------------------------------------

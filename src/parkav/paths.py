@@ -17,37 +17,37 @@ of one factor per up-run, so a polynomial DP replaces enumeration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
+from ._record import Record
 from .parking import ParkingFunction
 
 UP = "U"
 DOWN = "D"
 
 
-@dataclass(frozen=True)
-class LatticePath:
+class LatticePath(Record):
     """Step sequence over {U, D} with up-height m; validated on construction."""
 
-    steps: tuple[str, ...]
-    m: int = 1
+    __slots__ = ("steps", "m")
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
+    def __init__(self, steps: tuple[str, ...], m: int = 1) -> None:
+        if m < 1:
             raise ValueError("up-step height m must be >= 1")
         height = 0
-        for s in self.steps:
+        for s in steps:
             if s == UP:
-                height += self.m
+                height += m
             elif s == DOWN:
                 height -= 1
             else:
                 raise ValueError(f"bad step {s!r}")
             if height < 0:
-                raise ValueError(f"path dips below axis: {''.join(self.steps)}")
+                raise ValueError(f"path dips below axis: {''.join(steps)}")
         if height != 0:
-            raise ValueError(f"path does not return to axis: {''.join(self.steps)}")
+            raise ValueError(f"path does not return to axis: {''.join(steps)}")
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "m", m)
 
     @property
     def n(self) -> int:
@@ -70,15 +70,15 @@ def path(text: str, m: int = 1) -> LatticePath:
     return LatticePath(tuple(text), m)
 
 
-@dataclass(frozen=True)
-class AscentWord:
+class AscentWord(Record):
     """Lengths of the maximal up-runs of a path, in order."""
 
-    runs: tuple[int, ...]
+    __slots__ = ("runs",)
 
-    def __post_init__(self) -> None:
-        if any(r < 1 for r in self.runs):
+    def __init__(self, runs: tuple[int, ...]) -> None:
+        if any(r < 1 for r in runs):
             raise ValueError("runs must be positive")
+        object.__setattr__(self, "runs", runs)
 
     def __len__(self) -> int:
         return len(self.runs)

@@ -17,21 +17,22 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
+from ._record import Record
 
-@dataclass(frozen=True)
-class Permutation:
+
+class Permutation(Record):
     """One-line notation permutation of {1..n}; n = 0 is the empty permutation."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        n = len(self.entries)
-        if sorted(self.entries) != list(range(1, n + 1)):
-            raise ValueError(f"not a bijection on [{n}]: {self.entries!r}")
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        n = len(entries)
+        if sorted(entries) != list(range(1, n + 1)):
+            raise ValueError(f"not a bijection on [{n}]: {entries!r}")
+        object.__setattr__(self, "entries", entries)
 
     @property
     def n(self) -> int:
@@ -273,20 +274,19 @@ def avoids_all(p: Permutation, patterns: Iterable[Permutation]) -> bool:
     return all(not contains(p, q) for q in patterns)
 
 
-@dataclass(frozen=True)
-class PatternSet:
+class PatternSet(Record):
     """Canonical (sorted, deduplicated) set of nonempty patterns.
 
     Ordering is lexicographic on one-line notation, then by size, which gives
     deterministic dispatch keys for the counting formulas.
     """
 
-    patterns: tuple[Permutation, ...]
+    __slots__ = ("patterns",)
 
-    def __post_init__(self) -> None:
-        if any(q.n == 0 for q in self.patterns):
+    def __init__(self, patterns: tuple[Permutation, ...]) -> None:
+        if any(q.n == 0 for q in patterns):
             raise ValueError("patterns must have size >= 1")
-        canon = sorted(set(self.patterns), key=lambda q: (q.entries, q.n))
+        canon = sorted(set(patterns), key=lambda q: (q.entries, q.n))
         object.__setattr__(self, "patterns", tuple(canon))
 
     def __iter__(self) -> Iterator[Permutation]:
@@ -333,13 +333,20 @@ class BudgetExceeded(ValueError):
 WALK_BUDGET = 50_000_000
 
 
-@dataclass(frozen=True)
-class AvoiderSums:
+class AvoiderSums(Record):
     """One avoider walk to n_max, indexed by n = 0..n_max."""
 
-    ell: list[int]  # sum of ell_weight over Av_n(P): the pk count
-    blocks: list[int]  # parking functions whose block permutation is in Av_n(P)
-    leaves: list[tuple[int, ...]]  # Av_{n_max}(P), when kept
+    __slots__ = ("ell", "blocks", "leaves")
+
+    def __init__(
+        self,
+        ell: list[int],  # sum of ell_weight over Av_n(P): the pk count
+        blocks: list[int],  # parking functions whose block permutation is in Av_n(P)
+        leaves: list[tuple[int, ...]],  # Av_{n_max}(P), when kept
+    ) -> None:
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "leaves", leaves)
 
 
 def avoider_walk(n_max: int, patterns: PatternSet, keep_leaves: bool = False) -> AvoiderSums:
@@ -358,7 +365,7 @@ def avoider_walk(n_max: int, patterns: PatternSet, keep_leaves: bool = False) ->
     """
     ell, blocks, leaves = [0] * (n_max + 1), [0] * (n_max + 1), []
     sizes = [q.n for q in patterns]
-    cost = [k + 1 + sum(k if m <= 3 else math.comb(k, m - 1) * m for m in sizes) for k in range(n_max)]
+    cost = []  # cost[k]: the scan of one child of a size-k node, set when the walk first reaches k
     spent = 0
     stack = [((), 1, [1])]  # (entries, ell product, block weights by last block slot + 1)
     while stack:
@@ -370,6 +377,8 @@ def avoider_walk(n_max: int, patterns: PatternSet, keep_leaves: bool = False) ->
             if keep_leaves:
                 leaves.append(seq)
             continue
+        if k == len(cost):
+            cost.append(k + 1 + sum(k if m <= 3 else math.comb(k, m - 1) * m for m in sizes))
         spent += (k + 1) * cost[k]
         if spent > WALK_BUDGET:
             raise BudgetExceeded(f"avoider walk for {patterns} to n={n_max}: past {WALK_BUDGET} entries")

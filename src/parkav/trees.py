@@ -9,14 +9,17 @@ double as canonical dictionary keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
+from ._record import Record
 
-@dataclass(frozen=True)
-class OrderedTree:
-    children: tuple["OrderedTree", ...] = ()
+
+class OrderedTree(Record):
+    __slots__ = ("children",)
+
+    def __init__(self, children: tuple[OrderedTree, ...] = ()) -> None:
+        object.__setattr__(self, "children", children)
 
     @property
     def edge_count(self) -> int:

@@ -109,6 +109,21 @@ def test_trace_child_runs_sequence():
     assert json.loads(line[len(prefix):])["calls"]["counting.triangle"] == 1
 
 
+def test_start_up_loads_only_what_it_runs():
+    # json, the oracle and the series arithmetic load in the commands that
+    # use them; the records need no dataclasses (and so no inspect)
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
+        "import parkav.cli; parkav.cli.build_parser(); print(' '.join(sys.modules))"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "parkav.cli" in loaded
+    unwanted = {"dataclasses", "inspect", "fractions", "decimal", "json", "parkav.series", "parkav.oracle"}
+    assert loaded.isdisjoint(unwanted), sorted(loaded & unwanted)
+
+
 def test_deterministic_output(capsys):
     args = ("sequence", "--notion", "pk", "--patterns", "312", "--n-max", "8")
     _, first = run(capsys, *args)

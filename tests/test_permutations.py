@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import typing
 from typing import Sequence
@@ -284,3 +285,14 @@ def test_avoider_walk_budget(monkeypatch):
         avoider_walk(9, pattern_set("132"))
     # a dead class stops by itself, far under any budget
     assert avoider_walk(400, pattern_set("123", "321")).ell[5:] == [0] * 396
+
+
+def test_avoider_walk_prices_only_the_sizes_it_reaches(monkeypatch):
+    # {1, 1234} has no avoider past size 0: a walk to 10^6 prices size 0
+    # alone, not C(k, 3) for every k below n_max
+    calls = []
+    comb = math.comb
+    monkeypatch.setattr(math, "comb", lambda *args: calls.append(args) or comb(*args))
+    sums = avoider_walk(10**6, pattern_set("1", "1234"))
+    assert (sums.ell[:2], sums.blocks[:2]) == ([1, 0], [1, 0])
+    assert calls == [(0, 3)]
