@@ -145,7 +145,7 @@ def _rank_order(values: Sequence[int]) -> tuple[int, ...]:
 def _contains_by_subsets(seq: Sequence[int], pattern: Permutation) -> bool:
     """Order-isomorphic subsequence search over all C(n, m) index subsets.
 
-    The fallback for patterns of size >= 4, and the reference the fast
+    The fallback for patterns of size >= 5, and the reference the fast
     paths of contains_sequence are tested against.
     """
     m = pattern.n
@@ -211,7 +211,8 @@ def contains_sequence(seq: Sequence[int], pattern: Permutation) -> bool:
     """Order-isomorphic subsequence search on any distinct-value sequence.
 
     Patterns of size <= 2 take one pass over adjacent pairs and size 3 a
-    linear scan; larger patterns fall back to the subset search.
+    linear scan; size 4 asks the linear end query at each prefix (O(n^2));
+    larger patterns fall back to the subset search.
     """
     q = pattern.entries
     m = len(q)
@@ -222,7 +223,57 @@ def contains_sequence(seq: Sequence[int], pattern: Permutation) -> bool:
         return any((a < b) == rising for a, b in zip(seq, seq[1:]))
     if m == 3:
         return _S3_SCANS[q](seq)
+    if m == 4:
+        return any(ends_with_occurrence(seq[:end], pattern) for end in range(4, len(seq) + 1))
     return _contains_by_subsets(seq, pattern)
+
+
+@lru_cache(maxsize=None)
+def _size4_plan(q: tuple[int, ...]) -> tuple[bool, int | None, object]:
+    """(side, lone, test) for a size-4 pattern q.  Without a lone letter:
+    whether all three earlier letters lie below x, None, and the size-3 scan
+    for their standardization.  Otherwise: whether the lone letter lies below
+    x, its position, and whether the other two letters rise."""
+    *head, last = q
+    below = [h < last for h in head]  # the side of x each earlier letter takes
+    if below[0] == below[1] == below[2]:
+        return below[0], None, _S3_SCANS[tuple(sorted(head).index(h) + 1 for h in head)]
+    lone = next(j for j in range(3) if below.count(below[j]) == 1)
+    u, w = (h for j, h in enumerate(head) if j != lone)
+    return below[lone], lone, u < w
+
+
+def _ends_with_size4(earlier: Sequence[int], x: int, q: tuple[int, ...]) -> bool:
+    """Size-4 end query in one O(n) pass over the entries before x.
+
+    Every entry below x is below every entry above x, as in the pattern, so
+    only the order within each side matters.  Three letters on one side:
+    a size-3 scan of that side.  One letter alone on its side: the other two
+    need one rise or fall among the other side's entries, after the first
+    lone-side entry if the lone letter comes first (before the last, by
+    reversal, if it comes last); in the middle, a running extreme of the
+    other side, read at each lone-side entry, meets a later other-side entry.
+    """
+    side, lone, test = _size4_plan(q)
+    if lone is None:
+        return test([v for v in earlier if (v < x) == side])
+    rising = test
+    if lone == 2:
+        earlier, rising, lone = earlier[::-1], not rising, 0
+    if lone == 0:
+        start = next((i for i, v in enumerate(earlier) if (v < x) == side), len(earlier))
+        others = [v for v in earlier[start + 1:] if (v < x) != side]
+        return any((a < b) == rising for a, b in zip(others, others[1:]))
+    extreme = best = None  # the other side's min (rising) or max so far; its value at the last lone entry
+    for v in earlier:
+        if (v < x) == side:
+            best = extreme
+            continue
+        if best is not None and (best < v) == rising:
+            return True
+        if extreme is None or (v < extreme) == rising:
+            extreme = v
+    return False
 
 
 def ends_with_occurrence(seq: Sequence[int], pattern: Permutation) -> bool:
@@ -232,8 +283,9 @@ def ends_with_occurrence(seq: Sequence[int], pattern: Permutation) -> bool:
     entry x.  Size 3 is one O(n) pass: the two earlier entries must lie on
     the sides of x that the pattern's last letter fixes, in the pattern's
     order, so keep the extreme candidate for the first of them (its minimum
-    if the pattern rises there, its maximum otherwise).  Other sizes try the
-    C(n-1, m-1) subsets of the earlier entries.
+    if the pattern rises there, its maximum otherwise).  Size 4 is one O(n)
+    pass too (``_ends_with_size4``).  Larger sizes try the C(n-1, m-1)
+    subsets of the earlier entries.
     """
     q = pattern.entries
     m = len(q)
@@ -253,6 +305,8 @@ def ends_with_occurrence(seq: Sequence[int], pattern: Permutation) -> bool:
             if (v < x) == first_below and (best is None or (v < best) == rising):
                 best = v
         return False
+    if m == 4:
+        return _ends_with_size4(seq[:-1], x, q)
     order = _rank_order(q)
     # order-isomorphic iff read in the pattern's rank order, the values rise
     return any(
@@ -327,9 +381,10 @@ class BudgetExceeded(ValueError):
     """Work past a documented budget; the CLI exits 3 before printing."""
 
 
-# Entries the avoider walk may scan: about 8-15 s of CPython on a 2-vCPU
+# Entries the avoider walk may scan: about 8-20 s of CPython on a 2-vCPU
 # host.  Counted in entries, not nodes: Av_n(12) has one node per level but
-# O(n^2) work per level.
+# O(n^2) work per level.  A pattern of size <= 4 costs one linear end query
+# per candidate; a larger one, its subsets of the earlier entries.
 WALK_BUDGET = 50_000_000
 
 
@@ -360,7 +415,7 @@ def avoider_walk(n_max: int, patterns: PatternSet, keep_leaves: bool = False) ->
     but no later than the entries before it; the walk keeps their count by
     the last block's slot: a descent opens a block, an ascent may also
     extend the last one.  A candidate of size k scans k entries plus, per
-    pattern of size m, k - 1 (m <= 3) or C(k-1, m-1) * m; past WALK_BUDGET
+    pattern of size m, k - 1 (m <= 4) or C(k-1, m-1) * m; past WALK_BUDGET
     in all the walk raises BudgetExceeded.
     """
     ell, blocks, leaves = [0] * (n_max + 1), [0] * (n_max + 1), []
@@ -378,7 +433,7 @@ def avoider_walk(n_max: int, patterns: PatternSet, keep_leaves: bool = False) ->
                 leaves.append(seq)
             continue
         if k == len(cost):
-            cost.append(k + 1 + sum(k if m <= 3 else math.comb(k, m - 1) * m for m in sizes))
+            cost.append(k + 1 + sum(k if m <= 4 else math.comb(k, m - 1) * m for m in sizes))
         spent += (k + 1) * cost[k]
         if spent > WALK_BUDGET:
             raise BudgetExceeded(f"avoider walk for {patterns} to n={n_max}: past {WALK_BUDGET} entries")

@@ -55,6 +55,13 @@ def test_generic_weighted_matches_scan(text):
         assert generic_weighted_pk(n, patterns).value == _weighted_by_scan(n, patterns), n
 
 
+def test_size4_counts_at_nine():
+    # pinned from the subset-search engine that answered size 4 before the linear end query
+    patterns = pattern_set("1234")
+    assert pk_count(patterns, 9) == CountResult(3566300, "weighted_sum")
+    assert pf_count(patterns, 9) == CountResult(11700789, "weighted_sum")
+
+
 def test_both_monotone_patterns_fall_back():
     patterns = pattern_set("123", "321")
     result = pk_count(patterns, 5)

@@ -170,15 +170,21 @@ def test_small_and_size4_patterns_through_the_engine():
 
 
 def test_ends_with_occurrence_matches_subset_search():
-    patterns = list(S3_PATTERNS) + [perm("1"), perm("21"), perm("1234"), perm("2413")]
-    for n in range(7):
-        for entries in itertools.permutations(range(1, n + 1)):
-            for q in patterns:
-                want = any(
-                    reference([entries[j] for j in combo] + [entries[-1]], q)
-                    for combo in itertools.combinations(range(n - 1), q.n - 1)
-                ) if n else False
-                assert permutations.ends_with_occurrence(entries, q) == want, (entries, q)
+    # every size-4 pattern, on all of S_n for n <= 6 and on sequences with
+    # gaps and negative values (the walk's probe doubles the old entries)
+    patterns = list(S3_PATTERNS) + [perm("1"), perm("21")]
+    patterns += [Permutation(q) for q in itertools.permutations(range(1, 5))]
+    rng = random.Random(10)
+    cases = [e for n in range(1, 7) for e in itertools.permutations(range(1, n + 1))]
+    cases += [rng.sample(range(-25, 25), rng.randint(1, 10)) for _ in range(200)]
+    for seq in cases:
+        for q in patterns:
+            want = any(
+                reference([seq[j] for j in combo] + [seq[-1]], q)
+                for combo in itertools.combinations(range(len(seq) - 1), q.n - 1)
+            )
+            assert permutations.ends_with_occurrence(seq, q) == want, (seq, q)
+    assert not any(permutations.ends_with_occurrence((), q) for q in patterns)
 
 
 def test_avoidance_class_is_the_filtered_sn():
@@ -188,6 +194,21 @@ def test_avoidance_class_is_the_filtered_sn():
             bits = sum(1 << S3_PATTERNS.index(q) for q in patterns)
             want = [p for p, mask in masks if not mask & bits]
             assert avoidance_class(n, patterns) == want, (n, str(patterns))
+
+
+# |Av_n(q)| for n = 0..8: the three Wilf classes of size-4 patterns
+SIZE4_CLASS_SIZES = {
+    "A005802": ([1, 1, 2, 6, 23, 103, 513, 2761, 15767], ("1234", "2143")),
+    "A022558": ([1, 1, 2, 6, 23, 103, 512, 2740, 15485], ("1342", "2413")),
+    "A061552": ([1, 1, 2, 6, 23, 103, 513, 2762, 15793], ("1324", "4231")),
+}
+
+
+@pytest.mark.parametrize("oeis", sorted(SIZE4_CLASS_SIZES))
+def test_size4_class_sizes_match_published_counts(oeis):
+    row, patterns = SIZE4_CLASS_SIZES[oeis]
+    for text in patterns:
+        assert [len(avoidance_class(n, pattern_set(text))) for n in range(9)] == row, text
 
 
 def test_avoidance_class_respects_union():
@@ -288,11 +309,11 @@ def test_avoider_walk_budget(monkeypatch):
 
 
 def test_avoider_walk_prices_only_the_sizes_it_reaches(monkeypatch):
-    # {1, 1234} has no avoider past size 0: a walk to 10^6 prices size 0
-    # alone, not C(k, 3) for every k below n_max
+    # {1, 12345} has no avoider past size 0: a walk to 10^6 prices size 0
+    # alone, not C(k, 4) for every k below n_max
     calls = []
     comb = math.comb
     monkeypatch.setattr(math, "comb", lambda *args: calls.append(args) or comb(*args))
-    sums = avoider_walk(10**6, pattern_set("1", "1234"))
+    sums = avoider_walk(10**6, pattern_set("1", "12345"))
     assert (sums.ell[:2], sums.blocks[:2]) == ([1, 0], [1, 0])
-    assert calls == [(0, 3)]
+    assert calls == [(0, 4)]
