@@ -10,13 +10,20 @@ tree operation.
 In both families every block has size 0, 1 or 2, and reading size-2 blocks
 as opening brackets and empty blocks as closing brackets gives a correctly
 matched word; the partner of a size-2 block under this matching is "its"
-empty block, and cluster extraction leans on that pairing throughout.
+empty block.  A cluster takes a prefix of the word left by the clusters
+before it, plus at most the empty block matched to a size-2 block of that
+prefix.  Removing a matched pair leaves every other pair matched as before,
+since the blocks between the two are balanced; so one bracket match of the
+whole word serves every cluster of it.
 
 Family {123, 132} (clusters: extend / branch / jump)
     Operations attach a labelled path or a labelled two-branch graft at a
-    vertex determined by where the jump cluster's empty block sits.  The
-    labels 0..n record creation order and drive the inverse, which locates
-    the last graft with a left-most-branch descent and peels it off.
+    vertex determined by where the jump cluster's empty block sits: just
+    before the i-th main block of a later cluster covering lo..hi, which
+    points at the vertex labelled hi - 1 - i (the root when no main block
+    follows).  The labels 0..n record creation order and drive the inverse,
+    which locates the last graft with a left-most-branch descent, peels it
+    off, and carries the labelled image of what is left back up.
 
 Family {123, 213} (clusters: closed / open)
     A closed cluster grows the tree upward (new root above the old one plus
@@ -114,26 +121,22 @@ def match_empty_blocks(f: ParkingFunction | Blocks) -> dict[int, int]:
     return bracket_match(blocks)
 
 
-def _insert_empty(blocks: list[tuple[int, ...]], gap_end: int | None, opener: int) -> int:
-    """Insert an empty block so that bracket matching pairs it with ``opener``.
+def _insert_empty(blocks: list[tuple[int, ...]], gap_end: int, opener: int) -> None:
+    """Insert an empty block that bracket matching pairs with ``opener``.
 
-    ``gap_end`` is the index of the first main (nonempty) block the new empty
-    must precede, or None for "after everything".  Within the admissible run
-    of slots exactly one choice balances the brackets; returns the index used.
+    The new empty must precede the block at ``gap_end`` (a main block, or the
+    end) and may sit anywhere in the run of empty blocks just before it.  It
+    pairs with ``opener`` in the one slot of the run where the blocks after
+    the opener are balanced: past as many of the run's empty blocks as the
+    blocks before the run leave open.
     """
-    hi = len(blocks) if gap_end is None else gap_end
-    lo = hi
-    while lo > opener + 1 and len(blocks[lo - 1]) == 0:
+    lo = gap_end
+    while lo > opener + 1 and not blocks[lo - 1]:
         lo -= 1
-    for pos in range(hi, lo - 1, -1):
-        candidate = blocks[:pos] + [()] + blocks[pos:]
-        try:
-            if bracket_match(candidate)[opener] == pos:
-                blocks.insert(pos, ())
-                return pos
-        except ValueError:
-            continue
-    raise BijectionDefect("no balanced slot for the empty block")
+    depth = sum((len(blocks[i]) == 2) - (not blocks[i]) for i in range(opener + 1, lo))
+    if not 0 <= depth <= gap_end - lo:
+        raise BijectionDefect("no balanced slot for the empty block")
+    blocks.insert(lo + depth, ())
 
 
 def _domain_blocks(f: ParkingFunction | Blocks, patterns: PatternSet) -> Blocks:
@@ -154,109 +157,20 @@ def _domain_blocks(f: ParkingFunction | Blocks, patterns: PatternSet) -> Blocks:
     return blocks
 
 
-def _clusters(blocks: Blocks, peel) -> list:
-    """Peel clusters off the front of the blocks until none are left."""
-    work = list(enumerate(blocks))
-    out = []
-    while work:
-        cluster, work = peel(work)
-        out.append(cluster)
-    return out
+class Cluster(Record):
+    """The elements lo..hi, with the 0-based positions of their main blocks
+    (in order) and of their matched empty block, when there is one."""
 
-
-# ---------------------------------------------------------------------------
-# clusters, family {123, 132}
-
-
-class Cluster132(Record):
-    __slots__ = ("kind", "lo", "hi", "main_positions", "empty_position")
-
-    def __init__(
-        self,
-        kind: str,  # extend | branch | jump
-        lo: int,
-        hi: int,  # covers elements lo..hi
-        main_positions: tuple[int, ...],
-        empty_position: int | None,  # jump only
-    ) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "main_positions", main_positions)
-        object.__setattr__(self, "empty_position", empty_position)
-
-    @property
-    def length(self) -> int:
-        return self.hi - self.lo + 1
-
-
-PATTERNS_123_132 = pattern_set("123", "132")
-PATTERNS_123_213 = pattern_set("123", "213")
-
-
-def clusters_123_132(f: ParkingFunction | Blocks) -> list[Cluster132]:
-    """Partition the blocks into extend/branch/jump clusters (positions are
-    0-based indices into the original block sequence)."""
-    return _clusters(_domain_blocks(f, PATTERNS_123_132), _peel_132)
-
-
-def _peel_132(
-    work: list[tuple[int, Blocks]]
-) -> tuple[Cluster132, list[tuple[int, Blocks]]]:
-    pi = [v for _, b in work for v in b]
-    n = len(pi)  # elements in a suffix are exactly 1..n
-    if pi[0] == n:
-        run = 1
-        while run < n and pi[run] == n - run:
-            run += 1
-        main = work[:run]
-        if any(len(b) != 1 for _, b in main):
-            raise BijectionDefect("extend cluster blocks must be singletons")
-        cluster = Cluster132(
-            "extend", n - run + 1, n, tuple(pos for pos, _ in main), None
-        )
-        return cluster, work[run:]
-    if pi[0] != n - 1:
-        raise ValueError("block permutation starts with neither n nor n-1")
-    p = pi.index(n) + 1  # 1-based position of n
-    k = n - p
-    if all(len(b) == 1 for _, b in work[:p]):
-        cluster = Cluster132(
-            "branch", k + 1, n, tuple(pos for pos, _ in work[:p]), None
-        )
-        return cluster, work[p:]
-    pair_idx = p - 2  # the (p-1)-th block holds {k+1, n}
-    if any(len(b) != 1 for _, b in work[:pair_idx]) or len(work[pair_idx][1]) != 2:
-        raise BijectionDefect("jump cluster must be singletons then one size-2 block")
-    if work[pair_idx][1] != (k + 1, n):
-        raise BijectionDefect(f"size-2 block {work[pair_idx][1]} is not {(k + 1, n)}")
-    empty_work_idx = bracket_match([b for _, b in work])[pair_idx]
-    cluster = Cluster132(
-        "jump",
-        k + 1,
-        n,
-        tuple(pos for pos, _ in work[: p - 1]),
-        work[empty_work_idx][0],
-    )
-    rest = work[p - 1 : empty_work_idx] + work[empty_work_idx + 1 :]
-    return cluster, rest
-
-
-# ---------------------------------------------------------------------------
-# clusters, family {123, 213}
-
-
-class Cluster213(Record):
     __slots__ = ("kind", "lo", "hi", "parameter", "main_positions", "empty_position")
 
     def __init__(
         self,
-        kind: str,  # closed | open
+        kind: str,  # extend | branch | jump, or closed | open
         lo: int,
         hi: int,
         parameter: int | None,  # closed only
         main_positions: tuple[int, ...],
-        empty_position: int | None,  # the matched empty block, when the cluster has one
+        empty_position: int | None,
     ) -> None:
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "lo", lo)
@@ -270,83 +184,99 @@ class Cluster213(Record):
         return self.hi - self.lo + 1
 
 
-def clusters_123_213(f: ParkingFunction | Blocks) -> list[Cluster213]:
+def _clusters(blocks: Blocks, peel) -> Iterator[Cluster]:
+    """The clusters of the blocks, peeled off the front one at a time.
+
+    Each peel reads the blocks no earlier cluster took, from the front and
+    only as many as its own cluster needs; all of them share one bracket
+    match of the whole word (see the module docstring).
+    """
+    match = bracket_match(blocks)
+    taken: set[int | None] = set()  # the empty blocks taken ahead of the front
+    front = 0
+    n = sum(map(len, blocks))  # the blocks left hold 1..n
+    while n:
+        live = (q for q in range(front, len(blocks)) if q not in taken)
+        cluster = peel(blocks, match, live, n)
+        yield cluster
+        taken.add(cluster.empty_position)
+        front = cluster.main_positions[-1] + 1
+        n = cluster.lo - 1
+
+
+# ---------------------------------------------------------------------------
+# clusters, family {123, 132}
+
+
+PATTERNS_123_132 = pattern_set("123", "132")
+PATTERNS_123_213 = pattern_set("123", "213")
+
+
+def clusters_123_132(f: ParkingFunction | Blocks) -> list[Cluster]:
+    """Partition the blocks into extend/branch/jump clusters (positions are
+    0-based indices into the original block sequence)."""
+    return list(_clusters(_domain_blocks(f, PATTERNS_123_132), _peel_132))
+
+
+def _peel_132(
+    blocks: Blocks, match: dict[int, int], live: Iterator[int], n: int
+) -> Cluster:
+    q = next(live)
+    main = [q]
+    if blocks[q] == (n,):  # extend: {n}, {n-1}, ...
+        for q in live:
+            if blocks[q] != (n - len(main),):
+                break
+            main.append(q)
+        return Cluster("extend", n - len(main) + 1, n, None, tuple(main), None)
+    if blocks[q][0] != n - 1:
+        raise ValueError("block permutation starts with neither n nor n-1")
+    # branch: {n-1}, ..., {k+1}, {n}; jump: {n-1}, ..., {k+2}, {k+1, n}
+    while n not in blocks[q]:
+        q = next(live)
+        main.append(q)
+    if any(len(blocks[p]) != 1 for p in main[:-1]):
+        raise BijectionDefect("branch or jump cluster blocks must be singletons first")
+    if blocks[q] == (n,):
+        return Cluster("branch", n - len(main) + 1, n, None, tuple(main), None)
+    if blocks[q] != (n - len(main), n):
+        raise BijectionDefect(f"size-2 block {blocks[q]} is not {(n - len(main), n)}")
+    return Cluster("jump", n - len(main), n, None, tuple(main), match[q])
+
+
+# ---------------------------------------------------------------------------
+# clusters, family {123, 213}
+
+
+def clusters_123_213(f: ParkingFunction | Blocks) -> list[Cluster]:
     """Partition the blocks into closed/open clusters."""
-    return _clusters(_domain_blocks(f, PATTERNS_123_213), _peel_213)
+    return list(_clusters(_domain_blocks(f, PATTERNS_123_213), _peel_213))
 
 
 def _peel_213(
-    work: list[tuple[int, Blocks]]
-) -> tuple[Cluster213, list[tuple[int, Blocks]]]:
-    pi = [v for _, b in work for v in b]
-    n = len(pi)
-    k = pi[0] - 1  # first written element is k+1
-    length = n - k
-    first = work[0][1]
-    if len(first) == 1:
-        # all-singleton closed cluster {k+1}, {n}, ..., {k+2}
-        main = work[:length]
-        expected = [k + 1] + list(range(n, k + 1, -1))
-        if [b[0] for _, b in main if len(b) == 1] != expected or any(
-            len(b) != 1 for _, b in main
-        ):
-            raise BijectionDefect("closed cluster blocks out of shape")
-        cluster = Cluster213(
-            "closed", k + 1, n, length - 1, tuple(pos for pos, _ in main), None
-        )
-        return cluster, work[length:]
-    if first != (k + 1, n):
-        raise BijectionDefect(f"leading size-2 block {first} is not {(k + 1, n)}")
-    empty_idx = bracket_match([b for _, b in work])[0]
-    # main portion: the first length-1 nonempty blocks
-    main_idx: list[int] = []
-    for i, (_, b) in enumerate(work):
-        if len(b) >= 1:
-            main_idx.append(i)
-            if len(main_idx) == length - 1:
-                break
-    expected = [(k + 1, n)] + [(v,) for v in range(n - 1, k + 1, -1)]
-    if [work[i][1] for i in main_idx] != expected:
-        raise BijectionDefect("open/closed cluster main portion out of shape")
-    after_main = main_idx[-1] + 1
-    next_main = next(
-        (i for i in range(after_main, len(work)) if len(work[i][1]) >= 1), None
-    )
-    if next_main is None or empty_idx < next_main:
-        # own empty block before the next cluster starts: closed cluster
-        parameter = sum(1 for i in main_idx if i > empty_idx)
-        taken = sorted(main_idx + [empty_idx])
-        if taken != list(range(length)):
-            raise BijectionDefect("closed cluster blocks are not contiguous")
-        cluster = Cluster213(
-            "closed",
-            k + 1,
-            n,
-            parameter,
-            tuple(work[i][0] for i in main_idx),
-            work[empty_idx][0],
-        )
-        rest = [wb for i, wb in enumerate(work) if i not in set(taken)]
-        return cluster, rest
-    cluster = Cluster213(
-        "open", k + 1, n, None, tuple(work[i][0] for i in main_idx), work[empty_idx][0]
-    )
-    rest = [wb for i, wb in enumerate(work) if i not in set(main_idx) and i != empty_idx]
-    return cluster, rest
-
-
-def _cluster_of_element(clusters: Sequence, e: int):
-    for c in clusters:
-        if c.lo <= e <= c.hi:
-            return c
-    raise BijectionDefect(f"no cluster covers element {e}")
-
-
-def _cluster_of_position(clusters: Sequence, pos: int):
-    for c in clusters:
-        if pos in c.main_positions:
-            return c
-    raise BijectionDefect(f"no cluster main portion covers block {pos}")
+    blocks: Blocks, match: dict[int, int], live: Iterator[int], n: int
+) -> Cluster:
+    head = [next(live)]
+    k = blocks[head[0]][0] - 1  # the cluster covers k+1..n
+    head += [next(live) for _ in range(n - k - 1)]
+    if len(blocks[head[0]]) == 1:
+        # closed, all singletons: {k+1}, {n}, ..., {k+2}
+        expected = [(k + 1,)] + [(v,) for v in range(n, k + 1, -1)]
+        cluster = Cluster("closed", k + 1, n, n - k - 1, tuple(head), None)
+    else:
+        # {k+1, n}, {n-1}, ..., {k+2}, and the empty block matched to the
+        # first: among these n - k blocks (closed), or after them (open)
+        expected = [(k + 1, n)] + [(v,) for v in range(n - 1, k + 1, -1)]
+        empty = match[head[0]]
+        if empty in head:
+            main = tuple(q for q in head if q != empty)
+            parameter = sum(q > empty for q in main)  # main blocks after the empty one
+            cluster = Cluster("closed", k + 1, n, parameter, main, empty)
+        else:
+            cluster = Cluster("open", k + 1, n, None, tuple(head[:-1]), empty)
+    if [blocks[q] for q in cluster.main_positions] != expected:
+        raise BijectionDefect(f"{cluster.kind} cluster blocks out of shape")
+    return cluster
 
 
 # ---------------------------------------------------------------------------
@@ -364,44 +294,32 @@ def phi_123_132_labeled(f: ParkingFunction | Blocks) -> LabeledTree:
 
 
 def _phi_132_labeled(blocks: Blocks) -> LabeledTree:
-    return _phi_132_from(blocks, _clusters(blocks, _peel_132), 0)
+    """Graft the clusters, the last one first, onto the one-edge tree labelled 0."""
+    clusters = list(_clusters(blocks, _peel_132))
+    t = LabeledTree(None, (LabeledTree(0),))
+    for start in range(len(clusters) - 1, -1, -1):
+        c = clusters[start]
+        k = c.lo - 1
+        if c.kind == "extend":
+            t = _graft_path(t, k, list(range(k + 1, c.hi + 1)))
+        else:
+            target = k if c.kind == "branch" else _jump_target(blocks, clusters, start)
+            t = _graft_two(t, target, c.hi, k)
+    return t
 
 
-def _phi_132_from(blocks: Blocks, clusters: list[Cluster132], start: int) -> LabeledTree:
-    if start == len(clusters):
-        return LabeledTree(None, (LabeledTree(0),))
-    c = clusters[start]
-    inner = _phi_132_from(blocks, clusters, start + 1)
-    k = c.lo - 1
-    n_here = c.hi
-    if c.kind == "extend":
-        return _graft_path(inner, k, list(range(k + 1, n_here + 1)))
-    if c.kind == "branch":
-        return _graft_two(inner, k, n_here, k)
-    # jump: target depends on where the matched empty block sits
-    target = _jump_target(blocks, clusters, start)
-    return _graft_two(inner, target, n_here, k)
-
-
-def _jump_target(blocks: Blocks, clusters: list[Cluster132], start: int) -> int | None:
-    """Label (or None for the root) receiving the jump graft of clusters[start]."""
-    c = clusters[start]
-    q = c.empty_position
+def _jump_target(blocks: Blocks, clusters: list[Cluster], start: int) -> int | None:
+    """Label (or None for the root) receiving the jump graft of clusters[start]:
+    the one the first main block after its empty block points at."""
+    q = clusters[start].empty_position
     assert q is not None
     host_pos = next((pos for pos in range(q + 1, len(blocks)) if blocks[pos]), None)
     if host_pos is None:
         return None  # empty block trails everything: graft at the root
-    host = _cluster_of_position(clusters[start + 1 :], host_pos)
-    block = blocks[host_pos]
-    a, b = host.hi, host.lo - 1
-    if host.kind == "extend":
-        return block[0] - 1
-    if host.kind == "branch":
-        if block[0] == a:  # in front of the cluster's final block {a}
-            return b
-        return block[0]
-    # jump host: in front of the block containing some element of lo..hi
-    return min(block)
+    for host in clusters[start + 1 :]:
+        if host_pos in host.main_positions:
+            return host.hi - 1 - host.main_positions.index(host_pos)
+    raise BijectionDefect(f"no cluster main portion covers block {host_pos}")
 
 
 def _graft_path(t: LabeledTree, target: int, labels: list[int]) -> LabeledTree:
@@ -488,60 +406,48 @@ def _replace_at(t: OrderedTree, path: Sequence[int], new: OrderedTree) -> Ordere
 
 def psi_123_132(t: OrderedTree) -> Blocks:
     """Inverse of phi_123_132 on trees with odd root degree."""
-    n = t.edge_count - 1
     if t.root_degree % 2 == 0:
         raise ValueError("tree must have odd root degree")
+    return _psi_132(t, t.edge_count - 1)[0]
+
+
+def _psi_132(t: OrderedTree, n: int) -> tuple[Blocks, LabeledTree]:
+    """The preimage of t (n + 1 edges) and its labelled forward image: each
+    level grafts its own cluster onto the image the level below returns."""
     if t.is_path():
-        return tuple((v,) for v in range(n, 0, -1))
+        extend = tuple((e,) for e in range(n, 0, -1))
+        return extend, LabeledTree(None, (_lpath(range(n + 1)),))
     vpath = find_target_path(t)
     v = _subtree_at(t, vpath)
-    p1, p2 = v.children[0], v.children[1]
-    len1, len2 = p1.edge_count + 1, p2.edge_count + 1  # vertex counts
+    len1 = v.children[0].edge_count + 1  # vertices on the first branch
     if len1 > 1:
         # peel an extend cluster: keep only the top vertex of the first branch
-        trimmed = OrderedTree((LEAF,) + v.children[1:])
-        t1 = _replace_at(t, vpath, trimmed)
-        inner = psi_123_132(t1)
-        extend = tuple((v_,) for v_ in range(n, n - len1 + 1, -1))
-        return extend + inner
-    k = n - 1 - len2
+        k = n - len1 + 1
+        t1 = _replace_at(t, vpath, OrderedTree((LEAF,) + v.children[1:]))
+        inner, labeled = _psi_132(t1, k)
+        extend = tuple((e,) for e in range(n, k, -1))
+        return extend + inner, _graft_path(labeled, k, list(range(k + 1, n + 1)))
+    k = n - 2 - v.children[1].edge_count
     t_prime = _replace_at(t, vpath, OrderedTree(v.children[2:]))
-    f_prime = psi_123_132(t_prime)
-    labeled = _phi_132_labeled(f_prime)
+    f_prime, labeled = _psi_132(t_prime, k)
     v_label = _subtree_at(labeled, vpath).label
+    labeled = _graft_two(labeled, v_label, n, k)
     if v_label == k:
-        branch = tuple((v_,) for v_ in range(n - 1, k, -1)) + ((n,),)
-        return branch + f_prime
-    main = tuple((v_,) for v_ in range(n - 1, k + 1, -1)) + ((k + 1, n),)
-    out = list(main + f_prime)
-    opener = len(main) - 1
+        branch = tuple((e,) for e in range(n - 1, k, -1)) + ((n,),)
+        return branch + f_prime, labeled
+    main = [(e,) for e in range(n - 1, k + 1, -1)] + [(k + 1, n)]
+    out = main + list(f_prime)
     if v_label is None:
-        _insert_empty(out, None, opener)
-        return tuple(out)
-    clusters = _clusters(f_prime, _peel_132)
-    host = _cluster_of_element(clusters, v_label + 1)
-    offset = len(main)
-    fp = f_prime
-    if host.kind == "extend":
-        gap_end = offset + _position_of_element(fp, v_label + 1)
-    elif host.kind == "branch":
-        if v_label + 1 == host.lo:
-            gap_end = offset + _position_of_element(fp, host.hi)
-        else:
-            gap_end = offset + _position_of_element(fp, v_label)
-    else:  # jump host
-        if v_label + 1 == host.lo:
+        gap_end = len(out)
+    else:
+        # the empty block goes before the main block of the host (the
+        # cluster covering v_label + 1) that points at v_label
+        host = next(c for c in _clusters(f_prime, _peel_132) if c.lo <= v_label + 1)
+        if host.kind == "jump" and v_label + 1 == host.lo:
             raise BijectionDefect("jump graft cannot point below its host cluster")
-        gap_end = offset + _position_of_element(fp, v_label)
-    _insert_empty(out, gap_end, opener)
-    return tuple(out)
-
-
-def _position_of_element(blocks: Blocks, e: int) -> int:
-    for pos, b in enumerate(blocks):
-        if e in b:
-            return pos
-    raise BijectionDefect(f"element {e} not found")
+        gap_end = len(main) + host.main_positions[host.hi - 1 - v_label]
+    _insert_empty(out, gap_end, len(main) - 1)
+    return tuple(out), labeled
 
 
 # ---------------------------------------------------------------------------
@@ -552,43 +458,30 @@ def phi_123_213(f: ParkingFunction | Blocks) -> OrderedTree:
     """Tree with n+1 edges and root degree >= 2 for f avoiding {123, 213}
     (for n = 0, the single-edge tree)."""
     blocks = _domain_blocks(f, PATTERNS_123_213)
-    clusters = _clusters(blocks, _peel_213)
+    clusters = list(_clusters(blocks, _peel_213))
     trees_by_suffix = {len(clusters): path_tree(1)}
     for start in range(len(clusters) - 1, -1, -1):
-        trees_by_suffix[start] = _apply_213(blocks, clusters, start, trees_by_suffix)
+        trees_by_suffix[start] = _apply_213(clusters, start, trees_by_suffix)
     return trees_by_suffix[0]
 
 
 def _apply_213(
-    blocks: Blocks,
-    clusters: list[Cluster213],
-    start: int,
-    trees_by_suffix: dict[int, OrderedTree],
+    clusters: list[Cluster], start: int, trees_by_suffix: dict[int, OrderedTree]
 ) -> OrderedTree:
     c = clusters[start]
     inner = trees_by_suffix[start + 1]
     if c.kind == "closed":
         assert c.parameter is not None
         return _closed_op(inner, c.parameter, c.length - c.parameter)
-    # open cluster: locate the host closed cluster holding the empty block
+    # open cluster: the host is the last later cluster starting before the empty block
     q = c.empty_position
     assert q is not None
-    host_pos = max(
-        (
-            pos
-            for hc in clusters[start + 1 :]
-            for pos in hc.main_positions
-            if pos < q
-        ),
+    host_index = max(
+        (i for i in range(start + 1, len(clusters)) if clusters[i].main_positions[0] < q),
         default=None,
     )
-    if host_pos is None:
+    if host_index is None:
         raise BijectionDefect("open cluster's empty block precedes every later block")
-    host_index = next(
-        i
-        for i in range(start + 1, len(clusters))
-        if host_pos in clusters[i].main_positions
-    )
     host = clusters[host_index]
     if host.kind != "closed":
         raise BijectionDefect("the matched empty block must sit inside a closed cluster")
@@ -656,12 +549,32 @@ def _open_op(
 
 
 def psi_123_213(t: OrderedTree) -> Blocks:
-    """Inverse of phi_123_213 on trees with root degree >= 2 (or one edge)."""
+    """Inverse of phi_123_213 on trees with root degree >= 2 (or one edge).
+
+    Each step unwinds the operation of the first cluster, down to the
+    one-edge tree; the blocks are then built back up, last cluster first.
+    """
     n = t.edge_count - 1
-    if n == 0:
-        return ()
-    if t.root_degree < 2:
+    if n and t.root_degree < 2:
         raise ValueError("tree must have root degree >= 2, or be the one-edge tree")
+    steps = []
+    while n:
+        t, n, step = _unwind_213(t, n)
+        steps.append(step)
+    blocks: Blocks = ()
+    for step in reversed(steps):
+        blocks = step(blocks)
+    return blocks
+
+
+# one unwinding step: the smaller tree, its n, and the map that turns its
+# preimage into the preimage of the larger tree
+_Unwound = tuple[OrderedTree, int, Callable[[Blocks], Blocks]]
+
+
+def _unwind_213(t: OrderedTree, n: int) -> _Unwound:
+    """The tree the first cluster's operation turned into t (n + 1 edges),
+    its n', and the map from its preimage to the preimage of t."""
     chain: list[OrderedTree] = [t]
     node = t
     while node.children:
@@ -671,85 +584,78 @@ def psi_123_213(t: OrderedTree) -> Blocks:
         (i for i in range(1, len(chain)) if len(chain[i].children) >= 2), default=None
     )
     if z_idx is None:
-        return _psi_213_closed(t, n, len(chain) - 1)
-    return _psi_213_open(t, n, chain, z_idx)
+        return _unwind_closed(t, n, len(chain) - 1)
+    return _unwind_open(t, n, chain, z_idx)
 
 
-def _closed_cluster_blocks(k: int, n: int, parameter: int) -> list[tuple[int, ...]]:
+def _chain_end(node: OrderedTree) -> tuple[int, OrderedTree]:
+    """The edges from node's parent down through single children, and the
+    first vertex on the way without exactly one child."""
+    ell = 1
+    while len(node.children) == 1:
+        node = node.children[0]
+        ell += 1
+    return ell, node
+
+
+def _closed_cluster_blocks(k: int, n: int, parameter: int) -> Blocks:
     """Blocks of a closed cluster covering k+1..n with the given parameter."""
     length = n - k
     if parameter == length - 1:
-        return [(k + 1,)] + [(v,) for v in range(n, k + 1, -1)]
-    main: list[tuple[int, ...]] = [(k + 1, n)] + [(v,) for v in range(n - 1, k + 1, -1)]
+        return ((k + 1,),) + tuple((v,) for v in range(n, k + 1, -1))
+    main = ((k + 1, n),) + tuple((v,) for v in range(n - 1, k + 1, -1))
     e = k + 2 + parameter
     at = 0 if e == n else (n - 1) - e + 1  # index of the main block holding e
-    return main[: at + 1] + [()] + main[at + 1 :]
+    return main[: at + 1] + ((),) + main[at + 1 :]
 
 
-def _psi_213_closed(t: OrderedTree, n: int, left_len: int) -> Blocks:
+def _unwind_closed(t: OrderedTree, n: int, left_len: int) -> _Unwound:
     k = n - left_len
     rest = t.children[1:]
-    if len(rest) == 1 and rest[0].is_path():
-        # single cluster: the right branch is the raised path over a lone edge
-        if 1 + rest[0].edge_count != k + 1:
-            raise BijectionDefect("branch lengths do not add up")
-        return tuple(_closed_cluster_blocks(0, n, k))
-    if len(rest) == 1:
-        ell = 1
-        node = rest[0]
-        while len(node.children) == 1:
-            node = node.children[0]
-            ell += 1
-        t_prime = node
-        if t_prime.edge_count != k - ell + 1:
-            raise BijectionDefect("inner tree has the wrong size")
-        inner = psi_123_213(t_prime)
-        return tuple(_closed_cluster_blocks(k - ell, n, ell)) + inner
-    t_prime = OrderedTree(rest)
-    if t_prime.edge_count != k + 1:
-        raise BijectionDefect("inner tree has the wrong size")
-    inner = psi_123_213(t_prime)
-    return tuple(_closed_cluster_blocks(k, n, 0)) + inner
+    if len(rest) > 1:
+        parameter = 0
+        t_prime = OrderedTree(rest)
+    else:
+        parameter, t_prime = _chain_end(rest[0])
+        if not t_prime.children:
+            # single cluster: the right branch is the raised path over a lone edge
+            parameter = k
+            t_prime = path_tree(1)
+    head = _closed_cluster_blocks(k - parameter, n, parameter)
+    return t_prime, k - parameter, lambda inner: head + inner
 
 
-def _psi_213_open(t: OrderedTree, n: int, chain: list[OrderedTree], z_idx: int) -> Blocks:
+def _unwind_open(t: OrderedTree, n: int, chain: list[OrderedTree], z_idx: int) -> _Unwound:
     d = len(chain) - 1 - z_idx  # edges from z down to the left-most leaf
     k = n - 1 - d
     z = chain[z_idx]
-    removed = z.children[0]
-    if not removed.is_path() or removed.edge_count != d - 1:
+    if not z.children[0].is_path():
         raise BijectionDefect("expected a bare path below the branching vertex")
     # unwind the re-rooting: rebuild the tree rooted at z
-    w = chain[1]
-    rev_v = OrderedTree(tuple(w.children[1:]) + tuple(t.children[1:]))
-    cur = rev_v
+    t_prime = OrderedTree(chain[1].children[1:] + t.children[1:])
     for j in range(2, z_idx):
-        cur = OrderedTree(tuple(chain[j].children[1:]) + (cur,))
-    if z_idx == 1:
-        t_prime = rev_v
-    else:
-        t_prime = OrderedTree(tuple(z.children[1:]) + (cur,))
-    if t_prime.edge_count != k + 1:
-        raise BijectionDefect("re-rooted tree has the wrong size")
-    f_prime = psi_123_213(t_prime)
+        t_prime = OrderedTree(chain[j].children[1:] + (t_prime,))
+    if z_idx > 1:
+        t_prime = OrderedTree(z.children[1:] + (t_prime,))
     # read off which closed cluster receives the empty block, and how deep
-    if t.root_degree == 2:
-        right = t.children[1]
-        if right.is_path():
-            ell = right.edge_count
-            b = 0
-        else:
-            ell = 1
-            node = right
-            while len(node.children) == 1:
-                node = node.children[0]
-                ell += 1
-            b = node.edge_count - 1
-    else:
+    right = t.children[1]
+    if t.root_degree > 2:
         ell = 0
         b = OrderedTree(t.children[1:]).edge_count - 1
+    elif right.is_path():
+        ell = right.edge_count
+        b = 0
+    else:
+        ell, node = _chain_end(right)
+        b = node.edge_count - 1
+    return t_prime, k, lambda f_prime: _open_blocks(f_prime, n, k, ell, b)
+
+
+def _open_blocks(f_prime: Blocks, n: int, k: int, ell: int, b: int) -> Blocks:
+    """The open cluster k+1..n in front of f_prime, its empty block placed
+    ell main blocks deep into the closed cluster covering b + 1."""
     clusters = _clusters(f_prime, _peel_213)
-    host = _cluster_of_element(clusters, b + 1)
+    host = next(c for c in clusters if c.lo <= b + 1)
     if host.kind != "closed":
         raise BijectionDefect("the receiving cluster must be closed")
     assert host.parameter is not None
@@ -757,18 +663,15 @@ def _psi_213_open(t: OrderedTree, n: int, chain: list[OrderedTree], z_idx: int) 
         raise BijectionDefect("receiving cluster's parameter is too small")
     main: list[tuple[int, ...]] = [(k + 1, n)] + [(v,) for v in range(n - 1, k + 1, -1)]
     out = main + list(f_prime)
-    offset = len(main)
-    mains_sorted = sorted(host.main_positions)
-    if ell == 0:
-        later = [
-            pos
-            for c in clusters
-            for pos in c.main_positions
-            if c.lo < host.lo
-        ]
-        gap_end = offset + min(later) if later else None
+    # the empty block goes before the host's ell-th last main block, or
+    # (ell = 0) before the next cluster
+    following = next(clusters, None)
+    if ell:
+        gap_end = len(main) + host.main_positions[-ell]
+    elif following:
+        gap_end = len(main) + following.main_positions[0]
     else:
-        gap_end = offset + mains_sorted[len(mains_sorted) - ell]
+        gap_end = len(out)
     _insert_empty(out, gap_end, 0)
     return tuple(out)
 

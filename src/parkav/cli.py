@@ -10,7 +10,8 @@ Subcommands:
 
 Output is deterministic byte-for-byte for identical invocations; timing is
 only emitted under --timing.  Exit codes: 0 ok, 1 usage or parse error,
-2 verification mismatch, 3 refused by a work budget (BudgetExceeded).
+2 verification mismatch, 3 refused by a work budget (BudgetExceeded) or
+by Python's recursion limit (RecursionError, e.g. on a very deep tree).
 """
 
 from __future__ import annotations
@@ -196,7 +197,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
         return args.fn(args, sys.stdout)
-    except BudgetExceeded as e:
+    except (BudgetExceeded, RecursionError) as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, OSError) as e:

@@ -57,7 +57,7 @@ def exact_div(numerator: int, denominator: int) -> int:
 
 def generic_weighted_pk(n: int, patterns: PatternSet) -> CountResult:
     """Sum of ell_weight over the avoidance class; works for any pattern set."""
-    return CountResult(avoider_walk(n, patterns).ell[n], "weighted_sum")
+    return CountResult(avoider_walk(n, patterns).at("ell", n), "weighted_sum")
 
 
 # -- rows and routes ---------------------------------------------------------
@@ -91,9 +91,10 @@ def _walk_route(weight: str, patterns: PatternSet) -> Route:
     pf); one walk to n_max gives the whole row."""
 
     def row(n_max: int) -> Row:
-        return enumerate(getattr(avoider_walk(n_max, patterns), weight)[1:], 1)
+        walk = avoider_walk(n_max, patterns)
+        return ((n, walk.at(weight, n)) for n in range(1, n_max + 1))
 
-    return "weighted_sum", lambda n: last_value(row(n)), row
+    return "weighted_sum", lambda n: avoider_walk(n, patterns).at(weight, n), row
 
 
 # -- single-pattern tables ---------------------------------------------------

@@ -100,12 +100,12 @@ def verify_pk(n_max: int) -> list[OracleReport]:
     subsets = (PatternSet(c) for r in range(1, 7) for c in itertools.combinations(S3_PATTERNS, r))
     for patterns in subsets:
         name = f"pk({patterns})"
-        weighted = avoider_walk(n_max, patterns).ell  # one walk gives every n
+        walk = avoider_walk(n_max, patterns)  # one walk gives every n
         for n in range(1, n_max + 1):
             brute = brute_pk(n, patterns)
             formula = pk_count(patterns, n).value
             reports.append(OracleReport(name, n, None, brute, formula))
-            reports.append(OracleReport(name + " [weighted]", n, None, brute, weighted[n]))
+            reports.append(OracleReport(name + " [weighted]", n, None, brute, walk.at("ell", n)))
     return reports
 
 

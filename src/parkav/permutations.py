@@ -389,7 +389,8 @@ WALK_BUDGET = 50_000_000
 
 
 class AvoiderSums(Record):
-    """One avoider walk to n_max, indexed by n = 0..n_max."""
+    """One avoider walk to n_max, indexed by n up to the largest size it
+    reached; no size past that has an avoider."""
 
     __slots__ = ("ell", "blocks", "leaves")
 
@@ -402,6 +403,11 @@ class AvoiderSums(Record):
         object.__setattr__(self, "ell", ell)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "leaves", leaves)
+
+    def at(self, weight: str, n: int) -> int:
+        """The ``weight`` sum ("ell" or "blocks") at size n; 0 past the walk's depth."""
+        sums = getattr(self, weight)
+        return sums[n] if n < len(sums) else 0
 
 
 def avoider_walk(n_max: int, patterns: PatternSet, keep_leaves: bool = False) -> AvoiderSums:
@@ -416,9 +422,10 @@ def avoider_walk(n_max: int, patterns: PatternSet, keep_leaves: bool = False) ->
     the last block's slot: a descent opens a block, an ascent may also
     extend the last one.  A candidate of size k scans k entries plus, per
     pattern of size m, k - 1 (m <= 4) or C(k-1, m-1) * m; past WALK_BUDGET
-    in all the walk raises BudgetExceeded.
+    in all the walk raises BudgetExceeded.  The sums grow only as deep as
+    the walk reaches.
     """
-    ell, blocks, leaves = [0] * (n_max + 1), [0] * (n_max + 1), []
+    ell, blocks, leaves = [], [], []
     sizes = [q.n for q in patterns]
     cost = []  # cost[k]: the scan of one child of a size-k node, set when the walk first reaches k
     spent = 0
@@ -426,6 +433,9 @@ def avoider_walk(n_max: int, patterns: PatternSet, keep_leaves: bool = False) ->
     while stack:
         seq, w_ell, w_slots = stack.pop()
         k = len(seq)
+        if k == len(ell):
+            ell.append(0)
+            blocks.append(0)
         ell[k] += w_ell
         blocks[k] += sum(w_slots)
         if k == n_max:

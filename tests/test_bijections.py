@@ -226,10 +226,39 @@ def test_domain_checked_once_at_the_boundary(monkeypatch, family):
 
 
 @pytest.mark.parametrize("family", list(bj.FAMILIES))
+def test_backward_derives_each_fact_once(monkeypatch, family):
+    """backward never runs the forward map: the {123,132} inverse carries the
+    labelled image up its recursion.  And each cluster decomposition it makes
+    runs bracket_match once: the peels share one match, and an empty block's
+    slot comes from one scan, not from matching trial copies."""
+    calls = {"clusters": 0, "bracket_match": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    def forward_map(*args):
+        raise AssertionError("backward ran the forward map")
+
+    monkeypatch.setattr(bj, "_phi_132_labeled", forward_map)
+    monkeypatch.setattr(bj, "_apply_213", forward_map)
+    monkeypatch.setattr(bj, "_clusters", counted("clusters", bj._clusters))
+    monkeypatch.setattr(bj, "bracket_match", counted("bracket_match", bj.bracket_match))
+    t = random_family_tree(150, family, random.Random(150))
+    blocks = bj.backward(t, family)
+    assert calls["bracket_match"] <= calls["clusters"]
+    monkeypatch.undo()
+    assert bj.forward(blocks, family) == t
+
+
+@pytest.mark.parametrize("family", list(bj.FAMILIES))
 def test_roundtrip_on_large_trees(family):
     rng = random.Random(150)
-    for _ in range(2):
-        t = random_family_tree(150, family, rng)
+    for edges in (150, 150, 600):
+        t = random_family_tree(edges, family, rng)
         blocks = bj.backward(t, family)
-        assert len(blocks) == 149
+        assert len(blocks) == edges - 1
         assert bj.forward(blocks, family) == t

@@ -304,6 +304,26 @@ def test_bijection_worked_example(tmp_path, capsys):
     assert out.strip() == serialize_tree(_tree_from(FIG25_ADJACENCY, "R"))
 
 
+@pytest.mark.parametrize(
+    "direction,text",
+    [
+        ("backward", "(" * 3001 + ")" * 3001),  # a bare path 3000 edges deep
+        ("forward", "(" + ",".join(f"{{{v}}}" for v in range(3000, 0, -1)) + ")"),
+    ],
+    ids=["backward", "forward"],
+)
+def test_bijection_refuses_past_the_recursion_limit(tmp_path, capfd, direction, text):
+    # both inputs are in the 123-132 family; each nests far past Python's
+    # default recursion limit of 1000
+    src = tmp_path / "in.txt"
+    src.write_text(text + "\n")
+    code = main(["bijection", "--family", "123-132", "--direction", direction, "--input", str(src)])
+    captured = capfd.readouterr()
+    assert (code, captured.out) == (EXIT_BUDGET, "")
+    assert captured.err.startswith("refused: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_verify_ok(capsys):
     code, out = run(capsys, "verify", "--suite", "formulas", "--n-max", "4")
     assert code == EXIT_OK

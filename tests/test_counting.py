@@ -16,6 +16,7 @@ from parkav.paths import catalan_number
 from parkav.permutations import (
     BudgetExceeded,
     all_permutations,
+    avoider_walk,
     avoids_all,
     ell_weight,
     parse_pattern_set,
@@ -80,6 +81,19 @@ def test_sets_with_both_monotone_patterns_die_at_five():
     for patterns in both:
         for n in range(5, 13):
             assert pk_count(patterns, n) == CountResult(0, "weighted_sum"), (str(patterns), n)
+
+
+def test_walk_sums_stop_where_the_class_dies():
+    # the walk's sums reach only the sizes that have an avoider; every reader
+    # takes a missing size as 0, and a row still has every n
+    assert len(avoider_walk(10**7, pattern_set("1")).ell) == 1
+    assert pk_count(pattern_set("1"), 10**7) == CountResult(0, "weighted_sum")
+    assert pf_count(pattern_set("1"), 10**7) == CountResult(0, "weighted_sum")
+    assert generic_weighted_pk(10**7, pattern_set("1")).value == 0
+    row = list(counting.row_of(counting.pk_route(pattern_set("123", "321")), 9))
+    assert [n for n, _ in row] == list(range(1, 10))
+    head = [oracle.brute_pk(n, pattern_set("123", "321")) for n in range(1, 5)]
+    assert [r.value for _, r in row] == head + [0] * 5
 
 
 def test_method_provenance():

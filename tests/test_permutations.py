@@ -287,8 +287,8 @@ def test_avoider_walk_matches_oracle():
         sums = avoider_walk(7, patterns)
         assert sums.ell[0] == sums.blocks[0] == 1
         for n in range(1, 8):
-            assert sums.ell[n] == oracle.brute_pk(n, patterns), (str(patterns), n)
-            assert sums.blocks[n] == oracle.brute_pf(n, patterns), (str(patterns), n)
+            assert sums.at("ell", n) == oracle.brute_pk(n, patterns), (str(patterns), n)
+            assert sums.at("blocks", n) == oracle.brute_pf(n, patterns), (str(patterns), n)
 
 
 @pytest.mark.parametrize("text", ["132", "1234", "2143"])
@@ -304,8 +304,11 @@ def test_avoider_walk_budget(monkeypatch):
     monkeypatch.setattr(permutations, "WALK_BUDGET", 1000)
     with pytest.raises(BudgetExceeded):
         avoider_walk(9, pattern_set("132"))
-    # a dead class stops by itself, far under any budget
-    assert avoider_walk(400, pattern_set("123", "321")).ell[5:] == [0] * 396
+    # a dead class stops by itself, far under any budget, and its sums end
+    # at the last size with an avoider
+    sums = avoider_walk(400, pattern_set("123", "321"))
+    assert (len(sums.ell), len(sums.blocks)) == (5, 5)
+    assert [sums.at("ell", n) for n in range(5, 401)] == [0] * 396
 
 
 def test_avoider_walk_prices_only_the_sizes_it_reaches(monkeypatch):
@@ -315,5 +318,6 @@ def test_avoider_walk_prices_only_the_sizes_it_reaches(monkeypatch):
     comb = math.comb
     monkeypatch.setattr(math, "comb", lambda *args: calls.append(args) or comb(*args))
     sums = avoider_walk(10**6, pattern_set("1", "12345"))
-    assert (sums.ell[:2], sums.blocks[:2]) == ([1, 0], [1, 0])
+    assert (sums.ell, sums.blocks) == ([1], [1])
+    assert (sums.at("ell", 1), sums.at("blocks", 10**6)) == (0, 0)
     assert calls == [(0, 4)]

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from parkav._record import Record
-from parkav.bijections import Cluster132, Cluster213, LabeledTree, _lpath
+from parkav.bijections import Cluster, LabeledTree, _lpath
 from parkav.counting import CountResult
 from parkav.generalized import Evaluation, MMultiparking, MParking
 from parkav.oracle import OracleReport
@@ -19,44 +19,46 @@ from parkav.permutations import AvoiderSums, PatternSet, Permutation, perm
 from parkav.series import PowerSeries
 from parkav.trees import LEAF, OrderedTree
 
-# one sample per class: each call builds a fresh, equal instance
+# one sample per record class, keyed by test id; the cluster record, shared by
+# both tree families, has one sample per family. Each call builds a fresh,
+# equal instance
 SAMPLES = {
-    Permutation: lambda: Permutation((2, 1, 3)),
-    PatternSet: lambda: PatternSet((perm("132"), perm("12"), perm("132"))),
-    AvoiderSums: lambda: AvoiderSums([1, 1, 2], [1, 1, 3], [(1, 2), (2, 1)]),
-    ParkingOutcome: lambda: ParkingOutcome((1, 2), perm("12")),
-    ParkingFunction: lambda: ParkingFunction((1, 1)),
-    LatticePath: lambda: LatticePath(("U", "D", "D"), m=2),
-    AscentWord: lambda: AscentWord((1, 2)),
-    OrderedTree: lambda: OrderedTree((LEAF,)),
-    CountResult: lambda: CountResult(5, "formula"),
-    Evaluation: lambda: Evaluation((2, 0, 1)),
-    MMultiparking: lambda: MMultiparking((1, 2, 1, 2), 2, 2),
-    MParking: lambda: MParking((1, 3), 2),
-    PowerSeries: lambda: PowerSeries((1, Fraction(1, 2))),
-    OracleReport: lambda: OracleReport("pk(123)", 3, None, 14, 14),
-    LabeledTree: lambda: LabeledTree(None, (LabeledTree(0),)),
-    Cluster132: lambda: Cluster132("extend", 1, 2, (0, 1), None),
-    Cluster213: lambda: Cluster213("closed", 1, 3, 2, (0, 1), 4),
+    "Permutation": lambda: Permutation((2, 1, 3)),
+    "PatternSet": lambda: PatternSet((perm("132"), perm("12"), perm("132"))),
+    "AvoiderSums": lambda: AvoiderSums([1, 1, 2], [1, 1, 3], [(1, 2), (2, 1)]),
+    "ParkingOutcome": lambda: ParkingOutcome((1, 2), perm("12")),
+    "ParkingFunction": lambda: ParkingFunction((1, 1)),
+    "LatticePath": lambda: LatticePath(("U", "D", "D"), m=2),
+    "AscentWord": lambda: AscentWord((1, 2)),
+    "OrderedTree": lambda: OrderedTree((LEAF,)),
+    "CountResult": lambda: CountResult(5, "formula"),
+    "Evaluation": lambda: Evaluation((2, 0, 1)),
+    "MMultiparking": lambda: MMultiparking((1, 2, 1, 2), 2, 2),
+    "MParking": lambda: MParking((1, 3), 2),
+    "PowerSeries": lambda: PowerSeries((1, Fraction(1, 2))),
+    "OracleReport": lambda: OracleReport("pk(123)", 3, None, 14, 14),
+    "LabeledTree": lambda: LabeledTree(None, (LabeledTree(0),)),
+    "Cluster132": lambda: Cluster("extend", 1, 2, None, (0, 1), None),
+    "Cluster213": lambda: Cluster("closed", 1, 3, 2, (0, 1), 4),
 }
 
 # what the frozen dataclasses printed; the other classes define their own repr
 DEFAULT_REPRS = {
-    PatternSet: "PatternSet(patterns=(Permutation('12'), Permutation('132')))",
-    AvoiderSums: "AvoiderSums(ell=[1, 1, 2], blocks=[1, 1, 3], leaves=[(1, 2), (2, 1)])",
-    ParkingOutcome: "ParkingOutcome(spots=(1, 2), rho=Permutation('12'))",
-    AscentWord: "AscentWord(runs=(1, 2))",
-    CountResult: "CountResult(value=5, method='formula')",
-    Evaluation: "Evaluation(counts=(2, 0, 1))",
-    MMultiparking: "MMultiparking(values=(1, 2, 1, 2), m=2, n=2)",
-    MParking: "MParking(values=(1, 3), m=2)",
-    PowerSeries: "PowerSeries(coeffs=(Fraction(1, 1), Fraction(1, 2)))",
-    OracleReport: "OracleReport(quantity='pk(123)', n=3, m=None, oracle_value=14, formula_value=14)",
-    LabeledTree: "LabeledTree(label=None, children=(LabeledTree(label=0, children=()),))",
-    Cluster132: "Cluster132(kind='extend', lo=1, hi=2, main_positions=(0, 1), empty_position=None)",
-    Cluster213: (
-        "Cluster213(kind='closed', lo=1, hi=3, parameter=2, main_positions=(0, 1), empty_position=4)"
+    "PatternSet": "PatternSet(patterns=(Permutation('12'), Permutation('132')))",
+    "AvoiderSums": "AvoiderSums(ell=[1, 1, 2], blocks=[1, 1, 3], leaves=[(1, 2), (2, 1)])",
+    "ParkingOutcome": "ParkingOutcome(spots=(1, 2), rho=Permutation('12'))",
+    "AscentWord": "AscentWord(runs=(1, 2))",
+    "CountResult": "CountResult(value=5, method='formula')",
+    "Evaluation": "Evaluation(counts=(2, 0, 1))",
+    "MMultiparking": "MMultiparking(values=(1, 2, 1, 2), m=2, n=2)",
+    "MParking": "MParking(values=(1, 3), m=2)",
+    "PowerSeries": "PowerSeries(coeffs=(Fraction(1, 1), Fraction(1, 2)))",
+    "OracleReport": "OracleReport(quantity='pk(123)', n=3, m=None, oracle_value=14, formula_value=14)",
+    "LabeledTree": "LabeledTree(label=None, children=(LabeledTree(label=0, children=()),))",
+    "Cluster132": (
+        "Cluster(kind='extend', lo=1, hi=2, parameter=None, main_positions=(0, 1), empty_position=None)"
     ),
+    "Cluster213": "Cluster(kind='closed', lo=1, hi=3, parameter=2, main_positions=(0, 1), empty_position=4)",
 }
 
 # arguments each validating constructor refuses
@@ -71,18 +73,19 @@ INVALID = {
     PowerSeries: [((),)],
 }
 
-CLASSES = list(SAMPLES)
+CASES = list(SAMPLES)
 
 
 def test_every_record_class_is_sampled():
-    assert len(CLASSES) == 17
-    assert all(issubclass(cls, Record) for cls in CLASSES)
+    classes = {type(make()) for make in SAMPLES.values()}
+    assert len(classes) == 16
+    assert all(issubclass(cls, Record) for cls in classes)
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
-def test_fields_are_frozen(cls):
-    x = SAMPLES[cls]()
-    field = cls.__slots__[0]
+@pytest.mark.parametrize("case", CASES)
+def test_fields_are_frozen(case):
+    x = SAMPLES[case]()
+    field = type(x).__slots__[0]
     before = getattr(x, field)
     with pytest.raises(AttributeError):
         setattr(x, field, before)
@@ -93,12 +96,12 @@ def test_fields_are_frozen(cls):
     assert getattr(x, field) is before
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
-def test_equality_and_hash_by_value(cls):
-    x, y = SAMPLES[cls](), SAMPLES[cls]()
+@pytest.mark.parametrize("case", CASES)
+def test_equality_and_hash_by_value(case):
+    x, y = SAMPLES[case](), SAMPLES[case]()
     assert x is not y and x == y and not x != y
-    assert x != object() and x != getattr(x, cls.__slots__[0])
-    if cls is AvoiderSums:  # list fields: unhashable, as the dataclass was
+    assert x != object() and x != getattr(x, type(x).__slots__[0])
+    if type(x) is AvoiderSums:  # list fields: unhashable, as the dataclass was
         with pytest.raises(TypeError):
             hash(x)
     else:
@@ -106,17 +109,17 @@ def test_equality_and_hash_by_value(cls):
         assert len({x, y}) == 1
 
 
-@pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)
-def test_copy_and_pickle_rebuild_equal_values(cls):
-    x = SAMPLES[cls]()
+@pytest.mark.parametrize("case", CASES)
+def test_copy_and_pickle_rebuild_equal_values(case):
+    x = SAMPLES[case]()
     assert copy.copy(x) == x
     assert copy.deepcopy(x) == x
     assert pickle.loads(pickle.dumps(x)) == x
 
 
-@pytest.mark.parametrize("cls", list(DEFAULT_REPRS), ids=lambda c: c.__name__)
-def test_default_repr_matches_the_dataclass_one(cls):
-    assert repr(SAMPLES[cls]()) == DEFAULT_REPRS[cls]
+@pytest.mark.parametrize("case", list(DEFAULT_REPRS))
+def test_default_repr_matches_the_dataclass_one(case):
+    assert repr(SAMPLES[case]()) == DEFAULT_REPRS[case]
 
 
 @pytest.mark.parametrize("cls", list(INVALID), ids=lambda c: c.__name__)
