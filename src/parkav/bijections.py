@@ -66,7 +66,20 @@ class LabeledTree(Record):
         object.__setattr__(self, "children", children)
 
     def shape(self) -> OrderedTree:
-        return OrderedTree(tuple(c.shape() for c in self.children))
+        """The unlabelled tree, built bottom-up with an explicit stack."""
+        # (children still to visit, shapes of the children visited) per open vertex
+        stack = [(iter(self.children), [])]
+        while True:
+            pending, done = stack[-1]
+            child = next(pending, None)
+            if child is not None:
+                stack.append((iter(child.children), []))
+                continue
+            stack.pop()
+            shape = OrderedTree(tuple(done))
+            if not stack:
+                return shape
+            stack[-1][1].append(shape)
 
     def labels(self) -> list[int]:
         out = [] if self.label is None else [self.label]

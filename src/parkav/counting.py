@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import operator
 from functools import partial
+from itertools import accumulate, islice
 from typing import Callable, Iterator
 
 from ._record import Record
@@ -97,6 +98,16 @@ def _walk_route(weight: str, patterns: PatternSet) -> Route:
     return "weighted_sum", lambda n: avoider_walk(n, patterns).at(weight, n), row
 
 
+def _factorials(n: int) -> list[int]:
+    """[0!, 1!, ..., n!] by one running product."""
+    return list(accumulate(range(1, n + 1), operator.mul, initial=1))
+
+
+def _with_factorials(fn: Callable[[int, list[int]], int]) -> Callable[[int], int]:
+    """The value fn(n, f) with f = _factorials(n + 1), built once per call."""
+    return lambda n: fn(n, _factorials(n + 1))
+
+
 # -- single-pattern tables ---------------------------------------------------
 
 def pk123(n: int) -> int:
@@ -108,17 +119,31 @@ def pk123(n: int) -> int:
 
 
 def pk213_row(n_max: int) -> Row:
-    """p_n = (1/(n+1)) [x^n] F^(n+1) with F = sum_k k! x^k: one running power
-    of F, truncated at x^n_max, and one convolution per n."""
-    factorials = [math.factorial(k) for k in range(n_max + 1)]
-    power = factorials
-    for n in range(1, n_max + 1):
-        nxt = [0] * (n_max + 1)
-        for i, a in enumerate(power):
-            for j in range(n_max + 1 - i):
-                nxt[i + j] += a * factorials[j]
-        power = nxt
-        yield n, exact_div(power[n], n + 1)
+    """p_n = (1/(n+1)) [x^n] F^(n+1) with F = sum_k k! x^k.  By Lagrange
+    inversion that is b_n, where A = x F(A) and B = F(A) = A/x.  F solves
+    x^2 F' = (1 - x) F - 1, and putting A = xB into it gives
+
+        B^2 - B = 2 x^2 B^2 B' + x B^3 - x B' (B - 1),  B(0) = 1.
+
+    [x^m] of the left side is b_m + sum_{0<i<m} b_i b_{m-i}, and the right
+    side reads only b_0..b_{m-1}.  So running coefficient lists of B, B^2,
+    B^3 and B' give each b_m in O(m) products: O(n^2) for the row, with no
+    division.
+    """
+    b, sq, cube, db = [1], [1], [1], []  # B, B^2, B^3 and B' (db[j] = (j+1) b_{j+1})
+    for m in range(1, n_max + 1):
+        inner = sum(map(operator.mul, islice(b, 1, None), reversed(b)))
+        bm = (
+            2 * sum(map(operator.mul, sq, reversed(db)))
+            + cube[m - 1]
+            - sum(map(operator.mul, db, reversed(b)))
+            - inner
+        )
+        b.append(bm)
+        sq.append(2 * bm + inner)
+        cube.append(sum(map(operator.mul, b, reversed(sq))))
+        db.append(m * bm)
+        yield m, bm
 
 
 def pk213(n: int) -> int:
@@ -195,8 +220,9 @@ def pk321_table(n: int) -> dict[tuple[int, int], int]:
 
 def pk321_row(n_max: int) -> Row:
     t = pk321_table(n_max)
+    f = _factorials(n_max)
     for n in range(1, n_max + 1):
-        yield n, sum(math.factorial(k - 1) * t[n, k] for k in range(1, n + 1))
+        yield n, sum(f[k - 1] * t[n, k] for k in range(1, n + 1))
 
 
 def pk321(n: int) -> int:
@@ -243,17 +269,19 @@ def _linear_row(step: Callable[[int, int], int]) -> Callable[[int], Row]:
 
 def _pk_conv_factorial_row(n_max: int) -> Row:
     # p_n = sum_{k=1}^{n} k! p_{n-k}, p_0 = 1
+    f = _factorials(n_max)
     p = [1]
     for n in range(1, n_max + 1):
-        p.append(sum(math.factorial(k) * p[n - k] for k in range(1, n + 1)))
+        p.append(sum(f[k] * p[n - k] for k in range(1, n + 1)))
         yield n, p[n]
 
 
 def _pk_231_321_row(n_max: int) -> Row:
     # p_n = (n+1)! - sum_{k=0}^{n-1} p_k (n-k)!, p_0 = 1
+    f = _factorials(n_max + 1)
     p = [1]
     for n in range(1, n_max + 1):
-        p.append(math.factorial(n + 1) - sum(p[k] * math.factorial(n - k) for k in range(n)))
+        p.append(f[n + 1] - sum(p[k] * f[n - k] for k in range(n)))
         yield n, p[n]
 
 
@@ -307,30 +335,31 @@ def _dispatch_table() -> dict[tuple[tuple[int, ...], ...], Route]:
     put(
         ["132/213/231", "132/213/312", "213/231/312"],
         "formula",
-        lambda n: sum(math.factorial(k) for k in range(1, n + 1)),
+        _with_factorials(lambda n, f: sum(f[1 : n + 1])),
     )
     put(
         ["132/231/312"],
         "formula",
-        lambda n: sum(exact_div(math.factorial(n), math.factorial(k)) for k in range(1, n + 1)),
+        _with_factorials(lambda n, f: sum(exact_div(f[n], f[k]) for k in range(1, n + 1))),
     )
     put(
         ["132/231/321", "132/312/321"],
         "formula",
-        lambda n: sum(exact_div(math.factorial(n), k) for k in range(1, n + 1)),
+        _with_factorials(lambda n, f: sum(exact_div(f[n], k) for k in range(1, n + 1))),
     )
     put(
         ["132/213/321", "213/231/321"],
         "formula",
-        lambda n: sum(math.factorial(k) * math.factorial(n - k) for k in range(1, n + 1)),
+        _with_factorials(lambda n, f: sum(f[k] * f[n - k] for k in range(1, n + 1))),
     )
     put(["213/312/321"], "formula", lambda n: (2 * n - 1) * math.factorial(n - 1))
     put(
         ["231/312/321"],
         "formula",
-        lambda n: sum(
-            (-1) ** k * exact_div(math.factorial(n), math.factorial(k)) * (n - k + 1)
-            for k in range(0, n + 1)
+        _with_factorials(
+            lambda n, f: sum(
+                (-1) ** k * exact_div(f[n], f[k]) * (n - k + 1) for k in range(0, n + 1)
+            )
         ),
     )
     # two patterns
@@ -350,34 +379,33 @@ def _dispatch_table() -> dict[tuple[tuple[int, ...], ...], Route]:
     put(
         ["132/321"],
         "formula",
-        lambda n: math.factorial(n)
-        + sum(
-            exact_div(
-                math.factorial(a) * math.factorial(b) * math.factorial(n),
-                math.factorial(a + b),
+        _with_factorials(
+            lambda n, f: f[n]
+            + sum(
+                exact_div(f[a] * f[b] * f[n], f[a + b])
+                for a in range(1, n)
+                for b in range(1, n - a + 1)
             )
-            for a in range(1, n)
-            for b in range(1, n - a + 1)
         ),
     )
     put(
         ["213/321"],
         "formula",
-        lambda n: math.factorial(n)
-        + sum(k * math.factorial(k) * math.factorial(n - k) for k in range(1, n)),
+        _with_factorials(lambda n, f: f[n] + sum(k * f[k] * f[n - k] for k in range(1, n))),
     )
     put(
         ["213/312"],
         "formula",
-        lambda n: sum(math.comb(n - 1, k) * math.factorial(k + 1) for k in range(0, n)),
+        _with_factorials(lambda n, f: sum(math.comb(n - 1, k) * f[k + 1] for k in range(0, n))),
     )
     put(["231/321"], "recurrence", row=_pk_231_321_row)
     put(
         ["312/321"],
         "formula",
-        lambda n: sum(
-            math.comb(n - 1, k - 1) * exact_div(math.factorial(n), math.factorial(k))
-            for k in range(1, n + 1)
+        _with_factorials(
+            lambda n, f: sum(
+                math.comb(n - 1, k - 1) * exact_div(f[n], f[k]) for k in range(1, n + 1)
+            )
         ),
     )
     # single patterns

@@ -4,7 +4,9 @@ Child order is significant.  Serialization is the balanced-parentheses word
 of the tree read root-first, children left to right, e.g. the root with a
 path of two edges below it is "((()))" and a root with three leaf children
 is "(()()())".  Parsing and printing round-trip exactly, so serialized words
-double as canonical dictionary keys.
+double as canonical dictionary keys.  The codec and the edge count walk
+the tree with an explicit stack, so their depth is not bounded by Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -23,7 +25,12 @@ class OrderedTree(Record):
 
     @property
     def edge_count(self) -> int:
-        return sum(1 + c.edge_count for c in self.children)
+        count, stack = 0, [self]
+        while stack:
+            children = stack.pop().children
+            count += len(children)
+            stack.extend(children)
+        return count
 
     @property
     def root_degree(self) -> int:
@@ -64,31 +71,36 @@ def serialize_tree(t: OrderedTree) -> str:
     >>> serialize_tree(tree(tree(LEAF, LEAF), LEAF))
     '((()())())'
     """
-    return "(" + "".join(serialize_tree(c) for c in t.children) + ")"
+    out: list[str] = []
+    stack: list[OrderedTree | None] = [t]  # None closes the vertex opened before it
+    while stack:
+        node = stack.pop()
+        if node is None:
+            out.append(")")
+        else:
+            out.append("(")
+            stack.append(None)
+            stack.extend(reversed(node.children))
+    return "".join(out)
 
 
 def parse_tree(text: str) -> OrderedTree:
     """Parse a balanced-parentheses word back into a tree."""
     text = text.strip()
-    pos = 0
-
-    def rec() -> OrderedTree:
-        nonlocal pos
-        if pos >= len(text) or text[pos] != "(":
-            raise ValueError(f"expected '(' at column {pos + 1}")
-        pos += 1
-        children = []
-        while pos < len(text) and text[pos] == "(":
-            children.append(rec())
-        if pos >= len(text) or text[pos] != ")":
-            raise ValueError(f"expected ')' at column {pos + 1}")
-        pos += 1
-        return OrderedTree(tuple(children))
-
-    out = rec()
-    if pos != len(text):
-        raise ValueError(f"trailing input at column {pos + 1}")
-    return out
+    stack: list[list[OrderedTree]] = []  # the children read so far of each open vertex
+    for pos, ch in enumerate(text):
+        if ch == "(":
+            stack.append([])
+        elif ch == ")" and stack:
+            node = OrderedTree(tuple(stack.pop()))
+            if not stack:
+                if pos + 1 != len(text):
+                    raise ValueError(f"trailing input at column {pos + 2}")
+                return node
+            stack[-1].append(node)
+        else:
+            raise ValueError(f"expected {')' if stack else '('!r} at column {pos + 1}")
+    raise ValueError(f"expected {')' if stack else '('!r} at column {len(text) + 1}")
 
 
 def enumerate_trees(edges: int, constraint: str = "all") -> Iterator[OrderedTree]:

@@ -152,6 +152,17 @@ def test_enumerator_against_simulation():
             assert len(got) == len(set(got)) == oracle.brute_pf(n, patterns), (text, n)
 
 
+def test_labeled_shape_on_deep_trees():
+    # a spine 2000 deep with a leaf hanging right of each spine vertex
+    node, text = bj.LabeledTree(0), "()"
+    for label in range(1, 2001):
+        node = bj.LabeledTree(label, (node, bj.LabeledTree(-label)))
+        text = "(" + text + "()" + ")"
+    shape = bj.LabeledTree(None, (node,)).shape()
+    assert serialize_tree(shape) == "(" + text + ")"
+    assert shape.edge_count == 4001
+
+
 def test_find_target_vertex():
     star = trees.parse_tree("(()()())")
     assert bj.find_target_path(star) == ()

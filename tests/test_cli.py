@@ -72,6 +72,18 @@ def test_sequence_csv(capsys):
     ]
 
 
+def test_sequence_pk213_csv(capsys):
+    # the {213} row keeps the method label of its Lagrange form
+    code, out = run(
+        capsys, "sequence", "--notion", "pk", "--patterns", "213",
+        "--n-max", "6", "--format", "csv",
+    )
+    assert code == EXIT_OK
+    assert out == "n,value,method\n" + "".join(
+        f"{n},{v},formula\n" for n, v in zip(range(1, 7), [1, 3, 13, 69, 421, 2867])
+    )
+
+
 def test_sequence_timing_csv(capsys):
     code, out = run(
         capsys, "sequence", "--notion", "pk", "--patterns", "321",
@@ -304,17 +316,37 @@ def test_bijection_worked_example(tmp_path, capsys):
     assert out.strip() == serialize_tree(_tree_from(FIG25_ADJACENCY, "R"))
 
 
+# a bare path of 3000 edges and its preimage: the codec walks any depth, and
+# neither map recurses on a path
+DEEP_PATH = "(" * 3001 + ")" * 3001
+DEEP_PATH_BLOCKS = "(" + ",".join(f"{{{v}}}" for v in range(2999, 0, -1)) + ")"
+
+
+@pytest.mark.parametrize(
+    "direction,text,want",
+    [("backward", DEEP_PATH, DEEP_PATH_BLOCKS), ("forward", DEEP_PATH_BLOCKS, DEEP_PATH)],
+    ids=["backward", "forward"],
+)
+def test_bijection_answers_on_deep_paths(tmp_path, capsys, direction, text, want):
+    src = tmp_path / "in.txt"
+    src.write_text(text + "\n")
+    code, out = run(capsys, "bijection", "--family", "123-132", "--direction", direction, "--input", str(src))
+    assert (code, out) == (EXIT_OK, want + "\n")
+
+
 @pytest.mark.parametrize(
     "direction,text",
     [
-        ("backward", "(" * 3001 + ")" * 3001),  # a bare path 3000 edges deep
-        ("forward", "(" + ",".join(f"{{{v}}}" for v in range(3000, 0, -1)) + ")"),
+        # a path 3000 edges deep whose bottom vertex holds two leaves, and its
+        # preimage: the branch graft at the bottom recurses down the path
+        ("backward", "(" * 3001 + "()()" + ")" * 3001),
+        ("forward", "({3000},{3001}," + ",".join(f"{{{v}}}" for v in range(2999, 0, -1)) + ")"),
     ],
     ids=["backward", "forward"],
 )
 def test_bijection_refuses_past_the_recursion_limit(tmp_path, capfd, direction, text):
     # both inputs are in the 123-132 family; each nests far past Python's
-    # default recursion limit of 1000
+    # default recursion limit of 1000, and the maps recurse that deep
     src = tmp_path / "in.txt"
     src.write_text(text + "\n")
     code = main(["bijection", "--family", "123-132", "--direction", direction, "--input", str(src)])

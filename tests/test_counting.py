@@ -156,6 +156,33 @@ def test_rows_match_single_counts():
         assert list(counting.row_of(counting.pf_route(patterns), 40)) == want, patterns
 
 
+def _pk213_by_powers(n_max):
+    """p_n = (1/(n+1)) [x^n] F^(n+1) with F = sum_k k! x^k, one truncated
+    power of F per n, O(n^3): the reference for counting.pk213_row."""
+    factorials = [math.factorial(k) for k in range(n_max + 1)]
+    power = factorials
+    for n in range(1, n_max + 1):
+        nxt = [0] * (n_max + 1)
+        for i, a in enumerate(power):
+            for j in range(n_max + 1 - i):
+                nxt[i + j] += a * factorials[j]
+        power = nxt
+        yield n, counting.exact_div(power[n], n + 1)
+
+
+def test_pk213_row_matches_truncated_powers():
+    assert list(counting.pk213_row(120)) == list(_pk213_by_powers(120))
+    assert counting.pk213(0) == 1
+    assert list(counting.pk213_row(0)) == []
+
+
+def test_pk213_row_reaches_400():
+    # one truncated power of F per n took well over 10 s here
+    row = list(counting.row_of(counting.pk_route(pattern_set("213")), 400))
+    assert [n for n, _ in row] == list(range(1, 401))
+    assert row[-1][1] == CountResult(counting.pk213(400), "formula")
+
+
 def _pf312321_fraction(n):
     """The closed form as printed, in rationals."""
     total = Fraction(math.comb(3 * n + 1, n), 2 * (n + 1))

@@ -68,6 +68,16 @@ def test_serialization_roundtrip_random(nested):
     assert parse_tree(serialize_tree(t)) == t
 
 
+def test_deep_path_codec():
+    # the codec and the edge count walk with an explicit stack, not one
+    # Python frame per level
+    text = "(" * 2001 + ")" * 2001
+    t = parse_tree(text)
+    assert serialize_tree(t) == text
+    assert t.edge_count == 2000
+    assert t.is_path()
+
+
 def test_structure_helpers():
     t = tree(tree(LEAF), LEAF, LEAF)
     assert t.root_degree == 3
