@@ -22,8 +22,8 @@ Family {123, 132} (clusters: extend / branch / jump)
     before the i-th main block of a later cluster covering lo..hi, which
     points at the vertex labelled hi - 1 - i (the root when no main block
     follows).  The labels 0..n record creation order and drive the inverse,
-    which locates the last graft with a left-most-branch descent, peels it
-    off, and carries the labelled image of what is left back up.
+    which peels the grafts off one by one, each located by a left-most-branch
+    descent, and then grows the labelled image back up in one label table.
 
 Family {123, 213} (clusters: closed / open)
     A closed cluster grows the tree upward (new root above the old one plus
@@ -32,15 +32,15 @@ Family {123, 213} (clusters: closed / open)
     below a brand new left edge.  The re-rooting preserves the planar cyclic
     order around every vertex, which is exactly what the inverse unwinds.
 
-Both recursions run down to n = 0, whose only parking function is the empty
-one: forward it maps to the one-edge tree (labelled 0 in the {123, 132}
-family), and backward the one-edge tree maps to it.  The test suite checks
-the recursion against the small cases (n <= 3), kept there as fixtures.
+All four maps are loops over the clusters, with no recursion, down to n = 0:
+its only parking function, the empty one, maps to the one-edge tree (labelled
+0 in the {123, 132} family) and back.  The test suite checks the maps against
+the small cases (n <= 3), kept there as fixtures.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from ._record import Record
 from .parking import Blocks, ParkingFunction, block_permutation_of_blocks, from_blocks, to_blocks
@@ -66,40 +66,67 @@ class LabeledTree(Record):
         object.__setattr__(self, "children", children)
 
     def shape(self) -> OrderedTree:
-        """The unlabelled tree, built bottom-up with an explicit stack."""
-        # (children still to visit, shapes of the children visited) per open vertex
-        stack = [(iter(self.children), [])]
-        while True:
-            pending, done = stack[-1]
-            child = next(pending, None)
-            if child is not None:
-                stack.append((iter(child.children), []))
-                continue
-            stack.pop()
-            shape = OrderedTree(tuple(done))
-            if not stack:
-                return shape
-            stack[-1][1].append(shape)
+        """The unlabelled tree."""
+        return _build_up(self, lambda node: node.children, lambda _, shapes: OrderedTree(shapes))
 
     def labels(self) -> list[int]:
-        out = [] if self.label is None else [self.label]
-        for c in self.children:
-            out.extend(c.labels())
+        out, stack = [], [self]
+        while stack:
+            node = stack.pop()
+            if node.label is not None:
+                out.append(node.label)
+            stack.extend(reversed(node.children))
         return out
 
     def __str__(self) -> str:
-        inner = "".join(str(c) for c in self.children)
-        head = "*" if self.label is None else str(self.label)
-        return f"[{head}{inner}]"
+        out, stack = [], [self]  # "]" closes the vertex opened before it
+        while stack:
+            node = stack.pop()
+            if isinstance(node, str):
+                out.append(node)
+                continue
+            out.append("[*" if node.label is None else f"[{node.label}")
+            stack.append("]")
+            stack.extend(reversed(node.children))
+        return "".join(out)
 
 
-def _lpath(labels: Sequence[int]) -> LabeledTree:
-    """Chain with the given labels from top to bottom."""
-    node: LabeledTree | None = None
-    for lab in reversed(labels):
-        node = LabeledTree(lab, (node,) if node else ())
-    assert node is not None
-    return node
+def _build_up(root, children_of, make):
+    """make(vertex, its children's results) for every vertex below ``root``
+    and then for ``root``, bottom-up with an explicit stack; returns the last."""
+    # (vertex, children still to visit, results of the children visited) per open vertex
+    stack = [(root, iter(children_of(root)), [])]
+    while True:
+        node, pending, done = stack[-1]
+        child = next(pending, None)
+        if child is not None:
+            stack.append((child, iter(children_of(child)), []))
+            continue
+        stack.pop()
+        built = make(node, tuple(done))
+        if not stack:
+            return built
+        stack[-1][2].append(built)
+
+
+def _graft(table: dict, target: int | None, k: int, n: int, extend: bool) -> None:
+    """Graft onto the vertex labelled ``target`` (None = root), in place:
+    extend hangs the path k+1..n below the target, a leaf; otherwise the
+    single vertex n and the path k+1..n-1 become its two left-most branches.
+    The table maps each label to its child labels, right to left, so a
+    graft's new branches append."""
+    kids = table.get(target)
+    if kids is None:
+        raise BijectionDefect(f"no vertex labelled {target}")
+    if extend and kids:
+        raise BijectionDefect("extend target must be a leaf")
+    end = n if extend else n - 1
+    kids.append(k + 1)
+    table.update((lab, [lab + 1]) for lab in range(k + 1, end))
+    table[end] = []
+    if not extend:
+        kids.append(n)
+        table[n] = []
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +183,8 @@ def _domain_blocks(f: ParkingFunction | Blocks, patterns: PatternSet) -> Blocks:
     """The blocks of f, once f is checked to lie in the family's domain: a
     parking function whose block permutation avoids ``patterns``.
 
-    This is the one input check of each public map; the recursions below
-    only ever feed the unchecked helpers blocks they built themselves.
+    This is the one input check of each public map; the loops below only
+    ever feed the unchecked helpers blocks they built themselves.
     """
     if isinstance(f, ParkingFunction):
         blocks = to_blocks(f)
@@ -309,16 +336,13 @@ def phi_123_132_labeled(f: ParkingFunction | Blocks) -> LabeledTree:
 def _phi_132_labeled(blocks: Blocks) -> LabeledTree:
     """Graft the clusters, the last one first, onto the one-edge tree labelled 0."""
     clusters = list(_clusters(blocks, _peel_132))
-    t = LabeledTree(None, (LabeledTree(0),))
+    table = {None: [0], 0: []}
     for start in range(len(clusters) - 1, -1, -1):
         c = clusters[start]
         k = c.lo - 1
-        if c.kind == "extend":
-            t = _graft_path(t, k, list(range(k + 1, c.hi + 1)))
-        else:
-            target = k if c.kind == "branch" else _jump_target(blocks, clusters, start)
-            t = _graft_two(t, target, c.hi, k)
-    return t
+        target = _jump_target(blocks, clusters, start) if c.kind == "jump" else k
+        _graft(table, target, k, c.hi, c.kind == "extend")
+    return _build_up(None, lambda label: reversed(table[label]), LabeledTree)
 
 
 def _jump_target(blocks: Blocks, clusters: list[Cluster], start: int) -> int | None:
@@ -333,38 +357,6 @@ def _jump_target(blocks: Blocks, clusters: list[Cluster], start: int) -> int | N
         if host_pos in host.main_positions:
             return host.hi - 1 - host.main_positions.index(host_pos)
     raise BijectionDefect(f"no cluster main portion covers block {host_pos}")
-
-
-def _graft_path(t: LabeledTree, target: int, labels: list[int]) -> LabeledTree:
-    """Hang the labelled path below the (leaf) vertex carrying ``target``."""
-
-    def rec(node: LabeledTree) -> LabeledTree:
-        if node.label == target:
-            if node.children:
-                raise BijectionDefect("extend target must be a leaf")
-            return LabeledTree(node.label, (_lpath(labels),))
-        return LabeledTree(node.label, tuple(rec(ch) for ch in node.children))
-
-    out = rec(t)
-    if out == t:
-        raise BijectionDefect(f"no vertex labelled {target}")
-    return out
-
-
-def _graft_two(t: LabeledTree, target: int | None, n: int, k: int) -> LabeledTree:
-    """Prepend the two-branch graft (single vertex n, path k+1..n-1) at the
-    vertex labelled ``target`` (None = root)."""
-    new_branches = (LabeledTree(n), _lpath(list(range(k + 1, n))))
-
-    def rec(node: LabeledTree) -> LabeledTree:
-        if node.label == target:
-            return LabeledTree(node.label, new_branches + node.children)
-        return LabeledTree(node.label, tuple(rec(ch) for ch in node.children))
-
-    out = rec(t)
-    if out == t:
-        raise BijectionDefect(f"no vertex labelled {target}")
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +390,7 @@ def find_target_vertex(t: OrderedTree) -> OrderedTree:
     return _subtree_at(t, find_target_path(t))
 
 
-_Tree = TypeVar("_Tree", OrderedTree, LabeledTree)
-
-
-def _subtree_at(t: _Tree, path: Sequence[int]) -> _Tree:
+def _subtree_at(t: OrderedTree, path: Sequence[int]) -> OrderedTree:
     node = t
     for i in path:
         node = node.children[i]
@@ -409,58 +398,68 @@ def _subtree_at(t: _Tree, path: Sequence[int]) -> _Tree:
 
 
 def _replace_at(t: OrderedTree, path: Sequence[int], new: OrderedTree) -> OrderedTree:
-    if not path:
-        return new
-    i = path[0]
-    children = list(t.children)
-    children[i] = _replace_at(children[i], path[1:], new)
-    return OrderedTree(tuple(children))
+    """t with the subtree at the child-index path replaced by ``new``."""
+    above = []  # the vertices from the root down to the replaced one's parent
+    for i in path:
+        above.append(t)
+        t = t.children[i]
+    for node, i in zip(reversed(above), reversed(path)):
+        new = OrderedTree(node.children[:i] + (new,) + node.children[i + 1 :])
+    return new
 
 
 def psi_123_132(t: OrderedTree) -> Blocks:
-    """Inverse of phi_123_132 on trees with odd root degree."""
+    """Inverse of phi_123_132 on trees with odd root degree.
+
+    Each step peels off the last graft, down to a bare path; the blocks and
+    the labelled forward image are then built back up, last graft first,
+    each graft reading its target's label off the image built so far.
+    """
     if t.root_degree % 2 == 0:
         raise ValueError("tree must have odd root degree")
-    return _psi_132(t, t.edge_count - 1)[0]
-
-
-def _psi_132(t: OrderedTree, n: int) -> tuple[Blocks, LabeledTree]:
-    """The preimage of t (n + 1 edges) and its labelled forward image: each
-    level grafts its own cluster onto the image the level below returns."""
-    if t.is_path():
-        extend = tuple((e,) for e in range(n, 0, -1))
-        return extend, LabeledTree(None, (_lpath(range(n + 1)),))
-    vpath = find_target_path(t)
-    v = _subtree_at(t, vpath)
-    len1 = v.children[0].edge_count + 1  # vertices on the first branch
-    if len1 > 1:
-        # peel an extend cluster: keep only the top vertex of the first branch
-        k = n - len1 + 1
-        t1 = _replace_at(t, vpath, OrderedTree((LEAF,) + v.children[1:]))
-        inner, labeled = _psi_132(t1, k)
-        extend = tuple((e,) for e in range(n, k, -1))
-        return extend + inner, _graft_path(labeled, k, list(range(k + 1, n + 1)))
-    k = n - 2 - v.children[1].edge_count
-    t_prime = _replace_at(t, vpath, OrderedTree(v.children[2:]))
-    f_prime, labeled = _psi_132(t_prime, k)
-    v_label = _subtree_at(labeled, vpath).label
-    labeled = _graft_two(labeled, v_label, n, k)
-    if v_label == k:
-        branch = tuple((e,) for e in range(n - 1, k, -1)) + ((n,),)
-        return branch + f_prime, labeled
-    main = [(e,) for e in range(n - 1, k + 1, -1)] + [(k + 1, n)]
-    out = main + list(f_prime)
-    if v_label is None:
-        gap_end = len(out)
-    else:
-        # the empty block goes before the main block of the host (the
-        # cluster covering v_label + 1) that points at v_label
-        host = next(c for c in _clusters(f_prime, _peel_132) if c.lo <= v_label + 1)
-        if host.kind == "jump" and v_label + 1 == host.lo:
-            raise BijectionDefect("jump graft cannot point below its host cluster")
-        gap_end = len(main) + host.main_positions[host.hi - 1 - v_label]
-    _insert_empty(out, gap_end, len(main) - 1)
-    return tuple(out), labeled
+    n = t.edge_count - 1
+    grafts = []  # (child-index path to the target, n, k, extend?)
+    while not t.is_path():
+        vpath = find_target_path(t)
+        v = _subtree_at(t, vpath)
+        extend = v.children[0].edge_count > 0
+        if extend:
+            k = n - v.children[0].edge_count
+            kept = (LEAF,) + v.children[1:]  # the first branch's top vertex stays
+        else:
+            k = n - 2 - v.children[1].edge_count
+            kept = v.children[2:]
+        t = _replace_at(t, vpath, OrderedTree(kept))
+        grafts.append((vpath, n, k, extend))
+        n = k
+    blocks = tuple((e,) for e in range(n, 0, -1))
+    table = {None: [0], n: [], **{lab: [lab + 1] for lab in range(n)}}  # the path 0..n
+    for vpath, n, k, extend in reversed(grafts):
+        if extend:
+            blocks = tuple((e,) for e in range(n, k, -1)) + blocks
+            _graft(table, k, k, n, True)
+            continue
+        v_label = None
+        for i in vpath:
+            v_label = table[v_label][-1 - i]
+        _graft(table, v_label, k, n, False)
+        if v_label == k:
+            blocks = tuple((e,) for e in range(n - 1, k, -1)) + ((n,),) + blocks
+            continue
+        main = [(e,) for e in range(n - 1, k + 1, -1)] + [(k + 1, n)]
+        out = main + list(blocks)
+        if v_label is None:
+            gap_end = len(out)
+        else:
+            # the empty block goes before the main block of the host (the
+            # cluster covering v_label + 1) that points at v_label
+            host = next(c for c in _clusters(blocks, _peel_132) if c.lo <= v_label + 1)
+            if host.kind == "jump" and v_label + 1 == host.lo:
+                raise BijectionDefect("jump graft cannot point below its host cluster")
+            gap_end = len(main) + host.main_positions[host.hi - 1 - v_label]
+        _insert_empty(out, gap_end, len(main) - 1)
+        blocks = tuple(out)
+    return blocks
 
 
 # ---------------------------------------------------------------------------

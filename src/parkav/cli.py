@@ -11,7 +11,7 @@ Subcommands:
 Output is deterministic byte-for-byte for identical invocations; timing is
 only emitted under --timing.  Exit codes: 0 ok, 1 usage or parse error,
 2 verification mismatch, 3 refused by a work budget (BudgetExceeded) or
-by Python's recursion limit (RecursionError, e.g. on a very deep tree).
+by Python's recursion limit (RecursionError; no route is known to reach it).
 """
 
 from __future__ import annotations

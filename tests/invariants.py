@@ -10,7 +10,7 @@ from collections import Counter
 from functools import lru_cache
 
 from parkav import bijections as bj
-from parkav import counting, generalized, oracle, series, trees
+from parkav import counting, generalized, series, trees
 from parkav.parking import (
     ParkingFunction,
     block_permutation,
@@ -187,14 +187,10 @@ def pk_dispatch_matches_weighted(n_max: int = 8) -> None:
             assert got == want, (str(patterns), n, got, want)
 
 
-@lru_cache(maxsize=None)
-def weighted_matches_oracle(n_max: int = 7) -> None:
-    """Weighted sums equal simulation counts for every size-3 subset."""
-    for patterns in all_s3_subsets():
-        for n in range(1, n_max + 1):
-            want = oracle.brute_pk(n, patterns)
-            got = counting.generic_weighted_pk(n, patterns).value
-            assert got == want, (str(patterns), n, got, want)
+def all_reports_agree(reports: list, count: int) -> None:
+    """An oracle sweep's ``count`` reports all agree (a short sweep fails too)."""
+    assert len(reports) == count, (len(reports), count)
+    assert all(r.agree for r in reports), [r.line() for r in reports if not r.agree]
 
 
 @lru_cache(maxsize=None)
@@ -352,27 +348,6 @@ def _open_cluster_interferes(blocks, clusters, j, ell) -> bool:
             if after < ell:
                 return True
     return False
-
-
-@lru_cache(maxsize=None)
-def generalized_per_evaluation(n_max: int = 5, m_max: int = 2) -> None:
-    for m in range(1, m_max + 1):
-        for n in range(1, n_max + 1):
-            assert generalized.multipark_class_count_by_evaluations(
-                n, m, "hyposylvester"
-            ) == generalized.hyposylvester_multipark(n, m)
-            assert generalized.multipark_class_count_by_evaluations(
-                n, m, "metasylvester"
-            ) == generalized.metasylvester_multipark(n, m)
-            assert generalized.mpark_class_count_by_evaluations(
-                n, m, "metasylvester"
-            ) == generalized.metasylvester_mpark(n, m)
-            assert generalized.mpark_class_count_by_evaluations(
-                n, m, "hypoplactic"
-            ) == generalized.hypoplactic_mpark(n, m)
-            assert generalized.mpark_class_count_by_evaluations(
-                n, m, "hyposylvester"
-            ) == generalized.hyposylvester_mpark(n, m)
 
 
 @lru_cache(maxsize=None)

@@ -13,6 +13,7 @@ from parkav import counting, generalized, oracle, series, trees
 from parkav.counting import pf312321_closed_form, pk_count, pk_sum_over_paths
 from parkav.permutations import parse_pattern_set, pattern_set
 from invariants import (
+    all_reports_agree,
     all_s3_subsets,
     bijection_roundtrips,
     block_condition_characterizes_acceptance,
@@ -21,7 +22,6 @@ from invariants import (
     ell_weights_match_outcome_counts,
     family_cardinalities,
     full_right_subtree_condition,
-    generalized_per_evaluation,
     metasylvester_identity,
     narayana_sums,
     parking_checks,
@@ -30,7 +30,6 @@ from invariants import (
     path_surgery_roundtrips,
     path_sums_match_tables,
     pk_dispatch_matches_weighted,
-    weighted_matches_oracle,
 )
 from tables import (
     HYPOPLACTIC_MPARK,
@@ -66,17 +65,14 @@ def test_criterion_1_table_reproduction():
 
 
 def test_criterion_2_oracle_equivalence_n7():
-    bad = []
-    for patterns in all_s3_subsets():
-        for n in range(1, 8):
-            brute = oracle.brute_pk(n, patterns)
-            formula = pk_count(patterns, n).value
-            weighted = counting.generic_weighted_pk(n, patterns).value
-            if not brute == formula == weighted:
-                bad.append((str(patterns), n, brute, formula, weighted))
+    ok = True
+    try:
+        all_reports_agree(oracle.verify_pk(7), 882)  # formula and weighted sum, each vs brute
+    except AssertionError:
+        ok = False
     _report(
         "criterion 2: brute = dispatch = weighted for all 63 subsets, n <= 7",
-        not bad,
+        ok,
         "63 subsets x 7 sizes",
     )
 
@@ -200,12 +196,12 @@ def test_criterion_8_module_invariant_sweeps():
         ("path surgeries, n<=8", lambda: path_surgery_roundtrips(8)),
         ("peak-count formula sums, n<=6 m<=3", lambda: narayana_sums(6, 3)),
         ("dispatch vs weighted, n<=8", lambda: pk_dispatch_matches_weighted(8)),
-        ("weighted vs simulation, n<=7", lambda: weighted_matches_oracle(7)),
+        ("weighted vs simulation, n<=7", lambda: all_reports_agree(oracle.verify_pk(7), 882)),
         ("path sums vs tables, n<=10", lambda: path_sums_match_tables(10)),
         ("creation-order claim, n<=8", lambda: creation_order_claim(8)),
         ("kept-right-subtree condition, n<=8", lambda: full_right_subtree_condition(8)),
         ("family sizes vs tree counts, n<=10", lambda: family_cardinalities(10)),
-        ("per-evaluation class oracle, n<=5 m<=2", lambda: generalized_per_evaluation(5, 2)),
+        ("per-evaluation class oracle, n<=5 m<=2", lambda: all_reports_agree(oracle.verify_generalized(5, 2), 50)),
     ]
     failures = []
     for name, fn in checks:

@@ -154,13 +154,30 @@ def test_enumerator_against_simulation():
 
 def test_labeled_shape_on_deep_trees():
     # a spine 2000 deep with a leaf hanging right of each spine vertex
-    node, text = bj.LabeledTree(0), "()"
+    node, text, labeled_text = bj.LabeledTree(0), "()", "[0]"
     for label in range(1, 2001):
         node = bj.LabeledTree(label, (node, bj.LabeledTree(-label)))
         text = "(" + text + "()" + ")"
-    shape = bj.LabeledTree(None, (node,)).shape()
+        labeled_text = f"[{label}{labeled_text}[{-label}]]"
+    root = bj.LabeledTree(None, (node,))
+    shape = root.shape()
     assert serialize_tree(shape) == "(" + text + ")"
     assert shape.edge_count == 4001
+    assert root.labels() == list(range(2000, -2001, -1))
+    assert str(root) == "[*" + labeled_text + "]"
+
+
+def test_forward_builds_each_labelled_vertex_once(monkeypatch):
+    """The {123,132} grafts edit one label table; the labelled tree is built
+    from it once, one LabeledTree per vertex, not copied once per cluster."""
+    t = random_family_tree(600, "123-132", random.Random(600))
+    blocks = bj.backward(t, "123-132")
+    built = []
+    real = bj.LabeledTree
+    monkeypatch.setattr(bj, "LabeledTree", lambda *args: built.append(args) or real(*args))
+    labeled = bj.phi_123_132_labeled(blocks)
+    assert len(built) == t.edge_count + 1
+    assert labeled.shape() == t
 
 
 def test_find_target_vertex():
@@ -223,8 +240,8 @@ def test_psi_rejects_foreign_trees():
 
 @pytest.mark.parametrize("family", list(bj.FAMILIES))
 def test_domain_checked_once_at_the_boundary(monkeypatch, family):
-    """forward checks avoidance once; backward's recursion feeds itself
-    blocks it built and checks none of them."""
+    """forward checks avoidance once; backward feeds its own steps blocks it
+    built and checks none of them."""
     calls = []
     real = bj.avoids_all
     monkeypatch.setattr(bj, "avoids_all", lambda p, q: calls.append(p) or real(p, q))
@@ -238,10 +255,11 @@ def test_domain_checked_once_at_the_boundary(monkeypatch, family):
 
 @pytest.mark.parametrize("family", list(bj.FAMILIES))
 def test_backward_derives_each_fact_once(monkeypatch, family):
-    """backward never runs the forward map: the {123,132} inverse carries the
-    labelled image up its recursion.  And each cluster decomposition it makes
-    runs bracket_match once: the peels share one match, and an empty block's
-    slot comes from one scan, not from matching trial copies."""
+    """backward never runs the forward map: the {123,132} inverse grows the
+    labels in its own table as it builds the blocks.  And each cluster
+    decomposition it makes runs bracket_match once: the peels share one
+    match, and an empty block's slot comes from one scan, not from matching
+    trial copies."""
     calls = {"clusters": 0, "bracket_match": 0}
 
     def counted(name, real):

@@ -320,12 +320,22 @@ def test_bijection_worked_example(tmp_path, capsys):
 # neither map recurses on a path
 DEEP_PATH = "(" * 3001 + ")" * 3001
 DEEP_PATH_BLOCKS = "(" + ",".join(f"{{{v}}}" for v in range(2999, 0, -1)) + ")"
+# a path 3000 edges deep whose bottom vertex holds two leaves, and its
+# preimage: the branch graft lands at the bottom, far past Python's default
+# recursion limit of 1000
+DEEP_GRAFT = "(" * 3001 + "()()" + ")" * 3001
+DEEP_GRAFT_BLOCKS = "({3000},{3001}," + ",".join(f"{{{v}}}" for v in range(2999, 0, -1)) + ")"
 
 
 @pytest.mark.parametrize(
     "direction,text,want",
-    [("backward", DEEP_PATH, DEEP_PATH_BLOCKS), ("forward", DEEP_PATH_BLOCKS, DEEP_PATH)],
-    ids=["backward", "forward"],
+    [
+        ("backward", DEEP_PATH, DEEP_PATH_BLOCKS),
+        ("forward", DEEP_PATH_BLOCKS, DEEP_PATH),
+        ("backward", DEEP_GRAFT, DEEP_GRAFT_BLOCKS),
+        ("forward", DEEP_GRAFT_BLOCKS, DEEP_GRAFT),
+    ],
+    ids=["backward", "forward", "backward-graft", "forward-graft"],
 )
 def test_bijection_answers_on_deep_paths(tmp_path, capsys, direction, text, want):
     src = tmp_path / "in.txt"
@@ -335,18 +345,17 @@ def test_bijection_answers_on_deep_paths(tmp_path, capsys, direction, text, want
 
 
 @pytest.mark.parametrize(
-    "direction,text",
-    [
-        # a path 3000 edges deep whose bottom vertex holds two leaves, and its
-        # preimage: the branch graft at the bottom recurses down the path
-        ("backward", "(" * 3001 + "()()" + ")" * 3001),
-        ("forward", "({3000},{3001}," + ",".join(f"{{{v}}}" for v in range(2999, 0, -1)) + ")"),
-    ],
-    ids=["backward", "forward"],
+    "direction,text", [("backward", "(()()())"), ("forward", "({2},{1})")], ids=["backward", "forward"]
 )
-def test_bijection_refuses_past_the_recursion_limit(tmp_path, capfd, direction, text):
-    # both inputs are in the 123-132 family; each nests far past Python's
-    # default recursion limit of 1000, and the maps recurse that deep
+def test_bijection_refuses_past_the_recursion_limit(tmp_path, capfd, monkeypatch, direction, text):
+    # neither map recurses, but the CLI still turns a RecursionError into a
+    # refusal (exit 3), so a stub raises one
+    from parkav import bijections
+
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(bijections, direction, too_deep)
     src = tmp_path / "in.txt"
     src.write_text(text + "\n")
     code = main(["bijection", "--family", "123-132", "--direction", direction, "--input", str(src)])

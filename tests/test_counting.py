@@ -23,10 +23,10 @@ from parkav.permutations import (
     pattern_set,
 )
 from invariants import (
+    all_reports_agree,
     all_s3_subsets,
     pk_dispatch_matches_weighted,
     path_sums_match_tables,
-    weighted_matches_oracle,
 )
 from tables import PF_312_321, PK_123_132_FIRST6, PK_123_213_FIRST6, PK_ROWS
 
@@ -109,7 +109,8 @@ def test_dispatch_matches_weighted_sum():
 
 
 def test_weighted_matches_simulation():
-    weighted_matches_oracle(7)
+    # 63 subsets x 7 sizes x (formula, weighted sum), each against simulation
+    all_reports_agree(oracle.verify_pk(7), 882)
 
 
 def test_triangular_tables():

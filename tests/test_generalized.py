@@ -3,12 +3,13 @@ import itertools
 import pytest
 
 from parkav import generalized as g
+from parkav import oracle
 from parkav.counting import CountResult, row_of
 from parkav.parking import is_parking
 from invariants import (
+    all_reports_agree,
     consistency_triangle,
     generalized_path_sums,
-    generalized_per_evaluation,
     metasylvester_identity,
 )
 from tables import (
@@ -98,7 +99,8 @@ def test_path_sum_cross_checks():
 
 
 def test_per_evaluation_oracle():
-    generalized_per_evaluation(5, 2)
+    # 5 class families x 5 sizes x 2 values of m
+    all_reports_agree(oracle.verify_generalized(5, 2), 50)
 
 
 def test_multipark_path_route():

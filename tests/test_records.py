@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from parkav._record import Record
-from parkav.bijections import Cluster, LabeledTree, _lpath
+from parkav.bijections import Cluster, LabeledTree
 from parkav.counting import CountResult
 from parkav.generalized import Evaluation, MMultiparking, MParking
 from parkav.oracle import OracleReport
@@ -148,10 +148,9 @@ def test_normalising_constructors_store_the_normal_form():
 
 
 def test_labeled_tree_is_always_truthy():
-    # bijections._lpath tests `if node`: no length may make a leaf falsy
+    # a record is truthy whatever its fields: no length makes a leaf falsy
     assert not hasattr(Record, "__len__") and not hasattr(Record, "__bool__")
     assert LabeledTree(0) and LabeledTree(None)
-    assert _lpath([1, 2]) == LabeledTree(1, (LabeledTree(2),))
 
 
 def test_enumerated_parking_functions_equal_validated_ones():
