@@ -6,7 +6,8 @@ gives it what a frozen dataclass would, without importing ``dataclasses``:
 field-wise equality only between instances of the same class, a hash over
 the same fields, ``Name(field=value, ...)`` as the repr, and AttributeError
 on assignment or deletion.  It defines no ``__len__`` or ``__bool__``, so a
-record is truthy unless its class says otherwise.
+record is truthy unless its class says otherwise.  A class may name its own
+``_key``: the trees use their serial form, since nested tuples recurse.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ class Record:
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        # the field values in declaration order (the value itself for one field)
-        cls._key = attrgetter(*cls.__slots__)
+        # the field values in order (the value itself for one field), unless the class names a key
+        if "_key" not in cls.__dict__:
+            cls._key = attrgetter(*cls.__slots__)
 
     @classmethod
     def _trusted(cls, *values):

@@ -32,6 +32,14 @@ Family {123, 213} (clusters: closed / open)
     below a brand new left edge.  The re-rooting preserves the planar cyclic
     order around every vertex, which is exactly what the inverse unwinds.
 
+A word is described by its clusters' main blocks, in order, and the gap of
+each cluster's empty block: how many main blocks precede it.  The forward
+maps read the gaps off the word; a gap's host is the cluster owning the main
+block after it (jump) or before it (open).  Each inverse builds the
+description, last cluster first, and lays out its word once: every empty
+block is (), so bracket matching constrains only how many a gap holds, and
+one match of the finished word checks that each sits in its own gap.
+
 All four maps are loops over the clusters, with no recursion, down to n = 0:
 its only parking function, the empty one, maps to the one-edge tree (labelled
 0 in the {123, 132} family) and back.  The test suite checks the maps against
@@ -40,6 +48,9 @@ the small cases (n <= 3), kept there as fixtures.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from itertools import accumulate
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from ._record import Record
@@ -60,6 +71,7 @@ class LabeledTree(Record):
     """Ordered tree whose non-root vertices carry the labels 0..n."""
 
     __slots__ = ("label", "children")
+    _key = str  # equality and hash read the serial form, at any depth
 
     def __init__(self, label: int | None, children: tuple[LabeledTree, ...] = ()) -> None:
         object.__setattr__(self, "label", label)  # None marks the root
@@ -161,24 +173,6 @@ def match_empty_blocks(f: ParkingFunction | Blocks) -> dict[int, int]:
     return bracket_match(blocks)
 
 
-def _insert_empty(blocks: list[tuple[int, ...]], gap_end: int, opener: int) -> None:
-    """Insert an empty block that bracket matching pairs with ``opener``.
-
-    The new empty must precede the block at ``gap_end`` (a main block, or the
-    end) and may sit anywhere in the run of empty blocks just before it.  It
-    pairs with ``opener`` in the one slot of the run where the blocks after
-    the opener are balanced: past as many of the run's empty blocks as the
-    blocks before the run leave open.
-    """
-    lo = gap_end
-    while lo > opener + 1 and not blocks[lo - 1]:
-        lo -= 1
-    depth = sum((len(blocks[i]) == 2) - (not blocks[i]) for i in range(opener + 1, lo))
-    if not 0 <= depth <= gap_end - lo:
-        raise BijectionDefect("no balanced slot for the empty block")
-    blocks.insert(lo + depth, ())
-
-
 def _domain_blocks(f: ParkingFunction | Blocks, patterns: PatternSet) -> Blocks:
     """The blocks of f, once f is checked to lie in the family's domain: a
     parking function whose block permutation avoids ``patterns``.
@@ -242,6 +236,39 @@ def _clusters(blocks: Blocks, peel) -> Iterator[Cluster]:
         taken.add(cluster.empty_position)
         front = cluster.main_positions[-1] + 1
         n = cluster.lo - 1
+
+
+def _gaps(blocks: Blocks, clusters: list[Cluster]) -> tuple[list[int], list[int | None]]:
+    """Where each cluster's main blocks start in the run of all main blocks,
+    in word order (their total last), and the gap of each cluster's empty
+    block: how many main blocks precede it (None: the cluster has none)."""
+    before = list(accumulate(map(bool, blocks), initial=0))  # per position
+    starts = list(accumulate((len(c.main_positions) for c in clusters), initial=0))
+    return starts, [None if c.empty_position is None else before[c.empty_position] for c in clusters]
+
+
+def _owner(starts: list[int], j: int) -> int:
+    """The index of the cluster that main block j (in word order) belongs to."""
+    return bisect_right(starts, j) - 1
+
+
+def _lay_out(mains: list[Blocks], gaps: list[int | None]) -> Blocks:
+    """The word whose clusters have these main blocks, in word order, and
+    these gaps for their empty blocks: the inverse of _gaps, in one pass."""
+    empties = Counter(g for g in gaps if g is not None)
+    word: list[tuple[int, ...]] = []
+    at, gap_of = [], []  # per main block: its word position, its cluster's gap
+    for cluster, gap in zip(mains, gaps):
+        for block in cluster:
+            word += [()] * empties[len(at)]
+            at.append(len(word))
+            gap_of.append(gap)
+            word.append(block)
+    word += [()] * empties[len(at)]
+    match = bracket_match(word)
+    if any(len(word[p]) == 2 and bisect_left(at, match[p]) != g for p, g in zip(at, gap_of)):
+        raise BijectionDefect("an empty block lies outside its cluster's gap")
+    return tuple(word)
 
 
 # ---------------------------------------------------------------------------
@@ -336,27 +363,18 @@ def phi_123_132_labeled(f: ParkingFunction | Blocks) -> LabeledTree:
 def _phi_132_labeled(blocks: Blocks) -> LabeledTree:
     """Graft the clusters, the last one first, onto the one-edge tree labelled 0."""
     clusters = list(_clusters(blocks, _peel_132))
+    starts, gaps = _gaps(blocks, clusters)
     table = {None: [0], 0: []}
-    for start in range(len(clusters) - 1, -1, -1):
-        c = clusters[start]
-        k = c.lo - 1
-        target = _jump_target(blocks, clusters, start) if c.kind == "jump" else k
-        _graft(table, target, k, c.hi, c.kind == "extend")
+    for i in range(len(clusters) - 1, -1, -1):
+        c, g = clusters[i], gaps[i]
+        target = c.lo - 1
+        if c.kind == "jump":
+            target = None  # the root, unless a main block follows the empty one
+            if g < starts[-1]:
+                h = _owner(starts, g)
+                target = clusters[h].hi - 1 - (g - starts[h])
+        _graft(table, target, c.lo - 1, c.hi, c.kind == "extend")
     return _build_up(None, lambda label: reversed(table[label]), LabeledTree)
-
-
-def _jump_target(blocks: Blocks, clusters: list[Cluster], start: int) -> int | None:
-    """Label (or None for the root) receiving the jump graft of clusters[start]:
-    the one the first main block after its empty block points at."""
-    q = clusters[start].empty_position
-    assert q is not None
-    host_pos = next((pos for pos in range(q + 1, len(blocks)) if blocks[pos]), None)
-    if host_pos is None:
-        return None  # empty block trails everything: graft at the root
-    for host in clusters[start + 1 :]:
-        if host_pos in host.main_positions:
-            return host.hi - 1 - host.main_positions.index(host_pos)
-    raise BijectionDefect(f"no cluster main portion covers block {host_pos}")
 
 
 # ---------------------------------------------------------------------------
@@ -411,9 +429,10 @@ def _replace_at(t: OrderedTree, path: Sequence[int], new: OrderedTree) -> Ordere
 def psi_123_132(t: OrderedTree) -> Blocks:
     """Inverse of phi_123_132 on trees with odd root degree.
 
-    Each step peels off the last graft, down to a bare path; the blocks and
-    the labelled forward image are then built back up, last graft first,
-    each graft reading its target's label off the image built so far.
+    Each step peels off the last graft, down to a bare path (an extend
+    cluster on label 0).  The clusters and the labelled forward image are
+    then built back up, last graft first, each graft reading its target's
+    label off the image built so far, and the word is laid out once.
     """
     if t.root_degree % 2 == 0:
         raise ValueError("tree must have odd root degree")
@@ -432,34 +451,37 @@ def psi_123_132(t: OrderedTree) -> Blocks:
         t = _replace_at(t, vpath, OrderedTree(kept))
         grafts.append((vpath, n, k, extend))
         n = k
-    blocks = tuple((e,) for e in range(n, 0, -1))
-    table = {None: [0], n: [], **{lab: [lab + 1] for lab in range(n)}}  # the path 0..n
+    if n:
+        grafts.append(((), n, 0, True))  # the path 1..n below label 0
+    table = {None: [0], 0: []}  # the one-edge tree, labelled 0
+    # per cluster, last first: its main blocks, and the main blocks after its
+    # empty one (None: it has none); and per label v, the main blocks from
+    # the one that points at v to the end (None: no main block points at v)
+    mains, after, slot = [], [], []
+    built = 0  # the main blocks so far
     for vpath, n, k, extend in reversed(grafts):
+        target = k
+        if not extend:
+            target = None
+            for i in vpath:
+                target = table[target][-1 - i]
+        _graft(table, target, k, n, extend)
+        empty = None
         if extend:
-            blocks = tuple((e,) for e in range(n, k, -1)) + blocks
-            _graft(table, k, k, n, True)
-            continue
-        v_label = None
-        for i in vpath:
-            v_label = table[v_label][-1 - i]
-        _graft(table, v_label, k, n, False)
-        if v_label == k:
-            blocks = tuple((e,) for e in range(n - 1, k, -1)) + ((n,),) + blocks
-            continue
-        main = [(e,) for e in range(n - 1, k + 1, -1)] + [(k + 1, n)]
-        out = main + list(blocks)
-        if v_label is None:
-            gap_end = len(out)
-        else:
-            # the empty block goes before the main block of the host (the
-            # cluster covering v_label + 1) that points at v_label
-            host = next(c for c in _clusters(blocks, _peel_132) if c.lo <= v_label + 1)
-            if host.kind == "jump" and v_label + 1 == host.lo:
+            main = tuple((e,) for e in range(n, k, -1))
+        elif target == k:  # branch
+            main = tuple((e,) for e in range(n - 1, k, -1)) + ((n,),)
+        else:  # jump: the empty block goes before the main block pointing at the target
+            empty = 0 if target is None else slot[target]
+            if empty is None:
                 raise BijectionDefect("jump graft cannot point below its host cluster")
-            gap_end = len(main) + host.main_positions[host.hi - 1 - v_label]
-        _insert_empty(out, gap_end, len(main) - 1)
-        blocks = tuple(out)
-    return blocks
+            main = tuple((e,) for e in range(n - 1, k + 1, -1)) + ((k + 1, n),)
+            slot.append(None)  # label k: a jump's main blocks point at k+1..n-1
+        slot.extend(range(built + 1, built + len(main) + 1))  # the last block at the lowest label
+        mains.append(main)
+        after.append(empty)
+        built += len(main)
+    return _lay_out(mains[::-1], [None if a is None else built - a for a in reversed(after)])
 
 
 # ---------------------------------------------------------------------------
@@ -471,40 +493,27 @@ def phi_123_213(f: ParkingFunction | Blocks) -> OrderedTree:
     (for n = 0, the single-edge tree)."""
     blocks = _domain_blocks(f, PATTERNS_123_213)
     clusters = list(_clusters(blocks, _peel_213))
-    trees_by_suffix = {len(clusters): path_tree(1)}
-    for start in range(len(clusters) - 1, -1, -1):
-        trees_by_suffix[start] = _apply_213(clusters, start, trees_by_suffix)
-    return trees_by_suffix[0]
-
-
-def _apply_213(
-    clusters: list[Cluster], start: int, trees_by_suffix: dict[int, OrderedTree]
-) -> OrderedTree:
-    c = clusters[start]
-    inner = trees_by_suffix[start + 1]
-    if c.kind == "closed":
-        assert c.parameter is not None
-        return _closed_op(inner, c.parameter, c.length - c.parameter)
-    # open cluster: the host is the last later cluster starting before the empty block
-    q = c.empty_position
-    assert q is not None
-    host_index = max(
-        (i for i in range(start + 1, len(clusters)) if clusters[i].main_positions[0] < q),
-        default=None,
-    )
-    if host_index is None:
-        raise BijectionDefect("open cluster's empty block precedes every later block")
-    host = clusters[host_index]
-    if host.kind != "closed":
-        raise BijectionDefect("the matched empty block must sit inside a closed cluster")
-    ell = sum(1 for pos in host.main_positions if pos > q)
-    assert host.parameter is not None
-    if ell > host.parameter:
-        raise BijectionDefect("empty block sits deeper than the host's parameter allows")
-    base = trees_by_suffix[host_index + 1]
-    depth = _spine_length(base) + ell
-    tbar_branches = 1 if ell >= 1 else base.root_degree
-    return _open_op(inner, depth, tbar_branches, c.length - 1)
+    starts, gaps = _gaps(blocks, clusters)
+    images = [path_tree(1)] * (len(clusters) + 1)  # images[i]: of the clusters from i on
+    for i in range(len(clusters) - 1, -1, -1):
+        c, inner = clusters[i], images[i + 1]
+        if c.kind == "closed":
+            images[i] = _closed_op(inner, c.parameter, c.length - c.parameter)
+            continue
+        # open: the host owns the last main block before the empty one
+        h = _owner(starts, gaps[i] - 1)
+        host = clusters[h]
+        if h == i:
+            raise BijectionDefect("open cluster's empty block precedes every later block")
+        if host.kind != "closed":
+            raise BijectionDefect("the matched empty block must sit inside a closed cluster")
+        ell = starts[h + 1] - gaps[i]  # the host's main blocks after the empty one
+        if ell > host.parameter:
+            raise BijectionDefect("empty block sits deeper than the host's parameter allows")
+        base = images[h + 1]
+        depth = _spine_length(base) + ell
+        images[i] = _open_op(inner, depth, 1 if ell else base.root_degree, c.length - 1)
+    return images[0]
 
 
 def _spine_length(t: OrderedTree) -> int:
@@ -564,29 +573,54 @@ def psi_123_213(t: OrderedTree) -> Blocks:
     """Inverse of phi_123_213 on trees with root degree >= 2 (or one edge).
 
     Each step unwinds the operation of the first cluster, down to the
-    one-edge tree; the blocks are then built back up, last cluster first.
+    one-edge tree.  The clusters are then built back up, last first, each
+    open cluster finding its host among the closed clusters built so far,
+    and the word is laid out once.
     """
     n = t.edge_count - 1
     if n and t.root_degree < 2:
         raise ValueError("tree must have root degree >= 2, or be the one-edge tree")
-    steps = []
+    steps = []  # per cluster, first first: k, n, its parameter (None: open), its host
     while n:
-        t, n, step = _unwind_213(t, n)
-        steps.append(step)
-    blocks: Blocks = ()
-    for step in reversed(steps):
-        blocks = step(blocks)
-    return blocks
+        t, k, parameter, host = _unwind_213(t, n)
+        steps.append((k, n, parameter, host))
+        n = k
+    # per cluster, last first: its main blocks, and the main blocks after its
+    # empty one (None: it has none); and per closed cluster k+1..n, by k: its
+    # parameter and the main blocks after its own
+    mains, after, closed = [], [], {}
+    built = 0  # the main blocks so far
+    for k, n, parameter, host in reversed(steps):
+        empty = None
+        if parameter == n - k - 1:  # closed, all singletons
+            main = ((k + 1,),) + tuple((v,) for v in range(n, k + 1, -1))
+        else:
+            main = ((k + 1, n),) + tuple((v,) for v in range(n - 1, k + 1, -1))
+            if parameter is not None:  # closed: `parameter` main blocks follow the empty one
+                empty = built + parameter
+            else:  # open: `ell` main blocks of the host cluster b+1.. follow it
+                ell, b = host
+                if b not in closed:
+                    raise BijectionDefect("the receiving cluster must be closed")
+                host_parameter, host_after = closed[b]
+                if host_parameter < ell:
+                    raise BijectionDefect("receiving cluster's parameter is too small")
+                empty = host_after + ell
+        if parameter is not None:
+            closed[k] = parameter, built
+        mains.append(main)
+        after.append(empty)
+        built += len(main)
+    return _lay_out(mains[::-1], [None if a is None else built - a for a in reversed(after)])
 
 
-# one unwinding step: the smaller tree, its n, and the map that turns its
-# preimage into the preimage of the larger tree
-_Unwound = tuple[OrderedTree, int, Callable[[Blocks], Blocks]]
-
-
-def _unwind_213(t: OrderedTree, n: int) -> _Unwound:
+def _unwind_213(
+    t: OrderedTree, n: int
+) -> tuple[OrderedTree, int, int | None, tuple[int, int] | None]:
     """The tree the first cluster's operation turned into t (n + 1 edges),
-    its n', and the map from its preimage to the preimage of t."""
+    the cluster's k (it covers k+1..n), its parameter when closed, and when
+    open its host: (ell, b), the empty block sitting ell main blocks deep
+    into the closed cluster b+1.."""
     chain: list[OrderedTree] = [t]
     node = t
     while node.children:
@@ -595,55 +629,25 @@ def _unwind_213(t: OrderedTree, n: int) -> _Unwound:
     z_idx = max(
         (i for i in range(1, len(chain)) if len(chain[i].children) >= 2), default=None
     )
-    if z_idx is None:
-        return _unwind_closed(t, n, len(chain) - 1)
-    return _unwind_open(t, n, chain, z_idx)
-
-
-def _chain_end(node: OrderedTree) -> tuple[int, OrderedTree]:
-    """The edges from node's parent down through single children, and the
-    first vertex on the way without exactly one child."""
-    ell = 1
-    while len(node.children) == 1:
-        node = node.children[0]
-        ell += 1
-    return ell, node
-
-
-def _closed_cluster_blocks(k: int, n: int, parameter: int) -> Blocks:
-    """Blocks of a closed cluster covering k+1..n with the given parameter."""
-    length = n - k
-    if parameter == length - 1:
-        return ((k + 1,),) + tuple((v,) for v in range(n, k + 1, -1))
-    main = ((k + 1, n),) + tuple((v,) for v in range(n - 1, k + 1, -1))
-    e = k + 2 + parameter
-    at = 0 if e == n else (n - 1) - e + 1  # index of the main block holding e
-    return main[: at + 1] + ((),) + main[at + 1 :]
-
-
-def _unwind_closed(t: OrderedTree, n: int, left_len: int) -> _Unwound:
-    k = n - left_len
-    rest = t.children[1:]
-    if len(rest) > 1:
-        parameter = 0
-        t_prime = OrderedTree(rest)
-    else:
-        parameter, t_prime = _chain_end(rest[0])
-        if not t_prime.children:
-            # single cluster: the right branch is the raised path over a lone edge
-            parameter = k
-            t_prime = path_tree(1)
-    head = _closed_cluster_blocks(k - parameter, n, parameter)
-    return t_prime, k - parameter, lambda inner: head + inner
-
-
-def _unwind_open(t: OrderedTree, n: int, chain: list[OrderedTree], z_idx: int) -> _Unwound:
+    if z_idx is None:  # closed: the left-most path is the fresh branch
+        k = n - (len(chain) - 1)
+        rest = t.children[1:]
+        if len(rest) > 1:
+            parameter = 0
+            t_prime = OrderedTree(rest)
+        else:
+            parameter, t_prime = _chain_end(rest[0])
+            if not t_prime.children:
+                # single cluster: the right branch is the raised path over a lone edge
+                parameter = k
+                t_prime = path_tree(1)
+        return t_prime, k - parameter, parameter, None
     d = len(chain) - 1 - z_idx  # edges from z down to the left-most leaf
     k = n - 1 - d
     z = chain[z_idx]
     if not z.children[0].is_path():
         raise BijectionDefect("expected a bare path below the branching vertex")
-    # unwind the re-rooting: rebuild the tree rooted at z
+    # open: unwind the re-rooting, rebuilding the tree rooted at z
     t_prime = OrderedTree(chain[1].children[1:] + t.children[1:])
     for j in range(2, z_idx):
         t_prime = OrderedTree(chain[j].children[1:] + (t_prime,))
@@ -660,32 +664,17 @@ def _unwind_open(t: OrderedTree, n: int, chain: list[OrderedTree], z_idx: int) -
     else:
         ell, node = _chain_end(right)
         b = node.edge_count - 1
-    return t_prime, k, lambda f_prime: _open_blocks(f_prime, n, k, ell, b)
+    return t_prime, k, None, (ell, b)
 
 
-def _open_blocks(f_prime: Blocks, n: int, k: int, ell: int, b: int) -> Blocks:
-    """The open cluster k+1..n in front of f_prime, its empty block placed
-    ell main blocks deep into the closed cluster covering b + 1."""
-    clusters = _clusters(f_prime, _peel_213)
-    host = next(c for c in clusters if c.lo <= b + 1)
-    if host.kind != "closed":
-        raise BijectionDefect("the receiving cluster must be closed")
-    assert host.parameter is not None
-    if host.parameter < ell:
-        raise BijectionDefect("receiving cluster's parameter is too small")
-    main: list[tuple[int, ...]] = [(k + 1, n)] + [(v,) for v in range(n - 1, k + 1, -1)]
-    out = main + list(f_prime)
-    # the empty block goes before the host's ell-th last main block, or
-    # (ell = 0) before the next cluster
-    following = next(clusters, None)
-    if ell:
-        gap_end = len(main) + host.main_positions[-ell]
-    elif following:
-        gap_end = len(main) + following.main_positions[0]
-    else:
-        gap_end = len(out)
-    _insert_empty(out, gap_end, 0)
-    return tuple(out)
+def _chain_end(node: OrderedTree) -> tuple[int, OrderedTree]:
+    """The edges from node's parent down through single children, and the
+    first vertex on the way without exactly one child."""
+    ell = 1
+    while len(node.children) == 1:
+        node = node.children[0]
+        ell += 1
+    return ell, node
 
 
 # ---------------------------------------------------------------------------

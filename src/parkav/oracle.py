@@ -143,23 +143,22 @@ def verify_generalized(n_max: int, m_max: int = 2) -> list[OracleReport]:
 
 
 def verify_bijections(n_max: int) -> list[OracleReport]:
-    """Roundtrip and cardinality checks for both tree bijections."""
+    """Roundtrip and image checks for both tree bijections: each family's
+    size-n images are exactly the trees of its constraint with n+1 edges."""
     from . import bijections, trees
 
     reports = []
     for n in range(0, n_max + 1):
         for family, spec in bijections.FAMILIES.items():
             functions = bijections.enumerate_pf_family(n, family)
-            images = set()
-            good = 0
-            for blocks in functions:
-                t = bijections.forward(blocks, family)
-                images.add(trees.serialize_tree(t))
-                if bijections.backward(t, family) == blocks:
-                    good += 1
+            images = [bijections.forward(blocks, family) for blocks in functions]
+            good = sum(bijections.backward(t, family) == b for t, b in zip(images, functions))
             reports.append(OracleReport(f"roundtrip {family}", n, None, len(functions), good))
-            expected = trees.count_trees(n + 1, spec.constraint)
-            reports.append(OracleReport(f"image {family}", n, None, expected, len(images)))
+            drawn = set(map(trees.serialize_tree, images))
+            expected = set(map(trees.serialize_tree, trees.enumerate_trees(n + 1, spec.constraint)))
+            # the expected trees drawn, less any drawn outside them: len(expected) iff equal
+            hits = len(drawn & expected) - len(drawn - expected)
+            reports.append(OracleReport(f"image {family}", n, None, len(expected), hits))
     return reports
 
 

@@ -19,6 +19,7 @@ from ._record import Record
 
 class OrderedTree(Record):
     __slots__ = ("children",)
+    _key = str  # equality and hash read the serial form, at any depth
 
     def __init__(self, children: tuple[OrderedTree, ...] = ()) -> None:
         object.__setattr__(self, "children", children)

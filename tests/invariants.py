@@ -10,7 +10,7 @@ from collections import Counter
 from functools import lru_cache
 
 from parkav import bijections as bj
-from parkav import counting, generalized, series, trees
+from parkav import counting, generalized, oracle, series, trees
 from parkav.parking import (
     ParkingFunction,
     block_permutation,
@@ -202,28 +202,21 @@ def path_sums_match_tables(n_max: int = 10) -> None:
 
 @lru_cache(maxsize=None)
 def bijection_roundtrips(n_max: int = 9) -> dict[tuple[str, int], int]:
-    """Exhaustive roundtrips for both families; returns domain sizes."""
-    sizes: dict[tuple[str, int], int] = {}
-    for family, spec in bj.FAMILIES.items():
-        constraint = spec.constraint
-        for n in range(0, n_max + 1):
-            functions = bj.enumerate_pf_family(n, family)
-            images = set()
-            for blocks in functions:
-                t = bj.forward(blocks, family)
-                images.add(trees.serialize_tree(t))
-                assert bj.backward(t, family) == blocks, (family, blocks)
-                if family == "123-132":
-                    labels = bj.phi_123_132_labeled(blocks).labels()
-                    assert sorted(labels) == list(range(n + 1)), blocks
-            assert len(images) == len(functions)
-            assert len(images) == trees.count_trees(n + 1, constraint), (family, n)
-            expected = {
-                trees.serialize_tree(t) for t in trees.enumerate_trees(n + 1, constraint)
-            }
-            assert images == expected, (family, n)
-            sizes[family, n] = len(functions)
-    return sizes
+    """Exhaustive roundtrips for both families, with their image sets compared
+    to enumerate_trees (every report of oracle.verify_bijections agrees), and
+    the creation labels 0..n of every {123,132} image; returns domain sizes."""
+    reports = oracle.verify_bijections(n_max)
+    all_reports_agree(reports, 2 * len(bj.FAMILIES) * (n_max + 1))
+    for n in range(0, n_max + 1):
+        for blocks in bj.enumerate_pf_family(n, "123-132"):
+            labels = bj.phi_123_132_labeled(blocks).labels()
+            assert sorted(labels) == list(range(n + 1)), blocks
+    # "roundtrip <family>" reports carry the domain size as their oracle value
+    return {
+        (r.quantity.split()[1], r.n): r.oracle_value
+        for r in reports
+        if r.quantity.startswith("roundtrip ")
+    }
 
 
 def random_family_tree(edges: int, family: str, rng) -> trees.OrderedTree:

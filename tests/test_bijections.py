@@ -256,10 +256,9 @@ def test_domain_checked_once_at_the_boundary(monkeypatch, family):
 @pytest.mark.parametrize("family", list(bj.FAMILIES))
 def test_backward_derives_each_fact_once(monkeypatch, family):
     """backward never runs the forward map: the {123,132} inverse grows the
-    labels in its own table as it builds the blocks.  And each cluster
-    decomposition it makes runs bracket_match once: the peels share one
-    match, and an empty block's slot comes from one scan, not from matching
-    trial copies."""
+    labels in its own table as it builds the clusters.  Nor does it split
+    any word into clusters: it lays its word out once from the clusters it
+    built, and one bracket match of that word checks every empty block."""
     calls = {"clusters": 0, "bracket_match": 0}
 
     def counted(name, real):
@@ -273,14 +272,38 @@ def test_backward_derives_each_fact_once(monkeypatch, family):
         raise AssertionError("backward ran the forward map")
 
     monkeypatch.setattr(bj, "_phi_132_labeled", forward_map)
-    monkeypatch.setattr(bj, "_apply_213", forward_map)
+    monkeypatch.setattr(bj, "_closed_op", forward_map)
+    monkeypatch.setattr(bj, "_open_op", forward_map)
     monkeypatch.setattr(bj, "_clusters", counted("clusters", bj._clusters))
     monkeypatch.setattr(bj, "bracket_match", counted("bracket_match", bj.bracket_match))
     t = random_family_tree(150, family, random.Random(150))
     blocks = bj.backward(t, family)
-    assert calls["bracket_match"] <= calls["clusters"]
+    assert calls["clusters"] == 0
+    assert calls["bracket_match"] <= 1
     monkeypatch.undo()
     assert bj.forward(blocks, family) == t
+
+
+@pytest.mark.parametrize("family", list(bj.FAMILIES))
+def test_lay_out_inverts_the_gaps(family):
+    """Laying out each cluster's main blocks with the gaps read off a word
+    gives the word back, over the whole domain for n <= 7."""
+    peel = {"123-132": bj._peel_132, "123-213": bj._peel_213}[family]
+    for n in range(8):
+        for blocks in bj.enumerate_pf_family(n, family):
+            clusters = list(bj._clusters(blocks, peel))
+            _, gaps = bj._gaps(blocks, clusters)
+            mains = [tuple(blocks[q] for q in c.main_positions) for c in clusters]
+            assert bj._lay_out(mains, gaps) == blocks
+
+
+def test_lay_out_checks_each_empty_block_gap():
+    # the word ({1,4},{2,3},{},{5},{}) pairs {2,3} with the empty block in
+    # gap 2 and {1,4} with the one in gap 3, not the other way round
+    mains = [((1, 4),), ((2, 3),), ((5,),)]
+    assert bj._lay_out(mains, [3, 2, None]) == ((1, 4), (2, 3), (), (5,), ())
+    with pytest.raises(bj.BijectionDefect):
+        bj._lay_out(mains, [2, 3, None])
 
 
 @pytest.mark.parametrize("family", list(bj.FAMILIES))

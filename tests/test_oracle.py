@@ -141,6 +141,21 @@ def test_verify_all_small():
     assert reports and all(r.agree for r in reports)
 
 
+def test_verify_bijections_compares_the_image_set(monkeypatch):
+    """A forward map that draws a tree outside the family's image fails the
+    image report, though it draws as many distinct trees as it should."""
+    from parkav import bijections, trees
+
+    foreign = trees.parse_tree("(()())")  # even root degree: no {123,132} image
+    forward, backward = bijections.forward, bijections.backward
+    mine = ((1,),), "123-132"
+    monkeypatch.setattr(bijections, "forward", lambda b, f: foreign if (b, f) == mine else forward(b, f))
+    monkeypatch.setattr(bijections, "backward", lambda t, f: mine[0] if t == foreign else backward(t, f))
+    reports = {(r.quantity, r.n): r for r in oracle.verify_bijections(1)}
+    assert reports["roundtrip 123-132", 1].agree and reports["image 123-213", 1].agree
+    assert not reports["image 123-132", 1].agree
+
+
 def test_profile_multiplicities_match_direct_count():
     n = 4
     direct: Counter = Counter()

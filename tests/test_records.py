@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from parkav._record import Record
-from parkav.bijections import Cluster, LabeledTree
+from parkav.bijections import Cluster, LabeledTree, backward, phi_123_132_labeled
 from parkav.counting import CountResult
 from parkav.generalized import Evaluation, MMultiparking, MParking
 from parkav.oracle import OracleReport
@@ -17,7 +17,7 @@ from parkav.parking import ParkingFunction, ParkingOutcome, enumerate_parking_fu
 from parkav.paths import AscentWord, LatticePath
 from parkav.permutations import AvoiderSums, PatternSet, Permutation, perm
 from parkav.series import PowerSeries
-from parkav.trees import LEAF, OrderedTree
+from parkav.trees import LEAF, OrderedTree, parse_tree
 
 # one sample per record class, keyed by test id; the cluster record, shared by
 # both tree families, has one sample per family. Each call builds a fresh,
@@ -156,3 +156,17 @@ def test_labeled_tree_is_always_truthy():
 def test_enumerated_parking_functions_equal_validated_ones():
     for f in enumerate_parking_functions(4):
         assert f == ParkingFunction(f.prefs) and hash(f) == hash(ParkingFunction(f.prefs))
+
+
+def test_deep_trees_compare_and_hash_at_any_depth():
+    # 5,001 levels of nesting: field tuples compared level by level would
+    # pass Python's recursion limit
+    a, b, c = (parse_tree("(" * 5001 + bottom + ")" * 5001) for bottom in ("()()", "()()", "(())"))
+    la, lb, lc = (phi_123_132_labeled(backward(t, "123-132")) for t in (a, b, c))
+    for x, y in ((a, b), (la, lb)):
+        assert x is not y and x == y and not x != y
+        assert hash(x) == hash(y) and len({x, y}) == 1
+    for x, y in ((a, c), (la, lc)):
+        assert x != y and not x == y
+        assert len({x, y}) == 2
+    assert a != la and la != a
