@@ -91,16 +91,48 @@ class LabeledTree(Record):
         return out
 
     def __str__(self) -> str:
-        out, stack = [], [self]  # "]" closes the vertex opened before it
+        return self._write(lambda node: "[*" if node.label is None else f"[{node.label}", lambda _: "]", "")
+
+    def __repr__(self) -> str:
+        # the Record repr, written without recursion
+        return self._write(
+            lambda node: f"LabeledTree(label={node.label!r}, children=(",
+            lambda node: ",))" if len(node.children) == 1 else "))",
+            ", ",
+        )
+
+    def __reduce__(self):
+        # copy and pickle go through the serial form, at any depth
+        return _parse_labeled, (str(self),)
+
+    def _write(self, opening: Callable, closing: Callable, sep: str) -> str:
+        """Each vertex root-first as opening(vertex), its children's texts
+        joined by sep, then closing(vertex), on an explicit stack."""
+        out, stack = [], [self]  # a string on the stack is written as it comes
         while stack:
             node = stack.pop()
             if isinstance(node, str):
                 out.append(node)
                 continue
-            out.append("[*" if node.label is None else f"[{node.label}")
-            stack.append("]")
-            stack.extend(reversed(node.children))
+            out.append(opening(node))
+            stack.append(closing(node))
+            for child in reversed(node.children[1:]):
+                stack += child, sep
+            stack += node.children[:1]
         return "".join(out)
+
+
+def _parse_labeled(text: str) -> LabeledTree:
+    """The tree that ``str`` wrote as ``text``, e.g. "[*[0[1]][2]]"."""
+    # each open vertex with its children read so far, above a holder for the root
+    stack: list[tuple[int | None, list[LabeledTree]]] = [(None, [])]
+    for part in text.split("[")[1:]:
+        label = part.rstrip("]")
+        stack.append((None if label == "*" else int(label), []))
+        for _ in range(len(part) - len(label)):  # each "]" closes the newest open vertex
+            label, children = stack.pop()
+            stack[-1][1].append(LabeledTree._trusted(label, tuple(children)))
+    return stack[0][1][0]
 
 
 def _build_up(root, children_of, make):

@@ -2,9 +2,12 @@
 
 The oracle never touches the closed forms: one walk per size parks every
 parking function (``parking.parking_walk``) and fills both profiles (how many
-have each outcome, and each block, permutation).  The profile keys that avoid
-a pattern, by honest containment, are found once per size, side and pattern;
-a pattern set counts the intersection of its patterns' key sets.
+have each outcome, and each block, permutation), a batch of functions per
+placement of all cars but the last.  The profile keys that avoid a pattern,
+by honest containment, are found once per size and pattern for both sides;
+a pattern set counts the intersection of its patterns' key sets, smallest
+first.  Filling both profiles takes about 0.04 s at n = 6, 0.5 s at n = 7
+and 11 s at n = 8 (one process, 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -31,18 +34,34 @@ def check_cap(n: int) -> None:
 @lru_cache(maxsize=None)
 def _profiles(n: int) -> dict[str, Counter[tuple[int, ...]]]:
     """How many parking functions of size n have each outcome permutation
-    ("pk") and each block permutation ("pf"), keyed by its entries."""
+    ("pk") and each block permutation ("pf"), keyed by its entries.
+
+    Each walk item stands for the functions whose last car parks in the one
+    spot the others left free: one outcome for all of them, and one block
+    permutation each.  Both sides must count all (n+1)^(n-1) functions.
+    """
     pk, pf = Counter(), Counter()
-    for _, rho, pi in parking_walk(n):
-        pk[rho] += 1
-        pf[pi] += 1
+    if n == 0:
+        pk[()] = pf[()] = 1  # the empty function: the walk has no last car to place
+    last = (n,)
+    for _, rho, order, cuts in parking_walk(n):
+        pk[rho] += len(cuts)
+        for c in cuts:
+            pf[order[:c] + last + order[c:]] += 1
+    total = (n + 1) ** n // (n + 1)
+    for side, profile in ("pk", pk), ("pf", pf):
+        if sum(profile.values()) != total:
+            raise AssertionError(f"{side} profile of size {n} counts {sum(profile.values())}, not {total}")
     return {"pk": pk, "pf": pf}
 
 
 @lru_cache(maxsize=None)
-def _avoiders(n: int, side: str, pattern: Permutation) -> frozenset[tuple[int, ...]]:
-    """The keys of one side's size-n profile that avoid the pattern."""
-    return frozenset(e for e in _profiles(n)[side] if not contains_sequence(e, pattern))
+def _avoiders(n: int, pattern: Permutation) -> frozenset[tuple[int, ...]]:
+    """The keys of either side's size-n profile that avoid the pattern, so
+    each permutation is tested once for both sides."""
+    profiles = _profiles(n)
+    keys = profiles["pk"].keys() | profiles["pf"].keys()
+    return frozenset(e for e in keys if not contains_sequence(e, pattern))
 
 
 def _brute_general(n: int, patterns: PatternSet, side: str) -> int:
@@ -50,8 +69,11 @@ def _brute_general(n: int, patterns: PatternSet, side: str) -> int:
     permutation avoids every pattern, for pattern sets of any sizes."""
     check_cap(n)
     profile = _profiles(n)[side]
-    keys = set(profile).intersection(*(_avoiders(n, side, q) for q in patterns))
-    return sum(map(profile.__getitem__, keys))
+    avoiders = sorted((_avoiders(n, q) for q in patterns), key=len)
+    if not avoiders:
+        return sum(profile.values())
+    # a key missing from this side counts 0
+    return sum(map(profile.__getitem__, avoiders[0].intersection(*avoiders[1:])))
 
 
 def brute_pk(n: int, patterns: PatternSet) -> int:
@@ -165,7 +187,7 @@ def verify_bijections(n_max: int) -> list[OracleReport]:
 # the largest n each verify suite reaches, whatever n_max asks for
 SUITE_LIMITS = {"formulas": BRUTE_CAP - 1, "classes": 5, "bijections": 7}
 """formulas: the simulation oracle refuses past BRUTE_CAP.  Its walk fills both
-profiles in about 1 s at n = 7 and 16 s at n = 8 (4.78 M functions; 2-vCPU host).
+profiles in about 0.5 s at n = 7 and 11 s at n = 8 (4.78 M functions; 2-vCPU host).
 classes: not cost.  Both sides of the evaluation oracle at m = 1, 2 take
 0.05 s at n = 5, 0.11 s at n = 6 and 1.0 s at n = 8 (one process, 2-vCPU
 host), but raising the limit changes what ``verify --n-max 6`` prints."""

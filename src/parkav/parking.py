@@ -17,6 +17,7 @@ Text formats: preferences "4,4,6,4,2,2,1"; blocks "({7},{5,6},{},{1,2,4},{},{3},
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from ._record import Record
@@ -160,33 +161,50 @@ def block_permutation_of_blocks(blocks: Blocks) -> Permutation:
     return Permutation(tuple(v for b in blocks for v in b))
 
 
-def parking_walk(n: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]:
-    """Every parking function of size n, lexicographic on preferences, as
-    (preferences, outcome entries, block-permutation entries).
+def parking_walk(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every parking function of size n >= 1, lexicographic on preferences,
+    one item per placement of cars 1..n-1: (head, rho, order, cuts).
 
     Depth first on an explicit stack: each car parks as its preference is
     chosen, and a branch dies when the car finds no free spot at or past its
-    preference, which is the parking condition.  Sorting the cars stably by
-    preference concatenates the increasing blocks: the block permutation.
+    preference, which is the parking condition.  Once cars 1..n-1 have
+    parked, exactly one spot f is free, and car n parks there from every
+    preference v <= f, so the item stands for the f parking functions
+    head + (v,), v = 1..f.  All of them have the outcome entries rho (car n
+    in spot f).  ``order`` is cars 1..n-1 sorted stably by preference, the
+    concatenation of their increasing blocks; the block permutation for v is
+    order[:c] + (n,) + order[c:] with c = cuts[v - 1], the number of those
+    cars that prefer a spot <= v.  Size 0 has no last car, and no item.
     """
+    if n == 0:
+        return
     occupied = [0] * (n + 2)  # occupied[s] = car in spot s, 0 = free; n + 1 stays free
-    prefs, spots = [0] * (n + 1), [0] * (n + 1)  # by car; 0 = nothing chosen yet
-    cars = range(1, n + 1)
-    car = 1  # the car whose preference advances; n + 1 once every car parked
+    prefs, spots = [0] * n, [0] * n  # by car; 0 = nothing chosen yet
+    wanting = [n - 1] + [0] * n  # wanting[v] = cars preferring spot v; wanting[0]: cars not placed
+    cars = range(1, n)
+    car = 1  # the car whose preference advances; n once cars 1..n-1 parked
     while car:
-        if car > n:
-            yield tuple(prefs[1:]), tuple(occupied[1:-1]), tuple(sorted(cars, key=prefs.__getitem__))
+        if car == n:
+            f = occupied.index(0, 1)
+            occupied[f] = n
+            rho = tuple(occupied[1:-1])
+            occupied[f] = 0
+            order = tuple(sorted(cars, key=prefs.__getitem__))
+            yield tuple(prefs[1:]), rho, order, tuple(accumulate(wanting[1 : f + 1]))
             car -= 1
             continue
         v, s = prefs[car] + 1, spots[car]
         occupied[s] = 0  # take back the car's previous spot (spot 0 if none)
+        wanting[v - 1] -= 1
         s = max(s, v)
         while occupied[s]:
             s += 1
         if s > n:  # no free spot at or past v, so none past any larger v
+            wanting[0] += 1
             prefs[car] = spots[car] = 0
             car -= 1
             continue
+        wanting[v] += 1
         occupied[s], prefs[car], spots[car] = car, v, s
         car += 1
 
@@ -195,7 +213,11 @@ def enumerate_parking_functions(n: int) -> Iterator[ParkingFunction]:
     """All parking functions of size n, lexicographic on preferences.  The
     walk only yields parking functions, so none is validated again."""
     trusted = ParkingFunction._trusted
-    return (trusted(prefs) for prefs, _, _ in parking_walk(n))
+    if n == 0:
+        yield trusted(())
+    for head, _, _, cuts in parking_walk(n):
+        for v in range(1, len(cuts) + 1):
+            yield trusted(head + (v,))
 
 
 # -- text formats -----------------------------------------------------------

@@ -6,7 +6,8 @@ path of two edges below it is "((()))" and a root with three leaf children
 is "(()()())".  Parsing and printing round-trip exactly, so serialized words
 double as canonical dictionary keys.  The codec and the edge count walk
 the tree with an explicit stack, so their depth is not bounded by Python's
-recursion limit.
+recursion limit, and so do copying and pickling, which go through the
+serial form.
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ class OrderedTree(Record):
 
     def __repr__(self) -> str:
         return f"OrderedTree({serialize_tree(self)!r})"
+
+    def __reduce__(self):
+        # copy and pickle go through the serial form, at any depth
+        return parse_tree, (serialize_tree(self),)
 
 
 LEAF = OrderedTree()

@@ -65,6 +65,13 @@ def reference_leaves(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tu
 
 
 @lru_cache(maxsize=None)
+def reference_profile(n: int, side: str) -> Counter:
+    """Multiplicity of each outcome ("pk") or block ("pf") permutation over
+    the filtered-product reference list: the reference for oracle._profiles."""
+    return Counter(rho if side == "pk" else pi for _, rho, pi in reference_leaves(n))
+
+
+@lru_cache(maxsize=None)
 def rho_counter(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Multiplicities of outcome permutations over all parking functions."""
     counter: Counter = Counter()

@@ -1,22 +1,23 @@
 from collections import Counter
-from functools import lru_cache
+from math import factorial
 
 import pytest
 
-from parkav import oracle
+from parkav import counting, oracle
 from parkav.parking import (
     block_permutation,
     enumerate_parking_functions,
     parking_permutation,
 )
 from parkav.permutations import (
+    S3_PATTERNS,
     PatternSet,
     _contains_by_subsets,
     avoids_all,
     parse_pattern_set,
     pattern_set,
 )
-from invariants import reference_leaves
+from invariants import reference_profile
 
 
 def test_brute_pk_examples():
@@ -62,7 +63,17 @@ def test_order_independence(side, text):
         assert forward == backward == brute(n, patterns), n
 
 
-def test_verify_walks_once_per_size(monkeypatch):
+@pytest.fixture
+def cold_oracle():
+    """Empty the oracle's caches before and after the test."""
+    oracle._profiles.cache_clear()
+    oracle._avoiders.cache_clear()
+    yield
+    oracle._profiles.cache_clear()
+    oracle._avoiders.cache_clear()
+
+
+def test_verify_walks_once_per_size(monkeypatch, cold_oracle):
     """One parking walk per size serves both sides of the formula suite."""
     calls = []
     real = oracle.parking_walk
@@ -72,22 +83,52 @@ def test_verify_walks_once_per_size(monkeypatch):
         return real(n)
 
     monkeypatch.setattr(oracle, "parking_walk", counted)
-    oracle._profiles.cache_clear()
-    oracle._avoiders.cache_clear()
-    try:
-        reports = oracle.verify_all(4, "formulas")
-    finally:
-        oracle._profiles.cache_clear()
-        oracle._avoiders.cache_clear()
+    reports = oracle.verify_all(4, "formulas")
     assert reports and all(r.agree for r in reports)
     assert sorted(calls) == [1, 2, 3, 4]
 
 
-@lru_cache(maxsize=None)
-def reference_profile(n, side):
-    """Multiplicity of each outcome ("pk") or block ("pf") permutation over
-    the filtered-product reference list."""
-    return Counter(rho if side == "pk" else pi for _, rho, pi in reference_leaves(n))
+@pytest.mark.parametrize("n", range(7))
+def test_profiles_match_the_filtered_product(n):
+    profiles = oracle._profiles(n)
+    for side in ("pk", "pf"):
+        assert profiles[side] == reference_profile(n, side), side
+
+
+def test_profiles_count_every_parking_function_at_7():
+    for side, profile in oracle._profiles(7).items():
+        assert sum(profile.values()) == 8**6, side
+
+
+def test_profiles_check_their_totals(monkeypatch, cold_oracle):
+    """A walk that loses the last car's batch of one item is caught."""
+    real = oracle.parking_walk
+
+    def lossy(n):
+        items = real(n)
+        next(items)
+        return items
+
+    monkeypatch.setattr(oracle, "parking_walk", lossy)
+    with pytest.raises(AssertionError, match="profile of size 4"):
+        oracle._profiles(4)
+
+
+def test_formula_suite_tests_each_permutation_once_per_pattern(monkeypatch, cold_oracle):
+    """Both sides share one containment test per permutation and pattern."""
+    calls = []
+    real = oracle.contains_sequence
+
+    def counted(seq, pattern):
+        calls.append(pattern)
+        return real(seq, pattern)
+
+    monkeypatch.setattr(oracle, "contains_sequence", counted)
+    reports = oracle.verify_all(5, "formulas")
+    assert reports and all(r.agree for r in reports)
+    asked = set(S3_PATTERNS).union(*counting.PF_ROUTES)
+    assert set(calls) <= asked
+    assert len(calls) <= sum(factorial(n) for n in range(1, 6)) * len(asked)
 
 
 @pytest.mark.parametrize(

@@ -92,12 +92,20 @@ def test_enumeration_small():
 
 @pytest.mark.parametrize("n", range(7))
 def test_walk_matches_filtered_product(n):
-    """The walk's leaves are the parking functions that filtering every
-    preference list finds, in the same order, with the same outcome and
-    block permutations; n = 0 gives the one empty function."""
-    leaves = list(parking_walk(n))
-    assert leaves == list(reference_leaves(n))
-    assert len(leaves) == (n + 1) ** n // (n + 1)  # (n+1)^(n-1), exact at n = 0
+    """The walk's items, each expanded over the last car's preferences, are
+    the parking functions that filtering every preference list finds, in the
+    same order, with the same outcome and block permutations, and the
+    enumeration lists them in that order; n = 0 gives the one empty function
+    and no item."""
+    leaves = [
+        (head + (v,), rho, order[:c] + (n,) + order[c:])
+        for head, rho, order, cuts in parking_walk(n)
+        for v, c in enumerate(cuts, start=1)
+    ]
+    reference = list(reference_leaves(n))
+    assert leaves == (reference if n else [])
+    assert [f.prefs for f in enumerate_parking_functions(n)] == [prefs for prefs, _, _ in reference]
+    assert len(reference) == (n + 1) ** n // (n + 1)  # (n+1)^(n-1), exact at n = 0
 
 
 def test_enumeration_counts():

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from parkav._record import Record
-from parkav.bijections import Cluster, LabeledTree, backward, phi_123_132_labeled
+from parkav.bijections import Cluster, LabeledTree, backward, enumerate_pf_family, phi_123_132_labeled
 from parkav.counting import CountResult
 from parkav.generalized import Evaluation, MMultiparking, MParking
 from parkav.oracle import OracleReport
@@ -158,9 +158,17 @@ def test_enumerated_parking_functions_equal_validated_ones():
         assert f == ParkingFunction(f.prefs) and hash(f) == hash(ParkingFunction(f.prefs))
 
 
+def test_labeled_tree_repr_is_the_record_repr():
+    # written with a stack, field by field as Record writes it
+    for n in range(6):
+        for blocks in enumerate_pf_family(n, "123-132"):
+            t = phi_123_132_labeled(blocks)
+            assert repr(t) == Record.__repr__(t)
+
+
 def test_deep_trees_compare_and_hash_at_any_depth():
-    # 5,001 levels of nesting: field tuples compared level by level would
-    # pass Python's recursion limit
+    # 5,001 levels of nesting: field tuples compared, printed or copied level
+    # by level would pass Python's recursion limit
     a, b, c = (parse_tree("(" * 5001 + bottom + ")" * 5001) for bottom in ("()()", "()()", "(())"))
     la, lb, lc = (phi_123_132_labeled(backward(t, "123-132")) for t in (a, b, c))
     for x, y in ((a, b), (la, lb)):
@@ -170,3 +178,8 @@ def test_deep_trees_compare_and_hash_at_any_depth():
         assert x != y and not x == y
         assert len({x, y}) == 2
     assert a != la and la != a
+    assert repr(la).startswith("LabeledTree(label=None, children=(LabeledTree(label=")
+    assert repr(la).endswith(",))")
+    for x in (a, la):
+        assert repr(x).count("(") == repr(x).count(")") > 5001
+        assert pickle.loads(pickle.dumps(x)) == x and copy.deepcopy(x) == x
