@@ -523,7 +523,11 @@ def psi_123_132(t: OrderedTree) -> Blocks:
 def phi_123_213(f: ParkingFunction | Blocks) -> OrderedTree:
     """Tree with n+1 edges and root degree >= 2 for f avoiding {123, 213}
     (for n = 0, the single-edge tree)."""
-    blocks = _domain_blocks(f, PATTERNS_123_213)
+    return _phi_213(_domain_blocks(f, PATTERNS_123_213))
+
+
+def _phi_213(blocks: Blocks) -> OrderedTree:
+    """Apply the cluster operations, the last cluster first, to the one-edge tree."""
     clusters = list(_clusters(blocks, _peel_213))
     starts, gaps = _gaps(blocks, clusters)
     images = [path_tree(1)] * (len(clusters) + 1)  # images[i]: of the clusters from i on
@@ -740,11 +744,14 @@ class Family(NamedTuple):
     forward: Callable[[ParkingFunction | Blocks], OrderedTree]
     backward: Callable[[OrderedTree], Blocks]
     constraint: str  # the image, as a trees.enumerate_trees constraint on n+1 edges
+    unchecked: Callable[[Blocks], OrderedTree]  # forward on blocks known to lie in the domain
 
 
 FAMILIES: dict[str, Family] = {
-    "123-132": Family(PATTERNS_123_132, phi_123_132, psi_123_132, "odd_root"),
-    "123-213": Family(PATTERNS_123_213, phi_123_213, psi_123_213, "root_ge2"),
+    "123-132": Family(
+        PATTERNS_123_132, phi_123_132, psi_123_132, "odd_root", lambda b: _phi_132_labeled(b).shape()
+    ),
+    "123-213": Family(PATTERNS_123_213, phi_123_213, psi_123_213, "root_ge2", _phi_213),
 }
 
 
@@ -756,6 +763,12 @@ def _family(name: str) -> Family:
 
 def forward(f: ParkingFunction | Blocks, family: str) -> OrderedTree:
     return _family(family).forward(f)
+
+
+def forward_unchecked(blocks: Blocks, family: str) -> OrderedTree:
+    """forward on blocks already known to lie in the family's domain, such
+    as enumerate_pf_family's: the input check is skipped."""
+    return _family(family).unchecked(blocks)
 
 
 def backward(t: OrderedTree, family: str) -> Blocks:

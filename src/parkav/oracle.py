@@ -116,32 +116,29 @@ class OracleReport(Record):
 
 def verify_pk(n_max: int) -> list[OracleReport]:
     """pk formulas vs weighted sums vs simulation, every subset of S_3."""
-    from .counting import pk_count
+    from .counting import pk_route, row_of
 
     reports = []
     subsets = (PatternSet(c) for r in range(1, 7) for c in itertools.combinations(S3_PATTERNS, r))
     for patterns in subsets:
         name = f"pk({patterns})"
         walk = avoider_walk(n_max, patterns)  # one walk gives every n
-        for n in range(1, n_max + 1):
+        for n, formula in row_of(pk_route(patterns), n_max):  # and one row
             brute = brute_pk(n, patterns)
-            formula = pk_count(patterns, n).value
-            reports.append(OracleReport(name, n, None, brute, formula))
+            reports.append(OracleReport(name, n, None, brute, formula.value))
             reports.append(OracleReport(name + " [weighted]", n, None, brute, walk.at("ell", n)))
     return reports
 
 
 def verify_pf(n_max: int) -> list[OracleReport]:
     """pf closed forms vs simulation for the supported pattern sets."""
-    from .counting import PF_ROUTES, pf_count
+    from .counting import PF_ROUTES, row_of
 
     reports = []
-    for patterns in PF_ROUTES:
+    for patterns, route in PF_ROUTES.items():
         name = f"pf({patterns})"
-        for n in range(1, n_max + 1):
-            reports.append(
-                OracleReport(name, n, None, brute_pf(n, patterns), pf_count(patterns, n).value)
-            )
+        for n, formula in row_of(route, n_max):
+            reports.append(OracleReport(name, n, None, brute_pf(n, patterns), formula.value))
     return reports
 
 
@@ -173,7 +170,7 @@ def verify_bijections(n_max: int) -> list[OracleReport]:
     for n in range(0, n_max + 1):
         for family, spec in bijections.FAMILIES.items():
             functions = bijections.enumerate_pf_family(n, family)
-            images = [bijections.forward(blocks, family) for blocks in functions]
+            images = [bijections.forward_unchecked(blocks, family) for blocks in functions]
             good = sum(bijections.backward(t, family) == b for t, b in zip(images, functions))
             reports.append(OracleReport(f"roundtrip {family}", n, None, len(functions), good))
             drawn = set(map(trees.serialize_tree, images))

@@ -315,6 +315,42 @@ def ends_with_occurrence(seq: Sequence[int], pattern: Permutation) -> bool:
     )
 
 
+def _s3_blocked(seq: Sequence[int], q: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The ranks r at which a new last entry (entries >= r shift up) ends an
+    occurrence of the size-3 pattern q, as intervals (lo, hi): one O(n) pass.
+
+    The last letter of q puts each earlier letter below the new entry (< r)
+    or above it (>= r).  Both on one side (123, 213, 321, 231): each pair
+    of earlier entries in q's order blocks the ranks past its larger entry
+    (below) or up to its smaller one (above), so together they block one
+    interval, bounded by the least such larger or greatest such smaller
+    entry.  One pass with a running extreme finds it, over seq or its
+    reverse so that this entry is the one scanned second.  Opposite sides
+    (132, 312): each entry and the running minimum (132) or maximum (312)
+    before it block the ranks between them.
+    """
+    a, b, c = q
+    low = a < c
+    ext = bound = None  # the running extreme; the threshold pair's bound
+    out = []
+    if low != (b < c):
+        for v in seq:
+            if ext is not None and (ext < v) == low:
+                out.append((ext + 1, v) if low else (v + 1, ext))
+            else:
+                ext = v
+        return out
+    for v in seq if (a < b) == low else reversed(seq):
+        if ext is not None and (ext < v) == low:
+            if bound is None or (v < bound) == low:
+                bound = v
+        else:
+            ext = v
+    if bound is not None:
+        out.append((bound + 1, len(seq) + 1) if low else (1, bound))
+    return out
+
+
 def contains(p: Permutation, pattern: Permutation) -> bool:
     """True iff p has a subsequence order-isomorphic to pattern."""
     return contains_sequence(p.entries, pattern)
@@ -381,10 +417,14 @@ class BudgetExceeded(ValueError):
     """Work past a documented budget; the CLI exits 3 before printing."""
 
 
-# Entries the avoider walk may scan: about 8-20 s of CPython on a 2-vCPU
-# host.  Counted in entries, not nodes: Av_n(12) has one node per level but
-# O(n^2) work per level.  A pattern of size <= 4 costs one linear end query
-# per candidate; a larger one, its subsets of the earlier entries.
+# Entries the avoider walk may scan: 2-15 s of CPython on a 2-vCPU host
+# (pf {132} refuses n = 13 after 2.3 s, pk {1234} n = 11 after 12 s, pk
+# {12345} n = 9 after 15 s).  Counted in entries, not nodes: Av_n(12) has one
+# node per level but O(n^2) work per level.  A pattern of size <= 4 is priced
+# at one linear end query per candidate, a larger one at its subsets of the
+# earlier entries.  Size-3 patterns keep that price, though one scan per node
+# serves all their candidates, so which calls answer and which refuse does
+# not depend on how fast the scan is.
 WALK_BUDGET = 50_000_000
 
 
@@ -415,18 +455,27 @@ def avoider_walk(n_max: int, patterns: PatternSet, keep_leaves: bool = False) ->
 
     A size-k avoider grows by a last entry of each rank r in 1..k+1 (entries
     >= r shift up), kept iff no occurrence ends at it, so every node is an
-    avoider and the work is sum_k |Av_k(P)| * poly(k).  The new entry's
-    ell_factor is one plus the entries just before it that lie below it.  A
-    block permutation p is cut into increasing blocks, each in a later slot
-    but no later than the entries before it; the walk keeps their count by
-    the last block's slot: a descent opens a block, an ascent may also
-    extend the last one.  A candidate of size k scans k entries plus, per
-    pattern of size m, k - 1 (m <= 4) or C(k-1, m-1) * m; past WALK_BUDGET
-    in all the walk raises BudgetExceeded.  The sums grow only as deep as
-    the walk reaches.
+    avoider and the work is sum_k |Av_k(P)| * poly(k).  At a node of size k,
+    one O(k) pass per size-3 pattern marks the ranks of all k+1 children
+    that it forbids (``_s3_blocked``); any other pattern asks one end query
+    per candidate: O(k) for sizes <= 4, C(k, m-1) subsets for size m >= 5.
+    One more pass finds every child's ``below``, the entries just before the
+    new one that lie under it; its ell_factor is ``below`` + 1.  A block
+    permutation p is cut into increasing blocks, each in a later slot but no
+    later than the entries before it; the walk keeps their count by the last
+    block's slot: a descent opens a block, an ascent may also extend the
+    last one.  The children of size n_max are only summed, not built, unless
+    keep_leaves asks for them.
+
+    The budget prices a node of size k at k+1 candidates, each k+1 entries
+    plus, per pattern of size m, k (m <= 4) or C(k, m-1) * m; past
+    WALK_BUDGET in all the walk raises BudgetExceeded.  The sums grow only
+    as deep as the walk reaches.
     """
     ell, blocks, leaves = [], [], []
     sizes = [q.n for q in patterns]
+    s3 = [q.entries for q in patterns if q.n == 3]
+    queried = [q for q in patterns if q.n != 3]  # one end query per candidate
     cost = []  # cost[k]: the scan of one child of a size-k node, set when the walk first reaches k
     spent = 0
     stack = [((), 1, [1])]  # (entries, ell product, block weights by last block slot + 1)
@@ -447,16 +496,46 @@ def avoider_walk(n_max: int, patterns: PatternSet, keep_leaves: bool = False) ->
         spent += (k + 1) * cost[k]
         if spent > WALK_BUDGET:
             raise BudgetExceeded(f"avoider walk for {patterns} to n={n_max}: past {WALK_BUDGET} entries")
+        blocked = [0] * (k + 3)  # difference array over the ranks 1..k+1
+        for q in s3:
+            for lo, hi in _s3_blocked(seq, q):
+                blocked[lo] += 1
+                blocked[hi + 1] -= 1
+        below = [k] * (k + 2)  # below[r]: the entries at seq's end under rank r
+        top = 0  # the largest of the last t entries
+        for t, v in enumerate(reversed(seq)):
+            if v > top:
+                below[top + 1:v + 1] = [t] * (v - top)
+                top = v
         opened = [0, *itertools.accumulate(w_slots)]  # a new block after the last one
         extended = opened[1:] + opened[-1:]  # or the last block extended
-        probe = [2 * v for v in seq] + [0]
+        probe = [2 * v for v in seq] + [0] if queried else None
+        summed = k + 1 == n_max and not keep_leaves
+        factors = n_opened = n_extended = 0  # the summed children's ell factors and block kinds
+        depth = 0
         for r in range(1, k + 2):
-            probe[-1] = 2 * r - 1  # order-isomorphic to the child
-            if any(ends_with_occurrence(probe, q) for q in patterns):
+            depth += blocked[r]
+            if depth:
                 continue
-            below = next((i for i, v in enumerate(reversed(seq)) if v >= r), k)
-            child = tuple(v + (v >= r) for v in seq) + (r,)
-            stack.append((child, w_ell * (below + 1), extended if k and seq[-1] < r else opened))
+            if queried:
+                probe[-1] = 2 * r - 1  # order-isomorphic to the child
+                if any(ends_with_occurrence(probe, q) for q in queried):
+                    continue
+            grows = k and seq[-1] < r
+            if summed:
+                factors += below[r] + 1
+                n_extended += grows
+                n_opened += not grows
+            else:
+                child = tuple(v + (v >= r) for v in seq) + (r,)
+                stack.append((child, w_ell * (below[r] + 1), extended if grows else opened))
+        if factors:
+            if k + 1 == len(ell):
+                ell.append(0)
+                blocks.append(0)
+            ell[k + 1] += w_ell * factors
+            total = sum(opened)
+            blocks[k + 1] += n_opened * total + n_extended * (total + opened[-1])
     return AvoiderSums(ell, blocks, leaves)
 
 

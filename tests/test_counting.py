@@ -83,6 +83,23 @@ def test_sets_with_both_monotone_patterns_die_at_five():
             assert pk_count(patterns, n) == CountResult(0, "weighted_sum"), (str(patterns), n)
 
 
+def test_summed_last_level_matches_the_closed_forms_to_ten():
+    # the walk sums its last level without building it: both weights against
+    # every closed-form row, and the sums still end where the class dies
+    for patterns in all_s3_subsets():
+        if patterns.key() in counting._DISPATCH:
+            row = [c.value for _, c in counting.row_of(counting.pk_route(patterns), 10)]
+            assert avoider_walk(10, patterns).ell[1:] == row, str(patterns)
+    for patterns, route in counting.PF_ROUTES.items():
+        if len(patterns) == 2:
+            row = [c.value for _, c in counting.row_of(route, 10)]
+            assert avoider_walk(10, patterns).blocks[1:] == row, str(patterns)
+    for n in range(4, 8):
+        assert len(avoider_walk(n, pattern_set("123", "321")).ell) == 5, n
+    sums = avoider_walk(10**6, pattern_set("1", "12345"))
+    assert (sums.ell, sums.blocks) == ([1], [1])
+
+
 def test_walk_sums_stop_where_the_class_dies():
     # the walk's sums reach only the sizes that have an avoider; every reader
     # takes a missing size as 0, and a row still has every n

@@ -88,6 +88,36 @@ def test_verify_walks_once_per_size(monkeypatch, cold_oracle):
     assert sorted(calls) == [1, 2, 3, 4]
 
 
+def test_verify_pk_walks_each_class_once(monkeypatch, cold_oracle):
+    """One walk per subset for the weighted column, and one more row walk for
+    each of the 16 subsets that hold both 123 and 321 and so have no closed form."""
+    calls = []
+    real = oracle.avoider_walk
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "avoider_walk", counted)
+    monkeypatch.setattr(counting, "avoider_walk", counted)
+    reports = oracle.verify_pk(6)
+    assert reports and all(r.agree for r in reports)
+    assert len(calls) <= 63 + 16
+
+
+def test_verify_bijections_checks_no_domain_twice(monkeypatch):
+    """The suite maps the words the domain enumerator built without running
+    the public maps' input check on them again."""
+    from parkav import bijections
+
+    calls = []
+    real = bijections._domain_blocks
+    monkeypatch.setattr(bijections, "_domain_blocks", lambda *args: calls.append(args) or real(*args))
+    reports = oracle.verify_bijections(6)
+    assert reports and all(r.agree for r in reports)
+    assert calls == []
+
+
 @pytest.mark.parametrize("n", range(7))
 def test_profiles_match_the_filtered_product(n):
     profiles = oracle._profiles(n)
@@ -188,9 +218,9 @@ def test_verify_bijections_compares_the_image_set(monkeypatch):
     from parkav import bijections, trees
 
     foreign = trees.parse_tree("(()())")  # even root degree: no {123,132} image
-    forward, backward = bijections.forward, bijections.backward
+    forward, backward = bijections.forward_unchecked, bijections.backward
     mine = ((1,),), "123-132"
-    monkeypatch.setattr(bijections, "forward", lambda b, f: foreign if (b, f) == mine else forward(b, f))
+    monkeypatch.setattr(bijections, "forward_unchecked", lambda b, f: foreign if (b, f) == mine else forward(b, f))
     monkeypatch.setattr(bijections, "backward", lambda t, f: mine[0] if t == foreign else backward(t, f))
     reports = {(r.quantity, r.n): r for r in oracle.verify_bijections(1)}
     assert reports["roundtrip 123-132", 1].agree and reports["image 123-213", 1].agree

@@ -24,6 +24,7 @@ from parkav.permutations import (
     direct_sum,
     ell_factor,
     ell_weight,
+    ends_with_occurrence,
     format_permutation,
     identity,
     list_on_set,
@@ -298,6 +299,25 @@ def test_block_weight_matches_enumeration(text):
     patterns = parse_pattern_set(text)
     sums = avoider_walk(7, patterns)
     assert sums.blocks == [len(enumerate_pf_avoiding(n, patterns)) for n in range(8)]
+
+
+@pytest.mark.parametrize("q", S3_PATTERNS, ids=str)
+def test_s3_scan_marks_the_ranks_the_end_query_forbids(q):
+    # the one pass per node against the per-candidate end query, asked on
+    # the probe of each child: 2v for each entry, then 2r - 1
+    for n in range(8):
+        for seq in itertools.permutations(range(1, n + 1)):
+            marked = set()
+            for lo, hi in permutations._s3_blocked(seq, q.entries):
+                assert 1 <= lo <= hi <= n + 1, (seq, lo, hi)
+                marked.update(range(lo, hi + 1))
+            probe = [2 * v for v in seq] + [0]
+            forbidden = set()
+            for r in range(1, n + 2):
+                probe[-1] = 2 * r - 1
+                if ends_with_occurrence(probe, q):
+                    forbidden.add(r)
+            assert marked == forbidden, seq
 
 
 def test_avoider_walk_budget(monkeypatch):
