@@ -7,7 +7,8 @@ field-wise equality only between instances of the same class, a hash over
 the same fields, ``Name(field=value, ...)`` as the repr, and AttributeError
 on assignment or deletion.  It defines no ``__len__`` or ``__bool__``, so a
 record is truthy unless its class says otherwise.  A class may name its own
-``_key``: the trees use their serial form, since nested tuples recurse.
+``_key``: the labelled trees use their printed form, since nested tuples
+recurse.
 """
 
 from __future__ import annotations

@@ -21,9 +21,10 @@ Family {123, 132} (clusters: extend / branch / jump)
     vertex determined by where the jump cluster's empty block sits: just
     before the i-th main block of a later cluster covering lo..hi, which
     points at the vertex labelled hi - 1 - i (the root when no main block
-    follows).  The labels 0..n record creation order and drive the inverse,
-    which peels the grafts off one by one, each located by a left-most-branch
-    descent, and then grows the labelled image back up in one label table.
+    follows).  The labels 0..n record creation order.  The inverse peels
+    the grafts off one by one, each located by a left-most-branch descent
+    that resumes where the last peel left it, and labels each vertex as its
+    graft comes off.
 
 Family {123, 213} (clusters: closed / open)
     A closed cluster grows the tree upward (new root above the old one plus
@@ -40,6 +41,12 @@ description, last cluster first, and lays out its word once: every empty
 block is (), so bracket matching constrains only how many a gap holds, and
 one match of the finished word checks that each sits in its own gap.
 
+Trees are read and written as their parentheses words.  Each map works on
+child lists, one per vertex, right to left, so that a new left-most branch
+appends and the first branch pops: the forward maps grow them (the
+{123, 132} family's lists are keyed by label) and write the word once, and
+the inverses parse the word into them once and peel in place.
+
 All four maps are loops over the clusters, with no recursion, down to n = 0:
 its only parking function, the empty one, maps to the one-edge tree (labelled
 0 in the {123, 132} family) and back.  The test suite checks the maps against
@@ -49,14 +56,13 @@ the small cases (n <= 3), kept there as fixtures.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from itertools import accumulate
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple
 
 from ._record import Record
 from .parking import Blocks, ParkingFunction, block_permutation_of_blocks, from_blocks, to_blocks
 from .permutations import PatternSet, avoids_all, pattern_set
-from .trees import LEAF, OrderedTree, path_tree
+from .trees import OrderedTree
 
 
 class BijectionDefect(AssertionError):
@@ -78,17 +84,12 @@ class LabeledTree(Record):
         object.__setattr__(self, "children", children)
 
     def shape(self) -> OrderedTree:
-        """The unlabelled tree."""
-        return _build_up(self, lambda node: node.children, lambda _, shapes: OrderedTree(shapes))
+        """The unlabelled tree: the printed form without its labels."""
+        return OrderedTree._trusted(str(self).translate(_SHAPE))
 
     def labels(self) -> list[int]:
-        out, stack = [], [self]
-        while stack:
-            node = stack.pop()
-            if node.label is not None:
-                out.append(node.label)
-            stack.extend(reversed(node.children))
-        return out
+        """The labels in preorder, read off the printed form."""
+        return [int(part.rstrip("]")) for part in str(self).split("[")[1:] if part[0] != "*"]
 
     def __str__(self) -> str:
         return self._write(lambda node: "[*" if node.label is None else f"[{node.label}", lambda _: "]", "")
@@ -135,22 +136,50 @@ def _parse_labeled(text: str) -> LabeledTree:
     return stack[0][1][0]
 
 
-def _build_up(root, children_of, make):
-    """make(vertex, its children's results) for every vertex below ``root``
-    and then for ``root``, bottom-up with an explicit stack; returns the last."""
-    # (vertex, children still to visit, results of the children visited) per open vertex
-    stack = [(root, iter(children_of(root)), [])]
-    while True:
-        node, pending, done = stack[-1]
-        child = next(pending, None)
-        if child is not None:
-            stack.append((child, iter(children_of(child)), []))
-            continue
-        stack.pop()
-        built = make(node, tuple(done))
-        if not stack:
-            return built
-        stack[-1][2].append(built)
+_SHAPE = str.maketrans("[]", "()", "*-0123456789")  # a printed labelled tree -> its word
+
+
+# ---------------------------------------------------------------------------
+# child lists: the working form of a tree inside each map
+
+
+def _kid_lists(word: str) -> list[list[int]]:
+    """Each vertex's children, right to left, read off a tree's word in one
+    pass from its end.  Vertex 0 is the root, and every vertex is numbered
+    after its parent."""
+    kids: list[list[int]] = [[]]
+    unclosed = [kids[0]]  # the child lists of the vertices whose ")" is read and whose "(" is not
+    for ch in word[-2:0:-1]:  # inside the root's own pair
+        if ch == ")":
+            unclosed[-1].append(len(kids))
+            kids.append([])
+            unclosed.append(kids[-1])
+        else:
+            unclosed.pop()
+    return kids
+
+
+def _word(kids, root) -> str:
+    """The word of the tree below ``root``, where kids[v] lists the children
+    of v right to left (-1 names no vertex)."""
+    out, stack = [], [root]  # -1 on the stack closes the vertex opened before it
+    while stack:
+        v = stack.pop()
+        if v == -1:
+            out.append(")")
+        else:
+            out.append("(")
+            stack.append(-1)
+            stack += kids[v]
+    return "".join(out)
+
+
+def _new_path(kids: list[list[int]], edges: int) -> int:
+    """Add a bare path of ``edges`` (>= 1) new vertices; returns its top."""
+    top = len(kids)
+    kids.extend([v + 1] for v in range(top, top + edges - 1))
+    kids.append([])
+    return top
 
 
 def _graft(table: dict, target: int | None, k: int, n: int, extend: bool) -> None:
@@ -287,16 +316,19 @@ def _owner(starts: list[int], j: int) -> int:
 def _lay_out(mains: list[Blocks], gaps: list[int | None]) -> Blocks:
     """The word whose clusters have these main blocks, in word order, and
     these gaps for their empty blocks: the inverse of _gaps, in one pass."""
-    empties = Counter(g for g in gaps if g is not None)
+    empties = [0] * (sum(map(len, mains)) + 1)  # per gap: the empty blocks in it
+    for g in gaps:
+        if g is not None:
+            empties[g] += 1
     word: list[tuple[int, ...]] = []
     at, gap_of = [], []  # per main block: its word position, its cluster's gap
     for cluster, gap in zip(mains, gaps):
         for block in cluster:
-            word += [()] * empties[len(at)]
+            word += ((),) * empties[len(at)]
             at.append(len(word))
             gap_of.append(gap)
             word.append(block)
-    word += [()] * empties[len(at)]
+    word += ((),) * empties[len(at)]
     match = bracket_match(word)
     if any(len(word[p]) == 2 and bisect_left(at, match[p]) != g for p, g in zip(at, gap_of)):
         raise BijectionDefect("an empty block lies outside its cluster's gap")
@@ -384,16 +416,25 @@ def _peel_213(
 
 def phi_123_132(f: ParkingFunction | Blocks) -> OrderedTree:
     """Tree with n+1 edges and odd root degree for f avoiding {123, 132}."""
-    return phi_123_132_labeled(f).shape()
+    return _phi_132(_domain_blocks(f, PATTERNS_123_132))
+
+
+def _phi_132(blocks: Blocks) -> OrderedTree:
+    return OrderedTree._trusted(_word(_graft_table(blocks), None))
 
 
 def phi_123_132_labeled(f: ParkingFunction | Blocks) -> LabeledTree:
     """Forward map with creation labels 0..n on the non-root vertices."""
-    return _phi_132_labeled(_domain_blocks(f, PATTERNS_123_132))
+    table = _graft_table(_domain_blocks(f, PATTERNS_123_132))
+    built = {}
+    for label in range(len(table) - 2, -1, -1):  # every child's label is larger than its parent's
+        built[label] = LabeledTree(label, tuple(built.pop(c) for c in reversed(table[label])))
+    return LabeledTree(None, tuple(built.pop(c) for c in reversed(table[None])))
 
 
-def _phi_132_labeled(blocks: Blocks) -> LabeledTree:
-    """Graft the clusters, the last one first, onto the one-edge tree labelled 0."""
+def _graft_table(blocks: Blocks) -> dict[int | None, list[int]]:
+    """Graft the clusters, the last one first, onto the one-edge tree labelled
+    0; returns the image's child labels of each label (None: the root)."""
     clusters = list(_clusters(blocks, _peel_132))
     starts, gaps = _gaps(blocks, clusters)
     table = {None: [0], 0: []}
@@ -406,105 +447,83 @@ def _phi_132_labeled(blocks: Blocks) -> LabeledTree:
                 h = _owner(starts, g)
                 target = clusters[h].hi - 1 - (g - starts[h])
         _graft(table, target, c.lo - 1, c.hi, c.kind == "extend")
-    return _build_up(None, lambda label: reversed(table[label]), LabeledTree)
+    return table
 
 
 # ---------------------------------------------------------------------------
 # family {123, 132}: inverse map
 
 
-def find_target_path(t: OrderedTree) -> tuple[int, ...]:
-    """Child-index path to the branching vertex whose two left-most branches
-    are bare paths (the attachment point of the last branch/jump graft)."""
-    if t.is_path():
-        raise ValueError("a bare path has no branching vertex")
-    path: list[int] = []
-    node = t
-    while True:
-        while len(node.children) == 1:
-            path.append(0)
-            node = node.children[0]
-        first, second = node.children[0], node.children[1]
-        if second.is_path():
-            if first.is_path():
-                return tuple(path)
-            path.append(0)
-            node = first
-        else:
-            path.append(1)
-            node = second
-
-
-def find_target_vertex(t: OrderedTree) -> OrderedTree:
-    """The subtree rooted at the vertex find_target_path points to."""
-    return _subtree_at(t, find_target_path(t))
-
-
-def _subtree_at(t: OrderedTree, path: Sequence[int]) -> OrderedTree:
-    node = t
-    for i in path:
-        node = node.children[i]
-    return node
-
-
-def _replace_at(t: OrderedTree, path: Sequence[int], new: OrderedTree) -> OrderedTree:
-    """t with the subtree at the child-index path replaced by ``new``."""
-    above = []  # the vertices from the root down to the replaced one's parent
-    for i in path:
-        above.append(t)
-        t = t.children[i]
-    for node, i in zip(reversed(above), reversed(path)):
-        new = OrderedTree(node.children[:i] + (new,) + node.children[i + 1 :])
-    return new
-
-
 def psi_123_132(t: OrderedTree) -> Blocks:
     """Inverse of phi_123_132 on trees with odd root degree.
 
     Each step peels off the last graft, down to a bare path (an extend
-    cluster on label 0).  The clusters and the labelled forward image are
-    then built back up, last graft first, each graft reading its target's
-    label off the image built so far, and the word is laid out once.
+    cluster on label 0).  The graft sits at the branching vertex whose two
+    left-most branches are bare paths, found by descending from the root
+    into the second branch while it is not a bare path, else into the
+    first.  A peel changes only the subtrees on that descent, so the next
+    descent resumes from the lowest vertex whose subtree is still no bare
+    path: every vertex is entered at most once and leaves as a bare path.
+    Each peeled vertex takes the label its graft gave it.  The clusters are
+    then built back up, last graft first, and the word is laid out once.
     """
-    if t.root_degree % 2 == 0:
+    kids = _kid_lists(t.word)
+    if len(kids[0]) % 2 == 0:
         raise ValueError("tree must have odd root degree")
-    n = t.edge_count - 1
-    grafts = []  # (child-index path to the target, n, k, extend?)
-    while not t.is_path():
-        vpath = find_target_path(t)
-        v = _subtree_at(t, vpath)
-        extend = v.children[0].edge_count > 0
-        if extend:
-            k = n - v.children[0].edge_count
-            kept = (LEAF,) + v.children[1:]  # the first branch's top vertex stays
-        else:
-            k = n - 2 - v.children[1].edge_count
-            kept = v.children[2:]
-        t = _replace_at(t, vpath, OrderedTree(kept))
-        grafts.append((vpath, n, k, extend))
+    n = len(kids) - 2
+    bare = [False] * len(kids)  # per vertex: is its subtree a bare path?
+    for v in range(len(kids) - 1, -1, -1):
+        below = kids[v]
+        bare[v] = not below or (len(below) == 1 and bare[below[0]])
+    label: list[int | None] = [None] * len(kids)  # the root keeps None
+    grafts = []  # (the target vertex of a branch or jump, None for an extend; n; k)
+    stack = [] if bare[0] else [0]  # the descent: vertices whose subtrees are no bare paths
+    while stack:
+        v = stack[-1]
+        below = kids[v]
+        if len(below) == 1:
+            stack.append(below[0])
+            continue
+        first, second = below[-1], below[-2]
+        if not bare[second] or not bare[first]:
+            stack.append(second if not bare[second] else first)
+            continue
+        if kids[first]:  # extend: the path k+1..n hangs below the target `first`
+            target, peeled = None, _path_below(kids, first)
+            kids[first] = []
+        else:  # branch or jump at v: the leaf n, then the path k+1..n-1
+            target, peeled = v, [second] + _path_below(kids, second)
+            label[first] = n
+            del below[-2:]
+        k = n - len(peeled) - (target is not None)
+        for lab, x in enumerate(peeled, k + 1):
+            label[x] = lab
+        grafts.append((target, n, k))
         n = k
+        while stack:  # leave every subtree the peel made a bare path
+            below = kids[stack[-1]]
+            if len(below) > 1 or (below and not bare[below[0]]):
+                break
+            bare[stack.pop()] = True
+    x = 0
+    for lab in range(n + 1):  # the bare path left: 0 below the root, then 1..n
+        x = kids[x][0]
+        label[x] = lab
     if n:
-        grafts.append(((), n, 0, True))  # the path 1..n below label 0
-    table = {None: [0], 0: []}  # the one-edge tree, labelled 0
+        grafts.append((None, n, 0))
     # per cluster, last first: its main blocks, and the main blocks after its
     # empty one (None: it has none); and per label v, the main blocks from
     # the one that points at v to the end (None: no main block points at v)
     mains, after, slot = [], [], []
     built = 0  # the main blocks so far
-    for vpath, n, k, extend in reversed(grafts):
-        target = k
-        if not extend:
-            target = None
-            for i in vpath:
-                target = table[target][-1 - i]
-        _graft(table, target, k, n, extend)
+    for v, n, k in reversed(grafts):
         empty = None
-        if extend:
+        if v is None:  # extend
             main = tuple((e,) for e in range(n, k, -1))
-        elif target == k:  # branch
+        elif label[v] == k:  # branch
             main = tuple((e,) for e in range(n - 1, k, -1)) + ((n,),)
         else:  # jump: the empty block goes before the main block pointing at the target
-            empty = 0 if target is None else slot[target]
+            empty = 0 if label[v] is None else slot[label[v]]
             if empty is None:
                 raise BijectionDefect("jump graft cannot point below its host cluster")
             main = tuple((e,) for e in range(n - 1, k + 1, -1)) + ((k + 1, n),)
@@ -514,6 +533,15 @@ def psi_123_132(t: OrderedTree) -> Blocks:
         after.append(empty)
         built += len(main)
     return _lay_out(mains[::-1], [None if a is None else built - a for a in reversed(after)])
+
+
+def _path_below(kids: list[list[int]], x: int) -> list[int]:
+    """The vertices below x, top down, where x's subtree is a bare path."""
+    out = []
+    while kids[x]:
+        x = kids[x][0]
+        out.append(x)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -527,14 +555,29 @@ def phi_123_213(f: ParkingFunction | Blocks) -> OrderedTree:
 
 
 def _phi_213(blocks: Blocks) -> OrderedTree:
-    """Apply the cluster operations, the last cluster first, to the one-edge tree."""
+    """Apply the cluster operations, the last cluster first, to the one-edge
+    tree, in place on child lists.
+
+    A closed cluster puts a path of ``parameter`` edges above the root, then
+    hangs a fresh path as the new root's left-most branch.  An open cluster
+    re-roots at a vertex v of the right-most spine: a new root keeps the
+    last branches of v, v's left-most branch becomes the chain from the old
+    root down to v's parent, reversed, and a fresh path tops that chain.
+    """
     clusters = list(_clusters(blocks, _peel_213))
     starts, gaps = _gaps(blocks, clusters)
-    images = [path_tree(1)] * (len(clusters) + 1)  # images[i]: of the clusters from i on
+    kids, root = [[1], []], 0  # the one-edge tree
+    spine = [1, 0]  # the right-most spine, its bottom leaf first
+    grown_from = {}  # per closed cluster: spine length and root degree of the tree it grew
     for i in range(len(clusters) - 1, -1, -1):
-        c, inner = clusters[i], images[i + 1]
+        c = clusters[i]
         if c.kind == "closed":
-            images[i] = _closed_op(inner, c.parameter, c.length - c.parameter)
+            grown_from[i] = len(spine) - 1, len(kids[root])
+            for _ in range(c.parameter):
+                kids.append([root])
+                root = len(kids) - 1
+                spine.append(root)
+            kids[root].append(_new_path(kids, c.length - c.parameter))
             continue
         # open: the host owns the last main block before the empty one
         h = _owner(starts, gaps[i] - 1)
@@ -546,59 +589,25 @@ def _phi_213(blocks: Blocks) -> OrderedTree:
         ell = starts[h + 1] - gaps[i]  # the host's main blocks after the empty one
         if ell > host.parameter:
             raise BijectionDefect("empty block sits deeper than the host's parameter allows")
-        base = images[h + 1]
-        depth = _spine_length(base) + ell
-        images[i] = _open_op(inner, depth, 1 if ell else base.root_degree, c.length - 1)
-    return images[0]
-
-
-def _spine_length(t: OrderedTree) -> int:
-    """Edges from the root to the leaf reached by always taking the last child."""
-    d = 0
-    while t.children:
-        t = t.children[-1]
-        d += 1
-    return d
-
-
-def _closed_op(t: OrderedTree, raise_by: int, left_len: int) -> OrderedTree:
-    """Put a path of ``raise_by`` edges above the root, then hang a fresh
-    path of ``left_len`` edges as the new root's left-most branch."""
-    for _ in range(raise_by):
-        t = OrderedTree((t,))
-    return OrderedTree((path_tree(left_len - 1),) + t.children)
-
-
-def _open_op(
-    t: OrderedTree, depth_from_bottom: int, tbar_branches: int, new_path_len: int
-) -> OrderedTree:
-    """Re-root at the right-spine vertex sitting ``depth_from_bottom`` edges
-    above the spine's bottom leaf; everything outside the kept right subtree
-    moves below a new left-most edge, and a fresh path of ``new_path_len``
-    edges is prepended at the displaced old root."""
-    spine: list[OrderedTree] = [t]
-    node = t
-    while node.children:
-        node = node.children[-1]
-        spine.append(node)
-    idx = len(spine) - 1 - depth_from_bottom
-    if idx < 0:
-        raise BijectionDefect("spine shorter than the requested depth")
-    v = spine[idx]
-    if v.root_degree < tbar_branches:
-        raise BijectionDefect("kept subtree wants more branches than the vertex has")
-    kept = v.children[len(v.children) - tbar_branches :]
-    leftovers = v.children[: len(v.children) - tbar_branches]
-    if idx == 0:
-        # v is the old root: the new-edge vertex plays its role in the rest
-        w = OrderedTree((path_tree(new_path_len - 1),) + leftovers)
-        return OrderedTree((w,) + kept)
-    # rebuild the chain from the old root down to v's parent, reversed
-    rev = OrderedTree((path_tree(new_path_len - 1),) + spine[0].children[:-1])
-    for j in range(1, idx):
-        rev = OrderedTree((rev,) + spine[j].children[:-1])
-    w = OrderedTree((rev,) + leftovers)
-    return OrderedTree((w,) + kept)
+        spine_length, degree = grown_from[h]
+        depth = spine_length + ell  # v's height above the spine's bottom leaf
+        if depth >= len(spine):
+            raise BijectionDefect("spine shorter than the requested depth")
+        v = spine[depth]
+        branches = 1 if ell else degree  # the branches the new root keeps
+        if len(kids[v]) < branches:
+            raise BijectionDefect("kept subtree wants more branches than the vertex has")
+        kept, kids[v] = kids[v][:branches], kids[v][branches:]
+        top = _new_path(kids, c.length - 1)
+        for s in reversed(spine[depth + 1 :]):  # from the old root down to v's parent
+            kids[s] = kids[s][1:] + [top]
+            top = s
+        kids[v].append(top)
+        kids.append(kept + [v])
+        root = len(kids) - 1
+        del spine[depth:]
+        spine.append(root)
+    return OrderedTree._trusted(_word(kids, root))
 
 
 # ---------------------------------------------------------------------------
@@ -613,12 +622,18 @@ def psi_123_213(t: OrderedTree) -> Blocks:
     open cluster finding its host among the closed clusters built so far,
     and the word is laid out once.
     """
-    n = t.edge_count - 1
-    if n and t.root_degree < 2:
+    kids = _kid_lists(t.word)
+    n = len(kids) - 2
+    if n and len(kids[0]) < 2:
         raise ValueError("tree must have root degree >= 2, or be the one-edge tree")
+    size = [1] * len(kids)  # per vertex: the vertices of its subtree
+    for v in range(len(kids) - 1, 0, -1):  # every child is numbered after its parent
+        for c in kids[v]:
+            size[v] += size[c]
+    root = 0
     steps = []  # per cluster, first first: k, n, its parameter (None: open), its host
     while n:
-        t, k, parameter, host = _unwind_213(t, n)
+        root, k, parameter, host = _unwind_213(kids, size, root, n)
         steps.append((k, n, parameter, host))
         n = k
     # per cluster, last first: its main blocks, and the main blocks after its
@@ -651,86 +666,61 @@ def psi_123_213(t: OrderedTree) -> Blocks:
 
 
 def _unwind_213(
-    t: OrderedTree, n: int
-) -> tuple[OrderedTree, int, int | None, tuple[int, int] | None]:
-    """The tree the first cluster's operation turned into t (n + 1 edges),
-    the cluster's k (it covers k+1..n), its parameter when closed, and when
-    open its host: (ell, b), the empty block sitting ell main blocks deep
-    into the closed cluster b+1.."""
-    chain: list[OrderedTree] = [t]
-    node = t
-    while node.children:
-        node = node.children[0]
-        chain.append(node)
-    z_idx = max(
-        (i for i in range(1, len(chain)) if len(chain[i].children) >= 2), default=None
-    )
+    kids: list[list[int]], size: list[int], root: int, n: int
+) -> tuple[int, int, int | None, tuple[int, int] | None]:
+    """Undo, in place, the first cluster's operation on the tree below
+    ``root`` (n + 1 edges; size counts the subtree of every vertex but the
+    root).  Returns the root of the tree the operation was applied to, the
+    cluster's k (it covers k+1..n), its parameter when closed, and when open
+    its host: (ell, b), the empty block sitting ell main blocks deep into
+    the closed cluster b+1.. ."""
+    chain = [root]  # the left-most path, down to a leaf
+    while kids[chain[-1]]:
+        chain.append(kids[chain[-1]][-1])
+    # the lowest vertex on it, below the root, with two or more branches
+    z_idx = next((i for i in range(len(chain) - 2, 0, -1) if len(kids[chain[i]]) >= 2), None)
     if z_idx is None:  # closed: the left-most path is the fresh branch
         k = n - (len(chain) - 1)
-        rest = t.children[1:]
-        if len(rest) > 1:
-            parameter = 0
-            t_prime = OrderedTree(rest)
-        else:
-            parameter, t_prime = _chain_end(rest[0])
-            if not t_prime.children:
-                # single cluster: the right branch is the raised path over a lone edge
-                parameter = k
-                t_prime = path_tree(1)
-        return t_prime, k - parameter, parameter, None
+        kids[root].pop()
+        if len(kids[root]) > 1:
+            return root, k, 0, None
+        parameter, node = _chain_end(kids, kids[root][0])
+        if not kids[node]:
+            # single cluster: the right branch is the raised path over a lone
+            # edge, and nothing is left to unwind
+            return root, 0, k, None
+        return node, k - parameter, parameter, None
     d = len(chain) - 1 - z_idx  # edges from z down to the left-most leaf
     k = n - 1 - d
-    z = chain[z_idx]
-    if not z.children[0].is_path():
-        raise BijectionDefect("expected a bare path below the branching vertex")
-    # open: unwind the re-rooting, rebuilding the tree rooted at z
-    t_prime = OrderedTree(chain[1].children[1:] + t.children[1:])
-    for j in range(2, z_idx):
-        t_prime = OrderedTree(chain[j].children[1:] + (t_prime,))
-    if z_idx > 1:
-        t_prime = OrderedTree(z.children[1:] + (t_prime,))
-    # read off which closed cluster receives the empty block, and how deep
-    right = t.children[1]
-    if t.root_degree > 2:
-        ell = 0
-        b = OrderedTree(t.children[1:]).edge_count - 1
-    elif right.is_path():
-        ell = right.edge_count
-        b = 0
-    else:
-        ell, node = _chain_end(right)
-        b = node.edge_count - 1
-    return t_prime, k, None, (ell, b)
+    # read off which closed cluster receives the empty block, and how deep:
+    # its image, raised by ell, is everything right of the first branch
+    first = chain[1]
+    ell = 0
+    if len(kids[root]) == 2:
+        ell, node = _chain_end(kids, kids[root][0])
+    b = n - ell - size[first]
+    if ell and not kids[node]:  # the right branch is a bare path
+        ell, b = ell - 1, 0
+    # unwind the re-rooting: each chain vertex down to z drops its first
+    # branch and takes the one above it (the root's other branches) as its last
+    moved = kids[root][:-1]
+    moved_size = n + 1 - size[first]
+    for j in range(1, z_idx + 1):
+        v = chain[j]
+        kids[v] = moved + kids[v][:-1]
+        size[v] += moved_size - size[chain[j + 1]]
+        moved, moved_size = [v], size[v]
+    return chain[z_idx], k, None, (ell, b)
 
 
-def _chain_end(node: OrderedTree) -> tuple[int, OrderedTree]:
+def _chain_end(kids: list[list[int]], node: int) -> tuple[int, int]:
     """The edges from node's parent down through single children, and the
     first vertex on the way without exactly one child."""
     ell = 1
-    while len(node.children) == 1:
-        node = node.children[0]
+    while len(kids[node]) == 1:
+        node = kids[node][0]
         ell += 1
     return ell, node
-
-
-# ---------------------------------------------------------------------------
-# full right subtrees (family {123, 213} structure checks)
-
-
-def is_full_right_subtree(t: OrderedTree, candidate: OrderedTree) -> bool:
-    """True iff ``candidate`` equals a subtree of ``t`` induced by a vertex of
-    the right-most spine together with a run of its branches taken from the
-    right, nonempty and consecutive."""
-    node = t
-    while True:
-        deg = len(node.children)
-        for take in range(1, deg + 1):
-            induced = OrderedTree(node.children[deg - take :])
-            if induced == candidate:
-                return True
-        if not node.children:
-            return False
-        node = node.children[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +739,7 @@ class Family(NamedTuple):
 
 FAMILIES: dict[str, Family] = {
     "123-132": Family(
-        PATTERNS_123_132, phi_123_132, psi_123_132, "odd_root", lambda b: _phi_132_labeled(b).shape()
+        PATTERNS_123_132, phi_123_132, psi_123_132, "odd_root", _phi_132
     ),
     "123-213": Family(PATTERNS_123_213, phi_123_213, psi_123_213, "root_ge2", _phi_213),
 }
@@ -762,6 +752,11 @@ def _family(name: str) -> Family:
 
 
 def forward(f: ParkingFunction | Blocks, family: str) -> OrderedTree:
+    """The family's tree for f, once f is checked to lie in its domain.
+
+    >>> forward(((2, 3), (1,), ()), "123-132")
+    OrderedTree('(()()(()))')
+    """
     return _family(family).forward(f)
 
 
@@ -772,6 +767,11 @@ def forward_unchecked(blocks: Blocks, family: str) -> OrderedTree:
 
 
 def backward(t: OrderedTree, family: str) -> Blocks:
+    """The blocks whose tree under the family's map is t.
+
+    >>> backward(OrderedTree("(()()())"), "123-213")
+    ((2,), (1,))
+    """
     return _family(family).backward(t)
 
 

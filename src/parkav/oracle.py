@@ -173,8 +173,8 @@ def verify_bijections(n_max: int) -> list[OracleReport]:
             images = [bijections.forward_unchecked(blocks, family) for blocks in functions]
             good = sum(bijections.backward(t, family) == b for t, b in zip(images, functions))
             reports.append(OracleReport(f"roundtrip {family}", n, None, len(functions), good))
-            drawn = set(map(trees.serialize_tree, images))
-            expected = set(map(trees.serialize_tree, trees.enumerate_trees(n + 1, spec.constraint)))
+            drawn = {t.word for t in images}
+            expected = set(trees.enumerate_trees(n + 1, spec.constraint))
             # the expected trees drawn, less any drawn outside them: len(expected) iff equal
             hits = len(drawn & expected) - len(drawn - expected)
             reports.append(OracleReport(f"image {family}", n, None, len(expected), hits))

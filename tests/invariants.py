@@ -313,8 +313,53 @@ def full_right_subtree_condition(n_max: int = 8) -> None:
                         continue
                     candidate = inner
                     for _ in range(ell):
-                        candidate = trees.OrderedTree((candidate,))
-                    assert bj.is_full_right_subtree(whole, candidate), (blocks, j, ell)
+                        candidate = trees.tree(candidate)
+                    assert is_full_right_subtree(whole, candidate), (blocks, j, ell)
+
+
+def is_full_right_subtree(t: trees.OrderedTree, candidate: trees.OrderedTree) -> bool:
+    """True iff ``candidate`` equals a subtree of ``t`` induced by a vertex of
+    the right-most spine together with a run of its branches taken from the
+    right, nonempty and consecutive."""
+    node = t
+    while True:
+        children = node.children
+        for take in range(1, len(children) + 1):
+            if trees.tree(*children[len(children) - take :]) == candidate:
+                return True
+        if not children:
+            return False
+        node = children[-1]
+
+
+def find_target_path(t: trees.OrderedTree) -> tuple[int, ...]:
+    """Child-index path to the branching vertex whose two left-most branches
+    are bare paths (the attachment point of the last {123,132} branch or
+    jump graft), by the descent the inverse makes."""
+    if t.is_path():
+        raise ValueError("a bare path has no branching vertex")
+    path: list[int] = []
+    node = t
+    while True:
+        while len(node.children) == 1:
+            path.append(0)
+            node = node.children[0]
+        first, second = node.children[0], node.children[1]
+        if second.is_path():
+            if first.is_path():
+                return tuple(path)
+            path.append(0)
+            node = first
+        else:
+            path.append(1)
+            node = second
+
+
+def find_target_vertex(t: trees.OrderedTree) -> trees.OrderedTree:
+    """The subtree rooted at the vertex find_target_path points to."""
+    for i in find_target_path(t):
+        t = t.children[i]
+    return t
 
 
 def _suffix_blocks(blocks, clusters, start: int):

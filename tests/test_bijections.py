@@ -1,5 +1,7 @@
+import os
 import random
 import re
+import sys
 
 import pytest
 
@@ -7,12 +9,15 @@ from parkav import bijections as bj
 from parkav import oracle, trees
 from parkav.parking import format_blocks, parse_blocks
 from parkav.permutations import pattern_set
-from parkav.trees import OrderedTree, serialize_tree
+from parkav.trees import OrderedTree, serialize_tree, tree
 from invariants import (
     bijection_roundtrips,
     creation_order_claim,
     family_cardinalities,
+    find_target_path,
+    find_target_vertex,
     full_right_subtree_condition,
+    is_full_right_subtree,
     random_family_tree,
 )
 from tables import SMALL_123_132, SMALL_123_213
@@ -47,7 +52,7 @@ FIG20_ADJACENCY = {
 
 
 def _tree_from(adjacency, node) -> OrderedTree:
-    return OrderedTree(tuple(_tree_from(adjacency, c) for c in adjacency[node]))
+    return tree(*(_tree_from(adjacency, c) for c in adjacency[node]))
 
 
 def test_cluster_tables_for_worked_examples():
@@ -169,7 +174,8 @@ def test_labeled_shape_on_deep_trees():
 
 def test_forward_builds_each_labelled_vertex_once(monkeypatch):
     """The {123,132} grafts edit one label table; the labelled tree is built
-    from it once, one LabeledTree per vertex, not copied once per cluster."""
+    from it once, one LabeledTree per vertex, not copied once per cluster,
+    and the unlabelled forward map writes its word with no LabeledTree."""
     t = random_family_tree(600, "123-132", random.Random(600))
     blocks = bj.backward(t, "123-132")
     built = []
@@ -178,17 +184,21 @@ def test_forward_builds_each_labelled_vertex_once(monkeypatch):
     labeled = bj.phi_123_132_labeled(blocks)
     assert len(built) == t.edge_count + 1
     assert labeled.shape() == t
+    built.clear()
+    assert bj.forward(blocks, "123-132") == t
+    assert bj.forward_unchecked(blocks, "123-132") == t
+    assert built == []
 
 
 def test_find_target_vertex():
     star = trees.parse_tree("(()()())")
-    assert bj.find_target_path(star) == ()
-    assert bj.find_target_vertex(star) == star
+    assert find_target_path(star) == ()
+    assert find_target_vertex(star) == star
     with pytest.raises(ValueError):
-        bj.find_target_path(trees.path_tree(4))
+        find_target_path(trees.path_tree(4))
     # in the worked 26-edge image, the last graft landed on the vertex
     # created 21st (label 20): two bare branches, then the older path
-    vpath = bj.find_target_path(bj.phi_123_132(FIG25_BLOCKS))
+    vpath = find_target_path(bj.phi_123_132(FIG25_BLOCKS))
     labeled = bj.phi_123_132_labeled(FIG25_BLOCKS)
     node = labeled
     for i in vpath:
@@ -198,14 +208,14 @@ def test_find_target_vertex():
 
 def test_is_full_right_subtree():
     t = trees.parse_tree("((())()((())()))")
-    assert bj.is_full_right_subtree(t, t)
+    assert is_full_right_subtree(t, t)
     # the root plus only its right-most branch
-    assert bj.is_full_right_subtree(t, trees.parse_tree("(((())()))"))
+    assert is_full_right_subtree(t, trees.parse_tree("(((())()))"))
     # a left branch of the root does not qualify
-    assert not bj.is_full_right_subtree(t, trees.parse_tree("((()))"))
+    assert not is_full_right_subtree(t, trees.parse_tree("((()))"))
     # anchored deeper on the right-most spine
     inner = trees.parse_tree("((())())")
-    assert bj.is_full_right_subtree(t, inner)
+    assert is_full_right_subtree(t, inner)
 
 
 def test_creation_order_claim():
@@ -255,8 +265,8 @@ def test_domain_checked_once_at_the_boundary(monkeypatch, family):
 
 @pytest.mark.parametrize("family", list(bj.FAMILIES))
 def test_backward_derives_each_fact_once(monkeypatch, family):
-    """backward never runs the forward map: the {123,132} inverse grows the
-    labels in its own table as it builds the clusters.  Nor does it split
+    """backward never runs the forward map: the {123,132} inverse labels
+    each vertex as its peel takes the vertex off.  Nor does it split
     any word into clusters: it lays its word out once from the clusters it
     built, and one bracket match of that word checks every empty block."""
     calls = {"clusters": 0, "bracket_match": 0}
@@ -271,9 +281,9 @@ def test_backward_derives_each_fact_once(monkeypatch, family):
     def forward_map(*args):
         raise AssertionError("backward ran the forward map")
 
-    monkeypatch.setattr(bj, "_phi_132_labeled", forward_map)
-    monkeypatch.setattr(bj, "_closed_op", forward_map)
-    monkeypatch.setattr(bj, "_open_op", forward_map)
+    monkeypatch.setattr(bj, "_graft_table", forward_map)
+    monkeypatch.setattr(bj, "_phi_132", forward_map)
+    monkeypatch.setattr(bj, "_phi_213", forward_map)
     monkeypatch.setattr(bj, "_clusters", counted("clusters", bj._clusters))
     monkeypatch.setattr(bj, "bracket_match", counted("bracket_match", bj.bracket_match))
     t = random_family_tree(150, family, random.Random(150))
@@ -314,3 +324,52 @@ def test_roundtrip_on_large_trees(family):
         blocks = bj.backward(t, family)
         assert len(blocks) == edges - 1
         assert bj.forward(blocks, family) == t
+
+
+# interpreted lines per edge that either map may run, in any parkav module
+LINES_PER_EDGE = 100
+
+
+def _lines_run(fn, *args):
+    """fn(*args), and the lines of parkav's modules it executed, counted
+    through sys.settrace: the interpreted work, whatever the host's speed."""
+    package = os.path.dirname(bj.__file__)
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(package) else None
+
+    before = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(before)
+    return result, lines
+
+
+def _broom(edges: int) -> OrderedTree:
+    # a path half the edges deep whose bottom vertex holds the other half as
+    # leaves: every {123,132} branch graft sits at the bottom
+    depth = edges // 2
+    return trees.parse_tree("(" * depth + "()" * (edges - depth + 1) + ")" * depth)
+
+
+@pytest.mark.parametrize("family,shape", [("123-132", "random"), ("123-213", "random"), ("123-132", "broom")])
+def test_work_per_edge_stays_flat(family, shape):
+    """Both maps run in linear time: from 1,200 to 9,600 edges, the lines
+    each executes per edge stay under one constant."""
+    rng = random.Random(1200)
+    per_edge = {}
+    for edges in (1200, 2400, 4800, 9600):
+        t = random_family_tree(edges, family, rng) if shape == "random" else _broom(edges)
+        blocks, backward_lines = _lines_run(bj.backward, t, family)
+        image, forward_lines = _lines_run(bj.forward, blocks, family)
+        assert image == t
+        per_edge[edges] = backward_lines / edges, forward_lines / edges
+    assert max(max(pair) for pair in per_edge.values()) < LINES_PER_EDGE, per_edge

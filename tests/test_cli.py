@@ -344,6 +344,23 @@ def test_bijection_answers_on_deep_paths(tmp_path, capsys, direction, text, want
     assert (code, out) == (EXIT_OK, want + "\n")
 
 
+# the same graft 20,000 edges deep: both maps and the codec are linear there
+DEEPER_GRAFT = "(" * 20001 + "()()" + ")" * 20001
+DEEPER_GRAFT_BLOCKS = "({20000},{20001}," + ",".join(f"{{{v}}}" for v in range(19999, 0, -1)) + ")"
+
+
+@pytest.mark.parametrize(
+    "direction,text,want",
+    [("backward", DEEPER_GRAFT, DEEPER_GRAFT_BLOCKS), ("forward", DEEPER_GRAFT_BLOCKS, DEEPER_GRAFT)],
+    ids=["backward", "forward"],
+)
+def test_bijection_answers_on_a_20000_deep_graft(tmp_path, capsys, direction, text, want):
+    src = tmp_path / "in.txt"
+    src.write_text(text + "\n")
+    code, out = run(capsys, "bijection", "--family", "123-132", "--direction", direction, "--input", str(src))
+    assert (code, out) == (EXIT_OK, want + "\n")
+
+
 @pytest.mark.parametrize(
     "direction,text", [("backward", "(()()())"), ("forward", "({2},{1})")], ids=["backward", "forward"]
 )

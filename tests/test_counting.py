@@ -100,6 +100,16 @@ def test_summed_last_level_matches_the_closed_forms_to_ten():
     assert (sums.ell, sums.blocks) == ([1], [1])
 
 
+def test_pf_rows_pair_up_for_132_231_and_312_213():
+    # checked term by term to n = 10 through the avoider walk, not proved
+    # here: pf {132} = pf {231} and pf {312} = pf {213}
+    for a, b in (("132", "231"), ("312", "213")):
+        row_a, row_b = (avoider_walk(10, pattern_set(p)).blocks[1:] for p in (a, b))
+        assert row_a == row_b, (a, b)
+        assert row_a == [c.value for _, c in counting.row_of(counting.pf_route(pattern_set(a)), 10)]
+    assert row_a[:3] == [1, 3, 14]  # pf {312}: all of n = 1, 2 and 14 of the 16 at n = 3
+
+
 def test_walk_sums_stop_where_the_class_dies():
     # the walk's sums reach only the sizes that have an avoider; every reader
     # takes a missing size as 0, and a row still has every n

@@ -30,7 +30,7 @@ SAMPLES = {
     "ParkingFunction": lambda: ParkingFunction((1, 1)),
     "LatticePath": lambda: LatticePath(("U", "D", "D"), m=2),
     "AscentWord": lambda: AscentWord((1, 2)),
-    "OrderedTree": lambda: OrderedTree((LEAF,)),
+    "OrderedTree": lambda: OrderedTree("(())"),
     "CountResult": lambda: CountResult(5, "formula"),
     "Evaluation": lambda: Evaluation((2, 0, 1)),
     "MMultiparking": lambda: MMultiparking((1, 2, 1, 2), 2, 2),

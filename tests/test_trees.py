@@ -49,7 +49,8 @@ def test_enumeration_is_deterministic_and_distinct():
     for e in range(1, 7):
         ts = list(enumerate_trees(e))
         assert ts == list(enumerate_trees(e))
-        assert len({serialize_tree(t) for t in ts}) == len(ts)
+        assert len(set(ts)) == len(ts)
+        assert all(parse_tree(word).edge_count == e for word in ts)
     assert count_trees(2) == 2  # the path and the two-leaf fork
     with pytest.raises(ValueError):
         list(enumerate_trees(0))
@@ -58,7 +59,7 @@ def test_enumeration_is_deterministic_and_distinct():
 
 
 def _to_tree(nested) -> OrderedTree:
-    return OrderedTree(tuple(_to_tree(c) for c in nested))
+    return tree(*(_to_tree(c) for c in nested))
 
 
 @given(st.recursive(st.just([]), lambda kids: st.lists(kids, max_size=3), max_leaves=25))
@@ -69,13 +70,23 @@ def test_serialization_roundtrip_random(nested):
 
 
 def test_deep_path_codec():
-    # the codec and the edge count walk with an explicit stack, not one
-    # Python frame per level
+    # a tree is its word: the codec and the edge count read it at any depth
     text = "(" * 2001 + ")" * 2001
     t = parse_tree(text)
     assert serialize_tree(t) == text
     assert t.edge_count == 2000
     assert t.is_path()
+
+
+def test_a_tree_is_its_word():
+    t = parse_tree("((())()())")
+    assert t.word == str(t) == serialize_tree(t) == "((())()())"
+    assert repr(t) == "OrderedTree('((())()())')" and eval(repr(t)) == t
+    assert t.children == (path_tree(1), LEAF, LEAF) and t.root_degree == 3
+    assert tree(*t.children) == t
+    for bad in ["(()", "())(", "(x)"]:
+        with pytest.raises(ValueError):
+            OrderedTree(bad)
 
 
 def test_structure_helpers():
