@@ -10,11 +10,12 @@ tree operation.
 In both families every block has size 0, 1 or 2, and reading size-2 blocks
 as opening brackets and empty blocks as closing brackets gives a correctly
 matched word; the partner of a size-2 block under this matching is "its"
-empty block.  A cluster takes a prefix of the word left by the clusters
-before it, plus at most the empty block matched to a size-2 block of that
-prefix.  Removing a matched pair leaves every other pair matched as before,
-since the blocks between the two are balanced; so one bracket match of the
-whole word serves every cluster of it.
+empty block.  A cluster takes a run of non-empty blocks, its main blocks,
+and at most one empty block: the partner of one of its own main blocks.
+The clusters' main blocks, in order, are exactly the word's non-empty
+blocks, and every empty block belongs to the cluster owning its partner.
+So each cluster reads its main blocks off the list of non-empty positions
+by index, and one bracket match of the whole word serves every cluster.
 
 Family {123, 132} (clusters: extend / branch / jump)
     Operations attach a labelled path or a labelled two-branch graft at a
@@ -56,7 +57,7 @@ the small cases (n <= 3), kept there as fixtures.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import accumulate
+from itertools import product
 from typing import Callable, Iterator, NamedTuple
 
 from ._record import Record
@@ -279,33 +280,28 @@ class Cluster(Record):
         return self.hi - self.lo + 1
 
 
-def _clusters(blocks: Blocks, peel) -> Iterator[Cluster]:
-    """The clusters of the blocks, peeled off the front one at a time.
+def _clusters(blocks: Blocks, peel) -> tuple[list[Cluster], list[int], list[int | None]]:
+    """The clusters of the blocks, peeled off the front one at a time; where
+    each cluster's main blocks start in the run of all main blocks, in word
+    order (their total last); and the gap of each cluster's empty block: how
+    many main blocks precede it (None: the cluster has none).
 
-    Each peel reads the blocks no earlier cluster took, from the front and
-    only as many as its own cluster needs; all of them share one bracket
-    match of the whole word (see the module docstring).
+    The main blocks are exactly the non-empty blocks (see the module
+    docstring), so each peel reads its own off the list of their positions,
+    from its start; all peels share one bracket match of the whole word.
     """
     match = bracket_match(blocks)
-    taken: set[int | None] = set()  # the empty blocks taken ahead of the front
-    front = 0
+    mains = [q for q, b in enumerate(blocks) if b]
+    clusters, starts, gaps = [], [0], []
     n = sum(map(len, blocks))  # the blocks left hold 1..n
     while n:
-        live = (q for q in range(front, len(blocks)) if q not in taken)
-        cluster = peel(blocks, match, live, n)
-        yield cluster
-        taken.add(cluster.empty_position)
-        front = cluster.main_positions[-1] + 1
+        cluster = peel(blocks, match, mains, starts[-1], n)
+        clusters.append(cluster)
+        starts.append(starts[-1] + len(cluster.main_positions))
+        empty = cluster.empty_position
+        gaps.append(None if empty is None else bisect_left(mains, empty))
         n = cluster.lo - 1
-
-
-def _gaps(blocks: Blocks, clusters: list[Cluster]) -> tuple[list[int], list[int | None]]:
-    """Where each cluster's main blocks start in the run of all main blocks,
-    in word order (their total last), and the gap of each cluster's empty
-    block: how many main blocks precede it (None: the cluster has none)."""
-    before = list(accumulate(map(bool, blocks), initial=0))  # per position
-    starts = list(accumulate((len(c.main_positions) for c in clusters), initial=0))
-    return starts, [None if c.empty_position is None else before[c.empty_position] for c in clusters]
+    return clusters, starts, gaps
 
 
 def _owner(starts: list[int], j: int) -> int:
@@ -315,7 +311,8 @@ def _owner(starts: list[int], j: int) -> int:
 
 def _lay_out(mains: list[Blocks], gaps: list[int | None]) -> Blocks:
     """The word whose clusters have these main blocks, in word order, and
-    these gaps for their empty blocks: the inverse of _gaps, in one pass."""
+    these gaps for their empty blocks: the inverse of _clusters' gaps, in
+    one pass."""
     empties = [0] * (sum(map(len, mains)) + 1)  # per gap: the empty blocks in it
     for g in gaps:
         if g is not None:
@@ -346,33 +343,29 @@ PATTERNS_123_213 = pattern_set("123", "213")
 def clusters_123_132(f: ParkingFunction | Blocks) -> list[Cluster]:
     """Partition the blocks into extend/branch/jump clusters (positions are
     0-based indices into the original block sequence)."""
-    return list(_clusters(_domain_blocks(f, PATTERNS_123_132), _peel_132))
+    return _clusters(_domain_blocks(f, PATTERNS_123_132), _peel_132)[0]
 
 
-def _peel_132(
-    blocks: Blocks, match: dict[int, int], live: Iterator[int], n: int
-) -> Cluster:
-    q = next(live)
-    main = [q]
-    if blocks[q] == (n,):  # extend: {n}, {n-1}, ...
-        for q in live:
-            if blocks[q] != (n - len(main),):
-                break
-            main.append(q)
-        return Cluster("extend", n - len(main) + 1, n, None, tuple(main), None)
-    if blocks[q][0] != n - 1:
+def _peel_132(blocks: Blocks, match: dict[int, int], mains: list[int], i: int, n: int) -> Cluster:
+    j = i + 1  # past the cluster's last main block, in mains
+    if blocks[mains[i]] == (n,):  # extend: {n}, {n-1}, ...
+        while j < len(mains) and blocks[mains[j]] == (n + i - j,):
+            j += 1
+        return Cluster("extend", n + i - j + 1, n, None, tuple(mains[i:j]), None)
+    if blocks[mains[i]][0] != n - 1:
         raise ValueError("block permutation starts with neither n nor n-1")
     # branch: {n-1}, ..., {k+1}, {n}; jump: {n-1}, ..., {k+2}, {k+1, n}
-    while n not in blocks[q]:
-        q = next(live)
-        main.append(q)
+    while n not in blocks[mains[j - 1]]:
+        j += 1
+    main = tuple(mains[i:j])
     if any(len(blocks[p]) != 1 for p in main[:-1]):
         raise BijectionDefect("branch or jump cluster blocks must be singletons first")
-    if blocks[q] == (n,):
-        return Cluster("branch", n - len(main) + 1, n, None, tuple(main), None)
-    if blocks[q] != (n - len(main), n):
-        raise BijectionDefect(f"size-2 block {blocks[q]} is not {(n - len(main), n)}")
-    return Cluster("jump", n - len(main), n, None, tuple(main), match[q])
+    last = blocks[main[-1]]
+    if last == (n,):
+        return Cluster("branch", n - len(main) + 1, n, None, main, None)
+    if last != (n - len(main), n):
+        raise BijectionDefect(f"size-2 block {last} is not {(n - len(main), n)}")
+    return Cluster("jump", n - len(main), n, None, main, match[main[-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -381,31 +374,28 @@ def _peel_132(
 
 def clusters_123_213(f: ParkingFunction | Blocks) -> list[Cluster]:
     """Partition the blocks into closed/open clusters."""
-    return list(_clusters(_domain_blocks(f, PATTERNS_123_213), _peel_213))
+    return _clusters(_domain_blocks(f, PATTERNS_123_213), _peel_213)[0]
 
 
-def _peel_213(
-    blocks: Blocks, match: dict[int, int], live: Iterator[int], n: int
-) -> Cluster:
-    head = [next(live)]
-    k = blocks[head[0]][0] - 1  # the cluster covers k+1..n
-    head += [next(live) for _ in range(n - k - 1)]
-    if len(blocks[head[0]]) == 1:
+def _peel_213(blocks: Blocks, match: dict[int, int], mains: list[int], i: int, n: int) -> Cluster:
+    first = blocks[mains[i]]
+    k = first[0] - 1  # the cluster covers k+1..n
+    if len(first) == 1:
         # closed, all singletons: {k+1}, {n}, ..., {k+2}
-        expected = [(k + 1,)] + [(v,) for v in range(n, k + 1, -1)]
-        cluster = Cluster("closed", k + 1, n, n - k - 1, tuple(head), None)
+        cluster = Cluster("closed", k + 1, n, n - k - 1, tuple(mains[i : i + n - k]), None)
     else:
         # {k+1, n}, {n-1}, ..., {k+2}, and the empty block matched to the
-        # first: among these n - k blocks (closed), or after them (open)
-        expected = [(k + 1, n)] + [(v,) for v in range(n - 1, k + 1, -1)]
-        empty = match[head[0]]
-        if empty in head:
-            main = tuple(q for q in head if q != empty)
-            parameter = sum(q > empty for q in main)  # main blocks after the empty one
+        # first: before the next cluster's first main block (closed), or after it
+        main = tuple(mains[i : i + n - k - 1])
+        empty = match[main[0]]
+        if i + len(main) == len(mains) or empty < mains[i + len(main)]:
+            parameter = len(main) - bisect_left(main, empty)  # main blocks after the empty one
             cluster = Cluster("closed", k + 1, n, parameter, main, empty)
         else:
-            cluster = Cluster("open", k + 1, n, None, tuple(head[:-1]), empty)
-    if [blocks[q] for q in cluster.main_positions] != expected:
+            cluster = Cluster("open", k + 1, n, None, main, empty)
+    # after the first block, singletons from n (or n - 1 after {k+1, n}) down to k+2
+    singletons = [blocks[q] for q in cluster.main_positions[1:]]
+    if (len(first) == 2 and first[1] != n) or singletons != list(zip(range(n + 1 - len(first), k + 1, -1))):
         raise BijectionDefect(f"{cluster.kind} cluster blocks out of shape")
     return cluster
 
@@ -435,8 +425,7 @@ def phi_123_132_labeled(f: ParkingFunction | Blocks) -> LabeledTree:
 def _graft_table(blocks: Blocks) -> dict[int | None, list[int]]:
     """Graft the clusters, the last one first, onto the one-edge tree labelled
     0; returns the image's child labels of each label (None: the root)."""
-    clusters = list(_clusters(blocks, _peel_132))
-    starts, gaps = _gaps(blocks, clusters)
+    clusters, starts, gaps = _clusters(blocks, _peel_132)
     table = {None: [0], 0: []}
     for i in range(len(clusters) - 1, -1, -1):
         c, g = clusters[i], gaps[i]
@@ -564,8 +553,7 @@ def _phi_213(blocks: Blocks) -> OrderedTree:
     last branches of v, v's left-most branch becomes the chain from the old
     root down to v's parent, reversed, and a fresh path tops that chain.
     """
-    clusters = list(_clusters(blocks, _peel_213))
-    starts, gaps = _gaps(blocks, clusters)
+    clusters, starts, gaps = _clusters(blocks, _peel_213)
     kids, root = [[1], []], 0  # the one-edge tree
     spine = [1, 0]  # the right-most spine, its bottom leaf first
     grown_from = {}  # per closed cluster: spine length and root degree of the tree it grew
@@ -795,44 +783,38 @@ def enumerate_pf_avoiding(n: int, patterns: PatternSet) -> list[Blocks]:
     out: list[Blocks] = []
     for p in avoidance_class(n, patterns):
         entries = p.entries
-        ascents = [i for i in range(n - 1) if entries[i] < entries[i + 1]]
-        for cut_mask in range(1 << len(ascents)):
-            cuts = {ascents[i] for i in range(len(ascents)) if cut_mask >> i & 1}
-            runs: list[tuple[int, ...]] = []
-            cur = [entries[0]]
-            for i in range(n - 1):
-                if entries[i] > entries[i + 1] or i in cuts:
-                    runs.append(tuple(cur))
-                    cur = []
-                cur.append(entries[i + 1])
-            runs.append(tuple(cur))
-            out.extend(_placements(runs, n))
+        # between entries i-1 and i: a descent always starts a new run, an ascent may
+        choices = [(True,) if entries[i - 1] > entries[i] else (False, True) for i in range(1, n)]
+        for cuts in product(*choices):
+            starts = [0] + [i for i, cut in enumerate(cuts, 1) if cut]
+            runs = [entries[a:b] for a, b in zip(starts, starts[1:] + [n])]
+            out += _placements(runs, starts, n)
     out.sort()
     return out
 
 
-def _placements(runs: list[tuple[int, ...]], n: int) -> Iterator[Blocks]:
-    # positions p_0 < ... < p_(r-1) for the runs; the slots in between stay
-    # empty, so the prefix condition pins p_j to at most the number of
-    # elements already placed (and the first run to slot 0)
+def _placements(runs: list[tuple[int, ...]], starts: list[int], n: int) -> list[Blocks]:
+    """The blocks for every choice of positions p_0 < ... < p_(r-1) for the
+    runs, the slots in between left empty.  The prefix condition pins p_j to
+    at most starts[j], the elements already placed (so the first run to slot
+    0), and each run leaves a slot for every run after it.  The positions
+    turn as an odometer, the last one fastest, from p_j = j."""
     r = len(runs)
-    sizes = [len(run) for run in runs]
-    blocks: list[tuple[int, ...]] = [()] * n
-    positions: list[int] = []
-
-    def rec(j: int, seen: int) -> Iterator[Blocks]:
-        if j == r:
-            yield tuple(blocks)
-            return
-        start = positions[-1] + 1 if positions else 0
-        for pos in range(start, min(seen, n - (r - j)) + 1):
-            blocks[pos] = runs[j]
-            positions.append(pos)
-            yield from rec(j + 1, seen + sizes[j])
-            positions.pop()
-            blocks[pos] = ()
-
-    yield from rec(0, 0)
+    top = [min(s, n - r + j) for j, s in enumerate(starts)]  # the largest p_j
+    pos = list(range(r))
+    out = []
+    while True:
+        blocks: list[tuple[int, ...]] = [()] * n
+        for p, run in zip(pos, runs):
+            blocks[p] = run
+        out.append(tuple(blocks))
+        j = r - 1
+        while pos[j] == top[j]:
+            j -= 1
+            if j < 0:
+                return out
+        # once p_j <= top[j], each later p_i = p_j + (i - j) stays within its own top
+        pos[j:] = range(pos[j] + 1, pos[j] + 1 + r - j)
 
 
 def enumerate_pf_family(n: int, family: str) -> list[Blocks]:

@@ -26,12 +26,12 @@ divisibility assertions.
 from __future__ import annotations
 
 import math
-from functools import partial
+from collections import Counter
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from ._record import Record
 from .counting import Route, exact_div, first_run_row, last_value
-from .parking import is_parking
 from .paths import path_weight_sum
 
 if TYPE_CHECKING:
@@ -247,29 +247,28 @@ def enumerate_increasing_mpark(n: int, m: int) -> Iterator[tuple[int, ...]]:
     yield from rec(0, 1)
 
 
+@lru_cache(maxsize=None)
+def _evaluation_tally(n: int, m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """How many nondecreasing m-parking functions of size n have each packed
+    evaluation, from one enumeration that every congruence then weighs."""
+    codomain = 1 + m * (n - 1)
+    return tuple(Counter(evaluation(f, codomain).packed for f in enumerate_increasing_mpark(n, m)).items())
+
+
 def mpark_class_count_by_evaluations(n: int, m: int, congruence: str) -> int:
     """Independent route for the m-parking tables: enumerate increasing
     m-parking functions directly (sorted tuples, not paths), take packed
     evaluations, and sum the class factor."""
     fn = _CONGRUENCES[congruence][0]
-    codomain = 1 + m * (n - 1)
-    total = 0
-    for f in enumerate_increasing_mpark(n, m):
-        total += fn(evaluation(f, codomain).packed)
-    return total
+    return sum(fn(beta) * count for beta, count in _evaluation_tally(n, m))
 
 
 def multipark_class_count_by_evaluations(n: int, m: int, congruence: str) -> int:
     """Per-evaluation oracle on the multiparking side: scale each increasing
-    ordinary parking evaluation by m."""
+    ordinary parking evaluation by m.  The increasing ordinary parking
+    functions are the increasing 1-parking functions."""
     fn = _CONGRUENCES[congruence][0]
-    total = 0
-    for f in enumerate_increasing_mpark(n, 1):
-        if not is_parking(f):
-            continue
-        beta = tuple(m * c for c in evaluation(f, n).packed)
-        total += fn(beta)
-    return total
+    return sum(fn(tuple(m * c for c in beta)) * count for beta, count in _evaluation_tally(n, 1))
 
 
 # -- the metasylvester functional identity ---------------------------------------

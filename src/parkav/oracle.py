@@ -6,8 +6,8 @@ have each outcome, and each block, permutation), a batch of functions per
 placement of all cars but the last.  The profile keys that avoid a pattern,
 by honest containment, are found once per size and pattern for both sides;
 a pattern set counts the intersection of its patterns' key sets, smallest
-first.  Filling both profiles takes about 0.04 s at n = 6, 0.5 s at n = 7
-and 11 s at n = 8 (one process, 2-vCPU host).
+first.  Filling both profiles takes about 0.02 s at n = 6, 0.25 s at n = 7
+and 5 s at n = 8 (one process, 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -38,16 +38,27 @@ def _profiles(n: int) -> dict[str, Counter[tuple[int, ...]]]:
 
     Each walk item stands for the functions whose last car parks in the one
     spot the others left free: one outcome for all of them, and one block
-    permutation each.  Both sides must count all (n+1)^(n-1) functions.
+    permutation each, order[:c] + (n,) + order[c:] for each c in its cuts.
+    The pf side counts the functions per (order, c) as the walk goes and
+    builds each block permutation once, after it.  Both sides must count all
+    (n+1)^(n-1) functions.
     """
     pk, pf = Counter(), Counter()
     if n == 0:
         pk[()] = pf[()] = 1  # the empty function: the walk has no last car to place
-    last = (n,)
+    by_order: dict[tuple[int, ...], list[int]] = {}  # per order: the functions at each c
     for _, rho, order, cuts in parking_walk(n):
         pk[rho] += len(cuts)
+        tally = by_order.get(order)
+        if tally is None:
+            tally = by_order[order] = [0] * n
         for c in cuts:
-            pf[order[:c] + last + order[c:]] += 1
+            tally[c] += 1
+    last = (n,)
+    for order, tally in by_order.items():
+        for c, count in enumerate(tally):
+            if count:
+                pf[order[:c] + last + order[c:]] += count
     total = (n + 1) ** n // (n + 1)
     for side, profile in ("pk", pk), ("pf", pf):
         if sum(profile.values()) != total:
@@ -184,9 +195,9 @@ def verify_bijections(n_max: int) -> list[OracleReport]:
 # the largest n each verify suite reaches, whatever n_max asks for
 SUITE_LIMITS = {"formulas": BRUTE_CAP - 1, "classes": 5, "bijections": 7}
 """formulas: the simulation oracle refuses past BRUTE_CAP.  Its walk fills both
-profiles in about 0.5 s at n = 7 and 11 s at n = 8 (4.78 M functions; 2-vCPU host).
+profiles in about 0.25 s at n = 7 and 5 s at n = 8 (4.78 M functions; 2-vCPU host).
 classes: not cost.  Both sides of the evaluation oracle at m = 1, 2 take
-0.05 s at n = 5, 0.11 s at n = 6 and 1.0 s at n = 8 (one process, 2-vCPU
+0.002 s at n = 5, 0.01 s at n = 6 and 0.2 s at n = 8 (one process, 2-vCPU
 host), but raising the limit changes what ``verify --n-max 6`` prints."""
 
 

@@ -301,10 +301,32 @@ def test_lay_out_inverts_the_gaps(family):
     peel = {"123-132": bj._peel_132, "123-213": bj._peel_213}[family]
     for n in range(8):
         for blocks in bj.enumerate_pf_family(n, family):
-            clusters = list(bj._clusters(blocks, peel))
-            _, gaps = bj._gaps(blocks, clusters)
+            clusters, _, gaps = bj._clusters(blocks, peel)
             mains = [tuple(blocks[q] for q in c.main_positions) for c in clusters]
             assert bj._lay_out(mains, gaps) == blocks
+
+
+@pytest.mark.parametrize("family", list(bj.FAMILIES))
+def test_clusters_take_the_non_empty_blocks_in_order(family):
+    """Over the whole domain for n <= 7, the clusters' main positions,
+    concatenated, are the word's non-empty positions, and every empty block
+    is the empty block of the cluster owning its bracket partner: what lets
+    each peel read its main blocks off the non-empty positions by index."""
+    peel = {"123-132": bj._peel_132, "123-213": bj._peel_213}[family]
+    for n in range(8):
+        for blocks in bj.enumerate_pf_family(n, family):
+            clusters, starts, gaps = bj._clusters(blocks, peel)
+            non_empty = [q for q, b in enumerate(blocks) if b]
+            assert [q for c in clusters for q in c.main_positions] == non_empty
+            match = bj.bracket_match(blocks)
+            empties = [c.empty_position for c in clusters if c.empty_position is not None]
+            assert sorted(empties) == [q for q, b in enumerate(blocks) if not b]
+            for c in clusters:
+                if c.empty_position is not None:
+                    assert any(match.get(q) == c.empty_position for q in c.main_positions)
+            assert starts == [non_empty.index(c.main_positions[0]) for c in clusters] + [len(non_empty)]
+            assert gaps == [None if c.empty_position is None else sum(q < c.empty_position for q in non_empty)
+                            for c in clusters]
 
 
 def test_lay_out_checks_each_empty_block_gap():

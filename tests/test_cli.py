@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -380,6 +381,16 @@ def test_bijection_refuses_past_the_recursion_limit(tmp_path, capfd, monkeypatch
     assert (code, captured.out) == (EXIT_BUDGET, "")
     assert captured.err.startswith("refused: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def test_verify_prints_the_pinned_values(capsys):
+    """The verbose report pins every oracle and formula value, not only
+    their agreement: a drift on both sides would still print 0 mismatches."""
+    code, out = run(capsys, "verify", "--suite", "all", "--n-max", "6", "--verbose")
+    assert code == EXIT_OK
+    assert out.count("\n") == 865
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "138385c45eadd6be1b42fa02d2ad6f2fcda211a5ae083b6734150e3e14786519"
 
 
 def test_verify_ok(capsys):

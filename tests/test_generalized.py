@@ -103,6 +103,26 @@ def test_per_evaluation_oracle():
     all_reports_agree(oracle.verify_generalized(5, 2), 50)
 
 
+def test_per_evaluation_oracle_enumerates_each_size_once(monkeypatch):
+    """Every family weighs one packed-evaluation tally per (n, m): the
+    multiparking side reads the m = 1 tally, so verify_generalized(5, 2)
+    enumerates each of the 10 (n, m) once, not once per family."""
+    calls = []
+    real = g.enumerate_increasing_mpark
+
+    def counted(n, m):
+        calls.append((n, m))
+        return real(n, m)
+
+    monkeypatch.setattr(g, "enumerate_increasing_mpark", counted)
+    g._evaluation_tally.cache_clear()
+    try:
+        all_reports_agree(oracle.verify_generalized(5, 2), 50)
+    finally:
+        g._evaluation_tally.cache_clear()  # no tally built through the counter outlives the test
+    assert sorted(calls) == [(n, m) for n in range(1, 6) for m in (1, 2)]
+
+
 def test_multipark_path_route():
     for m in (1, 2, 3):
         for n in range(1, 7):
@@ -143,6 +163,11 @@ def test_increasing_mpark_enumeration():
     fns = list(g.enumerate_increasing_mpark(2, 2))
     assert fns == [(1, 1), (1, 2), (1, 3)]
     assert all(g.is_m_parking(f, 2, 2) for f in fns)
+    # at m = 1, the increasing parking functions: the multiparking side of
+    # the evaluation oracle weighs these
+    for n in range(1, 7):
+        increasing = [f for f in itertools.product(range(1, n + 1), repeat=n) if list(f) == sorted(f)]
+        assert list(g.enumerate_increasing_mpark(n, 1)) == [f for f in increasing if is_parking(f)]
 
 
 def test_wrapper_types():
