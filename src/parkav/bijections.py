@@ -58,7 +58,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import product
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from ._record import Record
 from .parking import Blocks, ParkingFunction, block_permutation_of_blocks, from_blocks, to_blocks
@@ -813,7 +813,7 @@ def _placements(runs: list[tuple[int, ...]], starts: list[int], n: int) -> list[
             j -= 1
             if j < 0:
                 return out
-        # once p_j <= top[j], each later p_i = p_j + (i - j) stays within its own top
+        # top[i + 1] > top[i], so each later p_i = p_j + (i - j) stays within its top
         pos[j:] = range(pos[j] + 1, pos[j] + 1 + r - j)
 
 
