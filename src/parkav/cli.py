@@ -11,7 +11,8 @@ Subcommands:
 Output is deterministic byte-for-byte for identical invocations; timing is
 only emitted under --timing.  Exit codes: 0 ok, 1 usage or parse error,
 2 verification mismatch, 3 refused by a work budget (BudgetExceeded) or
-by Python's recursion limit (RecursionError; no route is known to reach it).
+by Python's recursion limit (RecursionError; no route is known to reach it),
+141 the reader of stdout went away (BrokenPipeError; nothing more is printed).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141  # what a shell reports for a writer killed by SIGPIPE
 
 # family -> value(n, m), read from the one registry in generalized
 CLASS_FAMILIES = {name: value for name, (_, value, _) in generalized.CLASS_FAMILIES.items()}
@@ -200,10 +202,8 @@ def main(argv: list[str] | None = None) -> int:
     except (BudgetExceeded, RecursionError) as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_BUDGET
+    except BrokenPipeError:
+        return EXIT_PIPE
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -8,10 +9,15 @@ from pathlib import Path
 
 import pytest
 
-from parkav.cli import EXIT_BUDGET, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from parkav.cli import EXIT_BUDGET, EXIT_MISMATCH, EXIT_OK, EXIT_PIPE, EXIT_USAGE, main
 from tables import PF_312_321, PK_ROWS
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _src_env() -> dict:
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 def run(capsys, *argv):
@@ -104,12 +110,10 @@ def test_trace_child_runs_sequence():
     # the benchmark's tracer wraps counting functions by name: a rename
     # must fail here, not in a traced benchmark run
     argv = ["sequence", "--notion", "pk", "--patterns", "321", "--n-max", "5"]
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
 
     def call(*cmd):
         return subprocess.run(
-            [sys.executable, *cmd, *argv], capture_output=True, text=True, env=env, cwd=ROOT, timeout=120
+            [sys.executable, *cmd, *argv], capture_output=True, text=True, env=_src_env(), cwd=ROOT, timeout=120
         )
 
     traced = call(str(ROOT / "perfbench" / "trace_child.py"), "t")
@@ -458,3 +462,83 @@ def test_usage_error(capsys):
     code = main(["count", "--notion", "zz", "--patterns", "123", "--n", "3"])
     capsys.readouterr()
     assert code == EXIT_USAGE
+
+
+# runs the package the way ``python -m parkav`` does, with a small walk
+# budget so that a refusal comes at once; an atexit probe records the
+# collector's freeze count in the file named by the first argument
+EXIT_PROBE = """
+import atexit, gc, runpy, sys
+import parkav.permutations
+parkav.permutations.WALK_BUDGET = 1000
+probe = sys.argv.pop(1)
+
+def record():
+    with open(probe, "w") as f:
+        f.write(str(gc.get_freeze_count()))
+
+atexit.register(record)
+runpy.run_module("parkav", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (["count", "--notion", "pk", "--patterns", "132", "--n", "5"], EXIT_OK),
+        (["count", "--notion", "zz", "--patterns", "123", "--n", "3"], EXIT_USAGE),
+        (["count", "--notion", "pk", "--patterns", "1234", "--n", "8"], EXIT_BUDGET),
+    ],
+    ids=["count", "usage", "refusal"],
+)
+def test_process_entry_freezes_the_collector_after_main(tmp_path, capsys, monkeypatch, argv, want):
+    # the process entry ends the call with its heap frozen, so finalization
+    # does not traverse it, and prints and exits exactly as main does
+    probe = tmp_path / "freeze_count"
+    done = subprocess.run(
+        [sys.executable, "-c", EXIT_PROBE, str(probe), *argv],
+        capture_output=True, env=_src_env(), cwd=ROOT, timeout=120,
+    )
+    from parkav import permutations
+
+    monkeypatch.setattr(permutations, "WALK_BUDGET", 1000)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (done.returncode, done.stdout, done.stderr) == (want, captured.out.encode(), captured.err.encode())
+    assert code == want
+    assert int(probe.read_text()) > 0
+
+
+def test_in_process_main_does_not_freeze(capsys):
+    # pytest calls main hundreds of times in one process: a freeze there
+    # would keep every cyclic object of the run alive
+    before = gc.get_freeze_count()
+    for argv in (
+        ["count", "--notion", "pk", "--patterns", "321", "--n", "6"],
+        ["count", "--notion", "zz", "--patterns", "123", "--n", "3"],
+        ["verify", "--suite", "classes", "--n-max", "3"],
+    ):
+        main(argv)
+    capsys.readouterr()
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_uses_the_process_entry():
+    text = (ROOT / "pyproject.toml").read_text()
+    assert 'parkav = "parkav.__main__:run"' in text
+
+
+def test_broken_pipe_ends_quietly():
+    # the reader goes away after one line (``| head -1``); the row is far
+    # larger than a pipe's buffer, so the writer is still writing then
+    argv = ["sequence", "--notion", "pf", "--patterns", "12", "--n-max", "200000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "parkav", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env(), cwd=ROOT,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_PIPE
+    assert (first, err) == (b"1 1\n", b"")
