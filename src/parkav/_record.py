@@ -6,9 +6,9 @@ gives it what a frozen dataclass would, without importing ``dataclasses``:
 field-wise equality only between instances of the same class, a hash over
 the same fields, ``Name(field=value, ...)`` as the repr, and AttributeError
 on assignment or deletion.  It defines no ``__len__`` or ``__bool__``, so a
-record is truthy unless its class says otherwise.  A class may name its own
-``_key``: the labelled trees use their printed form, since nested tuples
-recurse.
+record is truthy unless its class says otherwise.  Equality and hashing read
+the fields through ``_key``, which every subclass gets from its slots.  No
+record holds another of its own class, so neither recurses deeply.
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ class Record:
     __slots__ = ()
 
     def __init_subclass__(cls) -> None:
-        # the field values in order (the value itself for one field), unless the class names a key
-        if "_key" not in cls.__dict__:
-            cls._key = attrgetter(*cls.__slots__)
+        cls._key = attrgetter(*cls.__slots__)  # the field values in order (the value itself for one field)
 
     @classmethod
     def _trusted(cls, *values):

@@ -46,7 +46,9 @@ Trees are read and written as their parentheses words.  Each map works on
 child lists, one per vertex, right to left, so that a new left-most branch
 appends and the first branch pops: the forward maps grow them (the
 {123, 132} family's lists are keyed by label) and write the word once, and
-the inverses parse the word into them once and peel in place.
+the inverses parse the word into them once and peel in place.  The labelled
+{123, 132} image, phi_123_132_labeled, is that flat table, read left to
+right, so it compares, prints, copies and pickles at any depth.
 
 All four maps are loops over the clusters, with no recursion, down to n = 0:
 its only parking function, the empty one, maps to the one-edge tree (labelled
@@ -68,76 +70,6 @@ from .trees import OrderedTree
 
 class BijectionDefect(AssertionError):
     """An internal structural guarantee failed; indicates a genuine bug."""
-
-
-# ---------------------------------------------------------------------------
-# labelled trees (used by the {123,132} family)
-
-
-class LabeledTree(Record):
-    """Ordered tree whose non-root vertices carry the labels 0..n."""
-
-    __slots__ = ("label", "children")
-    _key = str  # equality and hash read the serial form, at any depth
-
-    def __init__(self, label: int | None, children: tuple[LabeledTree, ...] = ()) -> None:
-        object.__setattr__(self, "label", label)  # None marks the root
-        object.__setattr__(self, "children", children)
-
-    def shape(self) -> OrderedTree:
-        """The unlabelled tree: the printed form without its labels."""
-        return OrderedTree._trusted(str(self).translate(_SHAPE))
-
-    def labels(self) -> list[int]:
-        """The labels in preorder, read off the printed form."""
-        return [int(part.rstrip("]")) for part in str(self).split("[")[1:] if part[0] != "*"]
-
-    def __str__(self) -> str:
-        return self._write(lambda node: "[*" if node.label is None else f"[{node.label}", lambda _: "]", "")
-
-    def __repr__(self) -> str:
-        # the Record repr, written without recursion
-        return self._write(
-            lambda node: f"LabeledTree(label={node.label!r}, children=(",
-            lambda node: ",))" if len(node.children) == 1 else "))",
-            ", ",
-        )
-
-    def __reduce__(self):
-        # copy and pickle go through the serial form, at any depth
-        return _parse_labeled, (str(self),)
-
-    def _write(self, opening: Callable, closing: Callable, sep: str) -> str:
-        """Each vertex root-first as opening(vertex), its children's texts
-        joined by sep, then closing(vertex), on an explicit stack."""
-        out, stack = [], [self]  # a string on the stack is written as it comes
-        while stack:
-            node = stack.pop()
-            if isinstance(node, str):
-                out.append(node)
-                continue
-            out.append(opening(node))
-            stack.append(closing(node))
-            for child in reversed(node.children[1:]):
-                stack += child, sep
-            stack += node.children[:1]
-        return "".join(out)
-
-
-def _parse_labeled(text: str) -> LabeledTree:
-    """The tree that ``str`` wrote as ``text``, e.g. "[*[0[1]][2]]"."""
-    # each open vertex with its children read so far, above a holder for the root
-    stack: list[tuple[int | None, list[LabeledTree]]] = [(None, [])]
-    for part in text.split("[")[1:]:
-        label = part.rstrip("]")
-        stack.append((None if label == "*" else int(label), []))
-        for _ in range(len(part) - len(label)):  # each "]" closes the newest open vertex
-            label, children = stack.pop()
-            stack[-1][1].append(LabeledTree._trusted(label, tuple(children)))
-    return stack[0][1][0]
-
-
-_SHAPE = str.maketrans("[]", "()", "*-0123456789")  # a printed labelled tree -> its word
 
 
 # ---------------------------------------------------------------------------
@@ -406,20 +338,18 @@ def _peel_213(blocks: Blocks, match: dict[int, int], mains: list[int], i: int, n
 
 def phi_123_132(f: ParkingFunction | Blocks) -> OrderedTree:
     """Tree with n+1 edges and odd root degree for f avoiding {123, 132}."""
-    return _phi_132(_domain_blocks(f, PATTERNS_123_132))
+    return forward(f, "123-132")
 
 
 def _phi_132(blocks: Blocks) -> OrderedTree:
     return OrderedTree._trusted(_word(_graft_table(blocks), None))
 
 
-def phi_123_132_labeled(f: ParkingFunction | Blocks) -> LabeledTree:
-    """Forward map with creation labels 0..n on the non-root vertices."""
+def phi_123_132_labeled(f: ParkingFunction | Blocks) -> dict[int | None, list[int]]:
+    """Forward map with creation labels 0..n on the non-root vertices: each
+    label's child labels, left to right (None: the root)."""
     table = _graft_table(_domain_blocks(f, PATTERNS_123_132))
-    built = {}
-    for label in range(len(table) - 2, -1, -1):  # every child's label is larger than its parent's
-        built[label] = LabeledTree(label, tuple(built.pop(c) for c in reversed(table[label])))
-    return LabeledTree(None, tuple(built.pop(c) for c in reversed(table[None])))
+    return {label: kids[::-1] for label, kids in table.items()}
 
 
 def _graft_table(blocks: Blocks) -> dict[int | None, list[int]]:
@@ -540,7 +470,7 @@ def _path_below(kids: list[list[int]], x: int) -> list[int]:
 def phi_123_213(f: ParkingFunction | Blocks) -> OrderedTree:
     """Tree with n+1 edges and root degree >= 2 for f avoiding {123, 213}
     (for n = 0, the single-edge tree)."""
-    return _phi_213(_domain_blocks(f, PATTERNS_123_213))
+    return forward(f, "123-213")
 
 
 def _phi_213(blocks: Blocks) -> OrderedTree:
@@ -719,17 +649,14 @@ class Family(NamedTuple):
     """One bijection: the patterns its domain avoids, both maps, its image."""
 
     patterns: PatternSet
-    forward: Callable[[ParkingFunction | Blocks], OrderedTree]
+    unchecked: Callable[[Blocks], OrderedTree]  # the forward map on blocks known to lie in the domain
     backward: Callable[[OrderedTree], Blocks]
     constraint: str  # the image, as a trees.enumerate_trees constraint on n+1 edges
-    unchecked: Callable[[Blocks], OrderedTree]  # forward on blocks known to lie in the domain
 
 
 FAMILIES: dict[str, Family] = {
-    "123-132": Family(
-        PATTERNS_123_132, phi_123_132, psi_123_132, "odd_root", _phi_132
-    ),
-    "123-213": Family(PATTERNS_123_213, phi_123_213, psi_123_213, "root_ge2", _phi_213),
+    "123-132": Family(PATTERNS_123_132, _phi_132, psi_123_132, "odd_root"),
+    "123-213": Family(PATTERNS_123_213, _phi_213, psi_123_213, "root_ge2"),
 }
 
 
@@ -745,7 +672,8 @@ def forward(f: ParkingFunction | Blocks, family: str) -> OrderedTree:
     >>> forward(((2, 3), (1,), ()), "123-132")
     OrderedTree('(()()(()))')
     """
-    return _family(family).forward(f)
+    fam = _family(family)
+    return fam.unchecked(_domain_blocks(f, fam.patterns))
 
 
 def forward_unchecked(blocks: Blocks, family: str) -> OrderedTree:

@@ -230,7 +230,7 @@ def parse_prefs(text: str) -> tuple[int, ...]:
     values = []
     for i, part in enumerate(text.split(",")):
         part = part.strip()
-        if not part.isdigit():
+        if not (part.isascii() and part.isdigit()):
             raise ValueError(f"bad preference at position {i + 1}: {part!r}")
         values.append(int(part))
     return tuple(values)
@@ -241,28 +241,33 @@ def format_prefs(prefs: Sequence[int]) -> str:
 
 
 def parse_blocks(text: str) -> Blocks:
-    """Parse "({7},{5,6},{},{1,2,4},{},{3},{})"; "{}" is the empty block."""
+    """Parse "({7},{5,6},{},{1,2,4},{},{3},{})"; "{}" is the empty block.
+    Entries are ASCII digits; an error names its column in the stripped text."""
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise ValueError("block notation must be wrapped in parentheses")
-    body = text[1:-1].strip()
-    if not body:
-        return ()
+    i, end = len(text) - len(text[1:].lstrip()), len(text[:-1].rstrip())  # the blocks lie in text[i:end]
     blocks: list[tuple[int, ...]] = []
-    i = 0
-    while i < len(body):
-        if body[i] != "{":
-            raise ValueError(f"expected '{{' at column {i + 2}")
-        j = body.index("}", i)
-        inner = body[i + 1 : j].strip()
-        if inner:
-            blocks.append(tuple(sorted(int(part) for part in inner.split(","))))
-        else:
-            blocks.append(())
+    while i < end:
+        if text[i] != "{":
+            raise ValueError(f"expected '{{' at column {i + 1}")
+        j = text.find("}", i, end)
+        if j < 0:
+            raise ValueError(f"expected '}}' to close the block at column {i + 1}")
+        block, at = [], i + 1  # where each entry's text starts
+        for part in text[at:j].split(",") if text[at:j].strip() else ():
+            entry = part.strip()
+            if not (entry.isascii() and entry.isdigit()):
+                at += len(part) - len(part.lstrip())  # the entry's first character, or the "," or "}" after it
+                at += next((k for k, c in enumerate(entry) if c not in "0123456789"), 0)
+                raise ValueError(f"expected a digit at column {at + 1}: {text[at]!r}")
+            block.append(int(entry))
+            at += len(part) + 1
+        blocks.append(tuple(sorted(block)))
         i = j + 1
-        if i < len(body):
-            if body[i] != ",":
-                raise ValueError(f"expected ',' at column {i + 2}")
+        if i < end:
+            if text[i] != ",":
+                raise ValueError(f"expected ',' at column {i + 1}")
             i += 1
     return tuple(blocks)
 

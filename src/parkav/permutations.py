@@ -62,7 +62,8 @@ def perm(entries: Iterable[int] | str) -> Permutation:
 
 
 def parse_permutation(text: str) -> Permutation:
-    """Parse digit form ("7561234") or comma-separated form ("10,3,1,2,...")."""
+    """Parse digit form ("7561234") or comma-separated form ("10,3,1,2,...");
+    entries are ASCII digits."""
     text = text.strip()
     if text == "":
         return Permutation(())
@@ -71,12 +72,12 @@ def parse_permutation(text: str) -> Permutation:
         values = []
         for i, part in enumerate(parts):
             part = part.strip()
-            if not part.isdigit():
+            if not (part.isascii() and part.isdigit()):
                 raise ValueError(f"bad permutation entry at position {i + 1}: {part!r}")
             values.append(int(part))
         return Permutation(tuple(values))
-    if not text.isdigit():
-        bad = next(i for i, c in enumerate(text) if not c.isdigit())
+    if not (text.isascii() and text.isdigit()):
+        bad = next(i for i, c in enumerate(text) if c not in "0123456789")
         raise ValueError(f"bad character in permutation at column {bad + 1}: {text[bad]!r}")
     return Permutation(tuple(int(c) for c in text))
 
@@ -210,9 +211,9 @@ _S3_SCANS = {
 def contains_sequence(seq: Sequence[int], pattern: Permutation) -> bool:
     """Order-isomorphic subsequence search on any distinct-value sequence.
 
-    Patterns of size <= 2 take one pass over adjacent pairs and size 3 a
-    linear scan; size 4 asks the linear end query at each prefix (O(n^2));
-    larger patterns fall back to the subset search.
+    Sizes 0-1 are a length test, size 2 one pass over adjacent pairs and
+    size 3 a linear scan; size 4 asks the linear end query at each prefix
+    (O(n^2)); larger patterns fall back to the subset search.
     """
     q = pattern.entries
     m = len(q)

@@ -216,7 +216,7 @@ def bijection_roundtrips(n_max: int = 9) -> dict[tuple[str, int], int]:
     all_reports_agree(reports, 2 * len(bj.FAMILIES) * (n_max + 1))
     for n in range(0, n_max + 1):
         for blocks in bj.enumerate_pf_family(n, "123-132"):
-            labels = bj.phi_123_132_labeled(blocks).labels()
+            labels = text_labels(labeled_text(bj.phi_123_132_labeled(blocks)))
             assert sorted(labels) == list(range(n + 1)), blocks
     # "roundtrip <family>" reports carry the domain size as their oracle value
     return {
@@ -270,28 +270,41 @@ def family_cardinalities(n_max: int = 10) -> None:
             assert domain == counting.pf_count(patterns, n).value, (family, n)
 
 
+def labeled_text(table: dict, root: int | None = None) -> str:
+    """The labelled tree below ``root`` in ``table`` (each label's children,
+    left to right; None is the root), written "[*[0[1]][2]]": each vertex as
+    "[", its label ("*" for the root), its children's texts, "]".  The
+    writer keeps an explicit stack, so it answers at any depth."""
+    out, stack = [], [root]  # "]" on the stack closes the vertex opened before it
+    while stack:
+        v = stack.pop()
+        if v == "]":
+            out.append(v)
+            continue
+        out.append("[*" if v is None else f"[{v}")
+        stack.append("]")
+        stack += reversed(table[v])
+    return "".join(out)
+
+
+def text_labels(text: str) -> list[int]:
+    """The labels of a labeled_text, in preorder."""
+    return [int(part.rstrip("]")) for part in text.split("[")[1:] if part[0] != "*"]
+
+
 @lru_cache(maxsize=None)
 def creation_order_claim(n_max: int = 8) -> None:
     """At any vertex with >= 3 branches, everything in the two left-most
     branches was created after everything in the rest."""
     for n in range(0, n_max + 1):
         for blocks in bj.enumerate_pf_family(n, "123-132"):
-            t = bj.phi_123_132_labeled(blocks)
-            _check_creation(t, blocks)
-
-
-def _check_creation(node, blocks) -> None:
-    if len(node.children) >= 3:
-        first_two = min(
-            min(c.labels()) for c in node.children[:2]
-        )
-        rest_max = max(
-            (max(c.labels()) for c in node.children[2:]),
-            default=-1,
-        )
-        assert first_two > rest_max, blocks
-    for c in node.children:
-        _check_creation(c, blocks)
+            table = bj.phi_123_132_labeled(blocks)
+            for kids in table.values():
+                if len(kids) >= 3:
+                    branches = [text_labels(labeled_text(table, c)) for c in kids]
+                    first_two = min(min(b) for b in branches[:2])
+                    rest_max = max(max(b) for b in branches[2:])
+                    assert first_two > rest_max, blocks
 
 
 @lru_cache(maxsize=None)

@@ -1,4 +1,7 @@
+import copy
+import hashlib
 import os
+import pickle
 import random
 import re
 import sys
@@ -18,7 +21,9 @@ from invariants import (
     find_target_vertex,
     full_right_subtree_condition,
     is_full_right_subtree,
+    labeled_text,
     random_family_tree,
+    text_labels,
 )
 from tables import SMALL_123_132, SMALL_123_213
 
@@ -89,15 +94,8 @@ def test_worked_example_123_132():
     got = bj.phi_123_132(FIG25_BLOCKS)
     assert got == golden
     labeled = bj.phi_123_132_labeled(FIG25_BLOCKS)
-    _assert_labels(labeled, FIG25_ADJACENCY, "R")
+    assert labeled == {None if v == "R" else v: children for v, children in FIG25_ADJACENCY.items()}
     assert bj.psi_123_132(golden) == FIG25_BLOCKS
-
-
-def _assert_labels(node, adjacency, key):
-    children = adjacency[key]
-    assert [c.label for c in node.children] == children
-    for child_node, child_key in zip(node.children, children):
-        _assert_labels(child_node, adjacency, child_key)
 
 
 def test_worked_example_123_213():
@@ -123,7 +121,7 @@ def test_recursion_reproduces_small_case_tables():
     small cases transcribed in tables.py, labels included."""
     for blocks_text, labeled in SMALL_123_132.items():
         blocks = parse_blocks(blocks_text)
-        assert str(bj.phi_123_132_labeled(blocks)) == labeled, blocks_text
+        assert labeled_text(bj.phi_123_132_labeled(blocks)) == labeled, blocks_text
         assert bj.psi_123_132(_shape_of_labeled(labeled)) == blocks, blocks_text
     for blocks_text, tree_text in SMALL_123_213.items():
         blocks = parse_blocks(blocks_text)
@@ -157,37 +155,28 @@ def test_enumerator_against_simulation():
             assert len(got) == len(set(got)) == oracle.brute_pf(n, patterns), (text, n)
 
 
+# the labelled image of every {123,132} word with n <= 7, written by
+# labeled_text, one line per word in enumeration order (1,163 words)
+LABELS_TO_SEVEN_SHA256 = "ddc98959ec0563e75047d6520360ade6aca30a9069d34e1f8deb606326e856de"
+
+
+def test_labels_match_the_pinned_digest():
+    domain = [b for n in range(8) for b in bj.enumerate_pf_family(n, "123-132")]
+    texts = [labeled_text(bj.phi_123_132_labeled(b)) for b in domain]
+    assert len(texts) == 1163
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == LABELS_TO_SEVEN_SHA256
+
+
 def test_labeled_shape_on_deep_trees():
-    # a spine 2000 deep with a leaf hanging right of each spine vertex
-    node, text, labeled_text = bj.LabeledTree(0), "()", "[0]"
-    for label in range(1, 2001):
-        node = bj.LabeledTree(label, (node, bj.LabeledTree(-label)))
-        text = "(" + text + "()" + ")"
-        labeled_text = f"[{label}{labeled_text}[{-label}]]"
-    root = bj.LabeledTree(None, (node,))
-    shape = root.shape()
-    assert serialize_tree(shape) == "(" + text + ")"
-    assert shape.edge_count == 4001
-    assert root.labels() == list(range(2000, -2001, -1))
-    assert str(root) == "[*" + labeled_text + "]"
-
-
-def test_forward_builds_each_labelled_vertex_once(monkeypatch):
-    """The {123,132} grafts edit one label table; the labelled tree is built
-    from it once, one LabeledTree per vertex, not copied once per cluster,
-    and the unlabelled forward map writes its word with no LabeledTree."""
-    t = random_family_tree(600, "123-132", random.Random(600))
-    blocks = bj.backward(t, "123-132")
-    built = []
-    real = bj.LabeledTree
-    monkeypatch.setattr(bj, "LabeledTree", lambda *args: built.append(args) or real(*args))
-    labeled = bj.phi_123_132_labeled(blocks)
-    assert len(built) == t.edge_count + 1
-    assert labeled.shape() == t
-    built.clear()
-    assert bj.forward(blocks, "123-132") == t
-    assert bj.forward_unchecked(blocks, "123-132") == t
-    assert built == []
+    # a chain 20,000 deep that ends in two leaves: the labelled image is a
+    # flat table, so building, writing, copying and pickling it never recurse
+    blocks = ((20000,), (20001,)) + tuple((v,) for v in range(19999, 0, -1))
+    table = bj.phi_123_132_labeled(blocks)
+    text = labeled_text(table)
+    assert _shape_of_labeled(text) == bj.forward(blocks, "123-132")
+    assert _shape_of_labeled(text).edge_count == 20002
+    assert sorted(text_labels(text)) == list(range(20002))
+    assert pickle.loads(pickle.dumps(table)) == table and copy.deepcopy(table) == table
 
 
 def test_find_target_vertex():
@@ -200,10 +189,10 @@ def test_find_target_vertex():
     # created 21st (label 20): two bare branches, then the older path
     vpath = find_target_path(bj.phi_123_132(FIG25_BLOCKS))
     labeled = bj.phi_123_132_labeled(FIG25_BLOCKS)
-    node = labeled
+    vertex = None
     for i in vpath:
-        node = node.children[i]
-    assert node.label == 20
+        vertex = labeled[vertex][i]
+    assert vertex == 20
 
 
 def test_is_full_right_subtree():

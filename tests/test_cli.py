@@ -273,11 +273,20 @@ def test_bijection_backward_smallest_trees(tmp_path, capsys, family):
 @pytest.mark.parametrize("family", ["123-132", "123-213"])
 @pytest.mark.parametrize(
     "blocks_text,reason",
-    [("({},{1,2})", "prefix condition fails"), ("({},{1})", "blocks must partition")],
+    [
+        ("({},{1,2})", "prefix condition fails"),
+        ("({},{1})", "blocks must partition"),
+        # a parse error: one line naming the column (the newline makes startswith match it whole)
+        ("({1)", "expected '}' to close the block at column 2\n"),
+        ("({1,},{2})", "expected a digit at column 5: '}'\n"),
+        ("({1_0})", "expected a digit at column 4: '_'\n"),
+        ("({\u0661})", "expected a digit at column 3: '\u0661'\n"),
+        ("( {1} , {2})", "expected ',' at column 6\n"),
+    ],
 )
 def test_bijection_forward_rejects_non_parking(tmp_path, capfd, family, blocks_text, reason):
     src = tmp_path / "f.txt"
-    src.write_text(blocks_text + "\n")
+    src.write_text(blocks_text + "\n", encoding="utf-8")
     code = main(["bijection", "--family", family, "--direction", "forward", "--input", str(src)])
     captured = capfd.readouterr()
     assert (code, captured.out) == (EXIT_USAGE, "")
@@ -456,6 +465,11 @@ def test_parse_error_exit_code(capsys):
     code = main(["count", "--notion", "pk", "--patterns", "122", "--n", "3"])
     capsys.readouterr()
     assert code == EXIT_USAGE
+    # entries are ASCII digits: a superscript or Arabic-Indic digit is named, not read as a number
+    for patterns, column in (("\u00b2", 1), ("\u0661\u0663\u0662", 1), ("1\u00b23", 2)):
+        code = main(["count", "--notion", "pk", "--patterns", patterns, "--n", "3"])
+        message = f"error: bad character in permutation at column {column}: {patterns[column - 1]!r}\n"
+        assert (code, capsys.readouterr()) == (EXIT_USAGE, ("", message))
 
 
 def test_usage_error(capsys):

@@ -138,3 +138,12 @@ def test_text_formats():
         parse_blocks("{1}")
     with pytest.raises(ValueError):
         parse_prefs("1,x")
+    for text in ("1,\u00b2", "1,\u0661", "1,1_0"):  # ASCII digits only
+        with pytest.raises(ValueError, match="bad preference at position 2"):
+            parse_prefs(text)
+    # block entries are ASCII digits, and every parse error names its column
+    assert parse_blocks(" ( {2, 1},{ },{3} ) ") == ((1, 2), (), (3,))
+    for text, column in (("({1)", 2), ("({1,},{2})", 5), ("({1_0})", 4), ("({+1})", 3), ("({-1})", 3),
+                         ("({\u00b2})", 3), ("( {1} , {2})", 6), ("({1}{2})", 5), ("(({1})", 2)):
+        with pytest.raises(ValueError, match=f"at column {column}"):
+            parse_blocks(text)

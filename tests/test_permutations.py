@@ -259,6 +259,10 @@ def test_parsing():
         parse_permutation("122")
     with pytest.raises(ValueError):
         parse_permutation("12a")
+    # ASCII digits only: other Unicode digits are refused, not read as numbers
+    for text, where in (("\u00b2", "column 1"), ("1\u0663\u0662", "column 2"), ("1,\u00b2", "position 2")):
+        with pytest.raises(ValueError, match=where):
+            parse_permutation(text)
     with pytest.raises(ValueError):
         Permutation((1, 3))
 

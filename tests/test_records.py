@@ -3,13 +3,16 @@ fields, type-strict equality, hashing by value, the field-by-field repr, and
 validation on construction."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import parkav
 from parkav._record import Record
-from parkav.bijections import Cluster, LabeledTree, backward, enumerate_pf_family, phi_123_132_labeled
+from parkav.bijections import Cluster, backward, phi_123_132_labeled
 from parkav.counting import CountResult
 from parkav.generalized import Evaluation, MMultiparking, MParking
 from parkav.oracle import OracleReport
@@ -37,7 +40,6 @@ SAMPLES = {
     "MParking": lambda: MParking((1, 3), 2),
     "PowerSeries": lambda: PowerSeries((1, Fraction(1, 2))),
     "OracleReport": lambda: OracleReport("pk(123)", 3, None, 14, 14),
-    "LabeledTree": lambda: LabeledTree(None, (LabeledTree(0),)),
     "Cluster132": lambda: Cluster("extend", 1, 2, None, (0, 1), None),
     "Cluster213": lambda: Cluster("closed", 1, 3, 2, (0, 1), 4),
 }
@@ -54,7 +56,6 @@ DEFAULT_REPRS = {
     "MParking": "MParking(values=(1, 3), m=2)",
     "PowerSeries": "PowerSeries(coeffs=(Fraction(1, 1), Fraction(1, 2)))",
     "OracleReport": "OracleReport(quantity='pk(123)', n=3, m=None, oracle_value=14, formula_value=14)",
-    "LabeledTree": "LabeledTree(label=None, children=(LabeledTree(label=0, children=()),))",
     "Cluster132": (
         "Cluster(kind='extend', lo=1, hi=2, parameter=None, main_positions=(0, 1), empty_position=None)"
     ),
@@ -77,9 +78,10 @@ CASES = list(SAMPLES)
 
 
 def test_every_record_class_is_sampled():
-    classes = {type(make()) for make in SAMPLES.values()}
-    assert len(classes) == 16
-    assert all(issubclass(cls, Record) for cls in classes)
+    # with every module loaded, each record class in parkav is a subclass here
+    for module in pkgutil.iter_modules(parkav.__path__):
+        importlib.import_module(f"parkav.{module.name}")
+    assert {type(make()) for make in SAMPLES.values()} == set(Record.__subclasses__())
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -139,7 +141,7 @@ def test_equality_is_type_strict():
 def test_keyword_arguments_and_defaults():
     assert CountResult(value=5, method="formula") == CountResult(5, "formula")
     assert LatticePath(("U", "D")).m == 1
-    assert OrderedTree() == LEAF and LabeledTree(3).children == ()
+    assert OrderedTree() == LEAF
 
 
 def test_normalising_constructors_store_the_normal_form():
@@ -147,10 +149,10 @@ def test_normalising_constructors_store_the_normal_form():
     assert all(type(c) is Fraction for c in PowerSeries((1, 2)).coeffs)
 
 
-def test_labeled_tree_is_always_truthy():
-    # a record is truthy whatever its fields: no length makes a leaf falsy
+def test_records_are_always_truthy():
+    # a record is truthy whatever its fields: no length makes an empty one falsy
     assert not hasattr(Record, "__len__") and not hasattr(Record, "__bool__")
-    assert LabeledTree(0) and LabeledTree(None)
+    assert ParkingFunction(()) and CountResult(0, "formula") and Evaluation(())
 
 
 def test_enumerated_parking_functions_equal_validated_ones():
@@ -158,28 +160,18 @@ def test_enumerated_parking_functions_equal_validated_ones():
         assert f == ParkingFunction(f.prefs) and hash(f) == hash(ParkingFunction(f.prefs))
 
 
-def test_labeled_tree_repr_is_the_record_repr():
-    # written with a stack, field by field as Record writes it
-    for n in range(6):
-        for blocks in enumerate_pf_family(n, "123-132"):
-            t = phi_123_132_labeled(blocks)
-            assert repr(t) == Record.__repr__(t)
-
-
 def test_deep_trees_compare_and_hash_at_any_depth():
     # 5,001 levels of nesting: field tuples compared, printed or copied level
-    # by level would pass Python's recursion limit
+    # by level would pass Python's recursion limit; the labelled images are
+    # flat tables of child labels
     a, b, c = (parse_tree("(" * 5001 + bottom + ")" * 5001) for bottom in ("()()", "()()", "(())"))
     la, lb, lc = (phi_123_132_labeled(backward(t, "123-132")) for t in (a, b, c))
-    for x, y in ((a, b), (la, lb)):
-        assert x is not y and x == y and not x != y
-        assert hash(x) == hash(y) and len({x, y}) == 1
-    for x, y in ((a, c), (la, lc)):
-        assert x != y and not x == y
-        assert len({x, y}) == 2
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b) and len({a, b}) == 1
+    assert la is not lb and la == lb and not la != lb
+    assert a != c and not a == c and len({a, c}) == 2
+    assert la != lc and not la == lc
     assert a != la and la != a
-    assert repr(la).startswith("LabeledTree(label=None, children=(LabeledTree(label=")
-    assert repr(la).endswith(",))")
-    for x in (a, la):
-        assert repr(x).count("(") == repr(x).count(")") > 5001
+    assert repr(a).count("(") == repr(a).count(")") > 5001
+    for x in (a, la, lc):
         assert pickle.loads(pickle.dumps(x)) == x and copy.deepcopy(x) == x
