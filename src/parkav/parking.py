@@ -242,11 +242,18 @@ def format_prefs(prefs: Sequence[int]) -> str:
 
 def parse_blocks(text: str) -> Blocks:
     """Parse "({7},{5,6},{},{1,2,4},{},{3},{})"; "{}" is the empty block.
-    Entries are ASCII digits; an error names its column in the stripped text."""
+    Blanks may stand between any two tokens, entries are ASCII digits, and a
+    trailing comma is refused; an error names its column in the stripped text."""
     text = text.strip()
     if not (text.startswith("(") and text.endswith(")")):
         raise ValueError("block notation must be wrapped in parentheses")
-    i, end = len(text) - len(text[1:].lstrip()), len(text[:-1].rstrip())  # the blocks lie in text[i:end]
+
+    def skip_blanks(i: int) -> int:
+        while text[i].isspace():  # stops at the closing ")" at the latest
+            i += 1
+        return i
+
+    i, end = skip_blanks(1), len(text) - 1  # the blocks lie in text[i:end]
     blocks: list[tuple[int, ...]] = []
     while i < end:
         if text[i] != "{":
@@ -264,11 +271,13 @@ def parse_blocks(text: str) -> Blocks:
             block.append(int(entry))
             at += len(part) + 1
         blocks.append(tuple(sorted(block)))
-        i = j + 1
+        i = skip_blanks(j + 1)
         if i < end:
             if text[i] != ",":
                 raise ValueError(f"expected ',' at column {i + 1}")
-            i += 1
+            comma, i = i, skip_blanks(i + 1)
+            if i == end:
+                raise ValueError(f"trailing ',' at column {comma + 1}")
     return tuple(blocks)
 
 

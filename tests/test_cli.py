@@ -8,7 +8,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from parkav import cli
 from parkav.cli import EXIT_BUDGET, EXIT_MISMATCH, EXIT_OK, EXIT_PIPE, EXIT_USAGE, main
 from tables import PF_312_321, PK_ROWS
 
@@ -141,6 +144,171 @@ def test_start_up_loads_only_what_it_runs():
     assert loaded.isdisjoint(unwanted), sorted(loaded & unwanted)
 
 
+# runs the package the way ``python -S -m parkav`` does; an atexit probe
+# writes the names in sys.modules to the file named by the first argument
+IMPORT_PROBE = """
+import atexit, runpy, sys
+probe = sys.argv.pop(1)
+
+def record():
+    with open(probe, "w") as f:
+        f.write(" ".join(sys.modules))
+
+atexit.register(record)
+runpy.run_module("parkav", run_name="__main__", alter_sys=True)
+"""
+
+
+def _loaded_by(tmp_path, *argv):
+    probe = tmp_path / "modules"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_PROBE, str(probe), *argv],
+        input=b"(()()(()))\n", capture_output=True, env=_src_env(), cwd=ROOT, timeout=120,
+    )
+    return done, set(probe.read_text().split())
+
+
+@pytest.mark.parametrize(
+    "argv,want,unwanted",
+    [
+        (
+            ["count", "--notion", "pk", "--patterns", "132", "--n", "5"],
+            b"621\n",
+            {"argparse", "parkav.bijections", "parkav.generalized", "parkav.trees"},
+        ),
+        (
+            ["bijection", "--family", "123-132", "--direction", "backward", "--input", "-"],
+            b"({2,3},{1},{})\n",
+            {"argparse", "parkav.counting", "parkav.paths", "parkav.generalized"},
+        ),
+    ],
+    ids=["count", "bijection"],
+)
+def test_a_plain_call_loads_only_its_command(tmp_path, argv, want, unwanted):
+    # a plain argv is read without argparse, and each command imports what it runs
+    done, loaded = _loaded_by(tmp_path, *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, want, b"")
+    assert {"parkav.cli", "parkav.permutations"} <= loaded
+    assert loaded.isdisjoint(unwanted), sorted(loaded & unwanted)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["count", "-h"], ["count", "--notion", "zz", "--patterns", "123", "--n", "3"], ["count", "--pat", "1"]],
+    ids=["help", "count-help", "usage", "abbreviation"],
+)
+def test_help_and_usage_errors_come_from_argparse(tmp_path, capsys, argv):
+    # anything but a plain argv falls back to argparse, which prints its own bytes
+    done, loaded = _loaded_by(tmp_path, *argv)
+    assert "argparse" in loaded
+    with pytest.raises(SystemExit) as exited:
+        cli.build_parser().parse_args(argv)
+    captured = capsys.readouterr()
+    assert (done.returncode, done.stdout, done.stderr) == (
+        EXIT_OK if exited.value.code == 0 else EXIT_USAGE, captured.out.encode(), captured.err.encode()
+    )
+
+
+def test_package_names_resolve_on_first_access():
+    # importing the package loads no module; each public name loads its own,
+    # and ``from parkav import *`` binds every one
+    code = (
+        f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); import parkav; "
+        "print(' '.join(m for m in sys.modules if m.startswith('parkav.'))); "
+        "scope = {}; exec('from parkav import *', scope); "
+        "print(all(scope[name] is getattr(parkav, name) for name in parkav.__all__), len(parkav.__all__))"
+    )
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "\nTrue 14\n"
+    import parkav
+
+    with pytest.raises(AttributeError):
+        parkav.no_such_name
+
+
+def test_plain_argv_is_read_without_argparse():
+    # every benchmark-shaped call takes the direct reader
+    for argv in (
+        ["count", "--notion", "pk", "--patterns", "132", "--n", "5"],
+        ["count", "--n", "5", "--timing", "--patterns", "", "--notion", "pf", "--format", "json"],
+        ["sequence", "--notion", "pf", "--patterns", "312,321", "--n-max", "200"],
+        ["classes", "--family", "metasylvester-multi", "--m", "3", "--n-max", "40"],
+        ["bijection", "--family", "123-213", "--direction", "backward", "--input", "-"],
+        ["verify", "--suite", "all", "--n-max", "6"],
+        ["verify"],
+    ):
+        args = cli.read_plain(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(cli.build_parser().parse_args(argv))
+
+
+def _plain_values(option) -> list[str]:
+    if option.choices is not None:
+        return list(option.choices() if callable(option.choices) else option.choices)
+    return ["5", "12"] if option.reader else ["132", "123,132", "", "-", "formulas"]
+
+
+ODD_VALUES = ["-1", "0", "\u0665", "", "-", "1_0", "+3", " 3", "zz", "x.txt"]
+FLAGS = sorted({flag for _, _, options in cli.COMMANDS.values() for flag in options})
+
+
+@st.composite
+def argvs(draw):
+    """argv near a plain one: the options of one subcommand in any order;
+    unless the draw is plain, some are left out, repeated, abbreviated,
+    joined with "=" or missing their value, values are odd, and a stray
+    token such as -h may be added."""
+    plain = draw(st.booleans())
+    command = draw(st.sampled_from(list(cli.COMMANDS) if plain else [*cli.COMMANDS, "cnt", "-h", ""]))
+    options = cli.COMMANDS.get(command, cli.COMMANDS["count"])[2]
+    pieces = []
+    for flag, option in options.items():
+        required = option.default is cli.REQUIRED
+        times = [1] if plain and required else [1, 0] if plain else [1, 1, 1, 0, 2]
+        for _ in range(draw(st.sampled_from(times))):
+            form = "exact" if plain else draw(st.sampled_from(["exact"] * 4 + ["prefix", "joined", "bare", "other"]))
+            values = st.sampled_from(_plain_values(option))
+            value = draw(values if plain else values | st.sampled_from(ODD_VALUES))
+            if option.reader is bool:
+                pieces.append([flag] if form != "joined" else [f"{flag}={value}"])
+            elif form == "exact":
+                pieces.append([flag, value])
+            elif form == "prefix":
+                pieces.append([flag[: draw(st.integers(2, len(flag) - 1))], value])
+            elif form == "joined":
+                pieces.append([f"{flag}={value}"])
+            elif form == "bare":
+                pieces.append([flag])
+            else:
+                pieces.append([draw(st.sampled_from(FLAGS)), value])
+    pieces = draw(st.permutations(pieces))
+    argv = [command] + [token for piece in pieces for token in piece]
+    if not plain:
+        for stray in draw(st.lists(st.sampled_from(["-h", "--help", "--", "-1", "x"]), max_size=1)):
+            argv.insert(draw(st.integers(0, len(argv))), stray)
+    return argv
+
+
+@given(argvs())
+@settings(max_examples=400, deadline=None)
+def test_direct_reader_agrees_with_argparse(argv):
+    # the direct reader either builds argparse's own namespace or declines
+    import contextlib
+    import io
+
+    direct = cli.read_plain(argv)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            parsed = None
+    if direct is not None:
+        assert parsed is not None and vars(direct) == vars(parsed)
+    if parsed is None:
+        assert direct is None
+
+
 def test_deterministic_output(capsys):
     args = ("sequence", "--notion", "pk", "--patterns", "312", "--n-max", "8")
     _, first = run(capsys, *args)
@@ -193,6 +361,32 @@ def test_negative_n_rejected(capsys, argv):
     code = main(argv)
     assert capsys.readouterr().out == ""
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("value", ["\u0665", "1_0", "+3", " 3", "3 ", "", "-", "0x5", "\u00b2"])
+@pytest.mark.parametrize(
+    "argv,kind",
+    [
+        (["count", "--notion", "pk", "--patterns", "132", "--n"], "int"),
+        (["sequence", "--notion", "pk", "--patterns", "132", "--n-max"], "positive_int"),
+        (["classes", "--family", "metasylvester-m", "--n-max", "3", "--m"], "positive_int"),
+        (["verify", "--suite", "formulas", "--n-max"], "positive_int"),
+    ],
+    ids=["n", "n-max", "m", "verify-n-max"],
+)
+def test_numbers_are_ascii_digits(capsys, argv, kind, value):
+    # an optional "-" and ASCII digits: a Unicode digit, "_", "+" or a blank is
+    # refused with argparse's message for the option, and nothing is counted
+    code = main([*argv, value])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_USAGE, "")
+    assert captured.err.endswith(f"error: argument {argv[-1]}: invalid {kind} value: {value!r}\n")
+
+
+def test_negative_n_reaches_the_library(capsys):
+    # "-1" is a number: the count itself refuses it, as before
+    code = main(["count", "--notion", "pk", "--patterns", "132", "--n", "-1"])
+    assert (code, capsys.readouterr()) == (EXIT_USAGE, ("", "error: n must be >= 0\n"))
 
 
 def test_walk_budget_refusal(capsys, monkeypatch):
@@ -281,7 +475,8 @@ def test_bijection_backward_smallest_trees(tmp_path, capsys, family):
         ("({1,},{2})", "expected a digit at column 5: '}'\n"),
         ("({1_0})", "expected a digit at column 4: '_'\n"),
         ("({\u0661})", "expected a digit at column 3: '\u0661'\n"),
-        ("( {1} , {2})", "expected ',' at column 6\n"),
+        ("({1},)", "trailing ',' at column 5\n"),
+        ("({1},{2}, )", "trailing ',' at column 9\n"),
     ],
 )
 def test_bijection_forward_rejects_non_parking(tmp_path, capfd, family, blocks_text, reason):
@@ -292,6 +487,16 @@ def test_bijection_forward_rejects_non_parking(tmp_path, capfd, family, blocks_t
     assert (code, captured.out) == (EXIT_USAGE, "")
     assert captured.err.startswith(f"error: {reason}")
     assert "Traceback" not in captured.err
+
+
+def test_bijection_forward_takes_blanks_between_blocks(tmp_path, capsys):
+    # blanks between any two tokens of the block notation: the same tree as without them
+    outs = []
+    for blocks_text in ("({2,3},{1},{})", "( {2,3} , {1} , {} )"):
+        src = tmp_path / "f.txt"
+        src.write_text(blocks_text + "\n")
+        outs.append(run(capsys, "bijection", "--family", "123-132", "--direction", "forward", "--input", str(src)))
+    assert outs[0] == outs[1] == (EXIT_OK, "(()()(()))\n")
 
 
 @pytest.mark.parametrize(

@@ -144,6 +144,8 @@ def test_text_formats():
     # block entries are ASCII digits, and every parse error names its column
     assert parse_blocks(" ( {2, 1},{ },{3} ) ") == ((1, 2), (), (3,))
     for text, column in (("({1)", 2), ("({1,},{2})", 5), ("({1_0})", 4), ("({+1})", 3), ("({-1})", 3),
-                         ("({\u00b2})", 3), ("( {1} , {2})", 6), ("({1}{2})", 5), ("(({1})", 2)):
+                         ("({\u00b2})", 3), ("({1}{2})", 5), ("(({1})", 2), ("({1},)", 5), ("({1},{2}, )", 9)):
         with pytest.raises(ValueError, match=f"at column {column}"):
             parse_blocks(text)
+    # blanks may stand between any two tokens, also around the commas between blocks
+    assert parse_blocks("( {1} , {3, 2} , {} )") == parse_blocks("(\t{1}, { 2,3 },{})") == ((1,), (2, 3), ())

@@ -13,6 +13,7 @@ import pytest
 import parkav
 from parkav._record import Record
 from parkav.bijections import Cluster, backward, phi_123_132_labeled
+from parkav.cli import Option, positive_int
 from parkav.counting import CountResult
 from parkav.generalized import Evaluation, MMultiparking, MParking
 from parkav.oracle import OracleReport
@@ -42,6 +43,7 @@ SAMPLES = {
     "OracleReport": lambda: OracleReport("pk(123)", 3, None, 14, 14),
     "Cluster132": lambda: Cluster("extend", 1, 2, None, (0, 1), None),
     "Cluster213": lambda: Cluster("closed", 1, 3, 2, (0, 1), 4),
+    "Option": lambda: Option(positive_int, 6, None, "at least 1"),
 }
 
 # what the frozen dataclasses printed; the other classes define their own repr
