@@ -31,7 +31,7 @@ from itertools import accumulate, islice
 from typing import Callable, Iterator
 
 from ._record import Record
-from .paths import catalan_number, path_weight_sum
+from .paths import catalan_number, path_weight_row
 from .permutations import PatternSet, avoider_walk, pattern_set
 
 
@@ -231,14 +231,15 @@ def pk321(n: int) -> int:
 
 # -- sums over lattice paths -------------------------------------------------
 
-# weight(n, r, u): factor of an up-run of length r after u up-steps in an
-# order-n path; the path weight is the product over its runs.
-PATH_WEIGHTS: dict[str, Callable[[int, int, int], int]] = {
-    "123": lambda n, r, u: r,
-    "213": lambda n, r, u: math.factorial(r),
-    "312": lambda n, r, u: 1 + n - u if u else 1,
-    "321": lambda n, r, u: PATH_WEIGHTS["312"](n, r, u) * math.factorial(r - 1),
-    "pf-312-321": lambda n, r, u: 1 if u + r == n else r + 1,
+# weight(r, v, first): factor of an up-run of length r, v up-steps from its
+# start to the path's end (last iff r == v), first iff it opens the path.  The
+# "312" weight at s is the metasylvester class factor of s times an ascent word.
+PATH_WEIGHTS: dict[str, Callable[..., int]] = {
+    "123": lambda r, v, first: r,
+    "213": lambda r, v, first: math.factorial(r),
+    "312": lambda r, v, first, s=1: 1 if first else 1 + s * v,
+    "321": lambda r, v, first: PATH_WEIGHTS["312"](r, v, first) * math.factorial(r - 1),
+    "pf-312-321": lambda r, v, first: 1 if r == v else r + 1,
 }
 
 
@@ -250,7 +251,7 @@ def pk_sum_over_paths(n: int, weight: str) -> CountResult:
     """
     if weight not in PATH_WEIGHTS:
         raise ValueError(f"unknown weight {weight!r}; choose from {sorted(PATH_WEIGHTS)}")
-    return CountResult(path_weight_sum(n, 1, partial(PATH_WEIGHTS[weight], n)), "weighted_sum")
+    return CountResult(path_weight_row(n, 1, PATH_WEIGHTS[weight])[n], "weighted_sum")
 
 
 # -- dispatch over subsets of S_3 --------------------------------------------

@@ -14,10 +14,10 @@ per-class factors prod(1+beta_i) (i>=2), prod(1+suffix sums) (i>=2) and
 2^(|beta|-1) respectively.  Since increasing (m-)parking functions biject
 with (m-)Catalan paths and packed evaluations with ascent words, the totals
 are sums of path weights.  Each factor is a product over the path's up-runs,
-so ``paths.path_weight_sum`` computes every total in polynomial time: it is
-the route for metasylvester m-parking counts, which have no closed form,
-and a cross-check for the closed forms and triangular recurrences used
-elsewhere.
+so ``paths.path_weight_row`` computes every total up to n_max from one
+polynomial table: it is the route for metasylvester m-parking rows, which
+have no closed form, and a cross-check for the closed forms and triangular
+recurrences used elsewhere.
 
 Everything returns exact Python integers; the 1/n-style prefactors carry
 divisibility assertions.
@@ -31,8 +31,8 @@ from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from ._record import Record
-from .counting import Route, exact_div, first_run_row, last_value
-from .paths import path_weight_sum
+from .counting import PATH_WEIGHTS, Route, Row, exact_div, first_run_row, last_value
+from .paths import path_weight_row
 
 if TYPE_CHECKING:
     from .series import PowerSeries
@@ -141,14 +141,12 @@ def hypoplactic_factor(beta: Sequence[int]) -> int:
 
 
 # congruence -> (class factor of a packed evaluation, the same factor per
-# up-run: factor(n, s, r, u) for s times a size-n ascent word, per up-run of
-# length r after u up-steps, see paths.path_weight_sum)
-_CONGRUENCES: dict[
-    str, tuple[Callable[[Sequence[int]], int], Callable[[int, int, int, int], int]]
-] = {
-    "hyposylvester": (hyposylvester_factor, lambda n, s, r, u: 1 + s * r if u else 1),
-    "metasylvester": (metasylvester_factor, lambda n, s, r, u: 1 + s * (n - u) if u else 1),
-    "hypoplactic": (hypoplactic_factor, lambda n, s, r, u: 2 if u else 1),
+# up-run of s times an ascent word: factor(r, v, first, s), with (r, v,
+# first) as in counting.PATH_WEIGHTS)
+_CONGRUENCES: dict[str, tuple[Callable[[Sequence[int]], int], Callable[..., int]]] = {
+    "hyposylvester": (hyposylvester_factor, lambda r, v, first, s=1: 1 if first else 1 + s * r),
+    "metasylvester": (metasylvester_factor, PATH_WEIGHTS["312"]),
+    "hypoplactic": (hypoplactic_factor, lambda r, v, first, s=1: 1 if first else 2),
 }
 
 
@@ -176,24 +174,26 @@ def multipark_class_count_by_paths(n: int, m: int, congruence: str) -> int:
     """Independent route: packed evaluations of m-multiparking functions are
     m times ascent words of ordinary paths, so sum the class factor of
     m*w(C) over all order-n unit paths."""
-    return path_weight_sum(n, 1, partial(_CONGRUENCES[congruence][1], n, m))
+    return path_weight_row(n, 1, partial(_CONGRUENCES[congruence][1], s=m))[n]
 
 
 # -- m-parking class counts ----------------------------------------------------
 
 def mpark_class_count_by_paths(n: int, m: int, congruence: str) -> int:
     """Sum the class factor of w(C) over all order-n, up-height-m paths."""
-    return path_weight_sum(n, m, partial(_CONGRUENCES[congruence][1], n, 1))
+    return path_weight_row(n, m, _CONGRUENCES[congruence][1])[n]
+
+
+def metasylvester_mpark_row(n_max: int, m: int) -> Row:
+    """Sums of prod_{i>=2}(1 + suffix sums of w(C)) over m-Catalan paths for
+    n = 1..n_max.  No closed form is known; one path-weight table gives all."""
+    return enumerate(path_weight_row(n_max, m, PATH_WEIGHTS["312"])[1:], start=1)
 
 
 def metasylvester_mpark(n: int, m: int) -> int:
-    """Sum of prod_{i>=2}(1 + suffix sums of w(C)) over m-Catalan paths.
-
-    No closed form is known; the path-weight DP takes O(m n^3) steps.
-    """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    return mpark_class_count_by_paths(n, m, "metasylvester")
+    return last_value(metasylvester_mpark_row(n, m))
 
 
 def hypoplactic_mpark(n: int, m: int) -> int:
@@ -223,7 +223,7 @@ def hyposylvester_mpark(n: int, m: int) -> int:
 CLASS_FAMILIES: dict[str, Route] = {
     "hyposylvester-multi": ("formula", hyposylvester_multipark, None),
     "metasylvester-multi": ("formula", metasylvester_multipark, first_run_row),
-    "metasylvester-m": ("weighted_sum", metasylvester_mpark, None),
+    "metasylvester-m": ("weighted_sum", metasylvester_mpark, metasylvester_mpark_row),
     "hypoplactic-m": ("formula", hypoplactic_mpark, None),
     "hyposylvester-m": ("formula", hyposylvester_mpark, None),
 }

@@ -10,13 +10,14 @@ Besides enumeration and the ascent-word view, this module implements the two
 surgeries the path-weight recurrences rest on: the canonical decomposition
 C = U_1..U_k D_1 C_1 ... D_k C_k, and deleting/reinserting the first peak.
 It also holds the one engine for sums of run-local path weights,
-``path_weight_sum``: every weight the package sums over paths is a product
-of one factor per up-run, so a polynomial DP replaces enumeration.
+``path_weight_row``: every weight the package sums over paths is a product
+of one factor per up-run, so one polynomial DP gives a whole row of sums.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate, islice
 from typing import Callable, Iterator, Sequence
 
 from ._record import Record
@@ -131,40 +132,37 @@ def enumerate_paths(n: int, m: int = 1) -> Iterator[LatticePath]:
     yield from rec(n, total_down, 0)
 
 
-def path_weight_sum(n: int, m: int, run_factor: Callable[[int, int], int]) -> int:
-    """Sum over all order-n, up-height-m paths of prod run_factor(r, u), one
-    factor per maximal up-run, r its length and u the up-steps before it (a
-    run is first iff u == 0 and last iff u + r == n).
+def path_weight_row(n_max: int, m: int, run_factor: Callable[[int, int, bool], int]) -> list[int]:
+    """[S_0, ..., S_{n_max}]: S_n sums, over all order-n, up-height-m paths,
+    the product of run_factor(r, v, first) over the maximal up-runs: r is a
+    run's length, v the up-steps from its start to the path's end (it is
+    last iff r == v) and first whether it opens the path.
 
-    Transfer-matrix DP over (up-steps so far, height) after each down-run; a
-    suffix sum over the height reached after the up-run folds in every
-    down-run length at once, so the cost is O(m n^3) multiplications.
+    Read from the end, a tail depends on n only through v, so one table
+    serves every n: down[v][h] sums the tails with v up-steps that start
+    with a down-step from height h <= m(n_max - v).  Each row is a running
+    sum of shifted earlier rows times run factors, O(m n_max^3) products in
+    all; the first run's factor is applied per n at the end.
 
-    >>> path_weight_sum(3, 1, lambda r, u: 1)
-    5
-    >>> path_weight_sum(4, 1, lambda r, u: r)  # pk(123), n = 4
+    >>> path_weight_row(4, 1, lambda r, v, first: 1)
+    [1, 1, 2, 5, 14]
+    >>> path_weight_row(4, 1, lambda r, v, first: r)[4]  # pk(123), n = 4
     37
     """
-    if n < 0 or m < 1:
-        raise ValueError(f"need n >= 0 and m >= 1, got n={n}, m={m}")
-    factors = [[run_factor(r, u) for r in range(1, n - u + 1)] for u in range(n)]
-    # weight[u][h]: paths ending in a down-run at height h after u up-steps
-    weight = [[0] * (m * u + 1) for u in range(n + 1)]
-    weight[0][0] = 1
-    for u in range(n):
-        # peak[r - 1][H]: those paths extended by an up-run of length r, ending at height H
-        peak = [[0] * (m * v + 1) for v in range(u + 1, n + 1)]
-        for h, w in enumerate(weight[u]):
-            if w:
-                for r, f in enumerate(factors[u], start=1):
-                    peak[r - 1][h + m * r] += w * f
-        for v, row in enumerate(peak, start=u + 1):
-            below = weight[v]
-            acc = 0
-            for height in range(m * v, 0, -1):
-                acc += row[height]
-                below[height - 1] += acc
-    return weight[n][0]
+    if n_max < 0 or m < 1:
+        raise ValueError(f"need n >= 0 and m >= 1, got n={n_max}, m={m}")
+    down = [[0] + [1] * (m * n_max)]  # v = 0: straight down to the axis
+    for v in range(1, n_max):
+        # up[h]: tails with v up-steps that start with an up-run from height h
+        up = [0] * (m * (n_max - v))
+        for r in range(1, v + 1):
+            f = run_factor(r, v, False)
+            up = [a + f * b for a, b in zip(up, islice(down[v - r], m * r, None))]
+        down.append([0, *accumulate(up)])
+    return [1] + [
+        sum(run_factor(r, n, True) * down[n - r][m * r] for r in range(1, n + 1))
+        for n in range(1, n_max + 1)
+    ]
 
 
 def path_count(n: int, m: int = 1) -> int:

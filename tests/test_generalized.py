@@ -72,6 +72,18 @@ def test_metasylvester_mpark_rows_large_m(m):
     assert [g.metasylvester_mpark(n, m) for n in range(1, 7)] == METASYLVESTER_MPARK[m][:6]
 
 
+def test_metasylvester_mpark_has_degree_n_minus_1_in_m():
+    """Checked, not proved: for n <= 9 the values at m = 1..n+1 have a zero
+    n-th finite difference and a nonzero (n-1)-th one."""
+    rows = [[v for _, v in g.metasylvester_mpark_row(9, m)] for m in range(1, 11)]
+    for n in range(1, 10):
+        diffs = [row[n - 1] for row in rows[: n + 1]]
+        for _ in range(n - 1):
+            diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        # two equal (n-1)-th differences: the n-th is 0, the (n-1)-th is not
+        assert len(diffs) == 2 and diffs[0] == diffs[1] != 0, n
+
+
 def test_specific_entries():
     assert g.hyposylvester_multipark(3, 1) == 12
     assert g.hyposylvester_multipark(5, 2) == 818

@@ -1,7 +1,11 @@
+import hashlib
 import random
+from functools import partial
 
 import pytest
 
+from parkav import counting as c
+from parkav import generalized as g
 from parkav.paths import (
     LatticePath,
     ascent_word,
@@ -17,7 +21,7 @@ from parkav.paths import (
     path_count,
     path_to_increasing_pf,
     path_to_increasing_prefs,
-    path_weight_sum,
+    path_weight_row,
     peak_count,
 )
 from invariants import narayana_sums, path_bijection_with_increasing, path_surgery_roundtrips
@@ -40,35 +44,101 @@ def test_enumeration_order_is_lexicographic_up_first():
 
 def test_path_weight_sum_matches_enumeration():
     rng = random.Random(2404)
-    table: dict[tuple[int, int], int] = {}
+    table: dict[tuple[int, int, bool], int] = {}
 
-    def random_factor(r, u):
-        return table.setdefault((r, u), rng.randint(-3, 5))
+    def random_factor(r, v, first):
+        return table.setdefault((r, v, first), rng.randint(-3, 5))
 
+    factors = (
+        lambda r, v, first: 1,
+        lambda r, v, first: r,
+        lambda r, v, first: v + 2,
+        lambda r, v, first: 3 if first else 5,
+        lambda r, v, first: 7 if r == v else r + 1,
+        random_factor,
+    )
+    n_max = 7
     for m in range(1, 4):
-        for n in range(0, 8):
-            words = [ascent_word(c).runs for c in enumerate_paths(n, m)]
-            factors = (
-                lambda r, u: 1,
-                lambda r, u: r,
-                lambda r, u: u + 2,
-                lambda r, u: 3 if u == 0 else 5,
-                lambda r, u: 7 if u + r == n else r + 1,
-                random_factor,
-            )
-            for factor in factors:
-                want = 0
-                for runs in words:
-                    weight, u = 1, 0
-                    for r in runs:
-                        weight *= factor(r, u)
-                        u += r
-                    want += weight
-                assert path_weight_sum(n, m, factor) == want, (n, m)
+        for factor in factors:
+            want = []
+            for n in range(0, n_max + 1):
+                total = 0
+                for p in enumerate_paths(n, m):
+                    weight, v = 1, n
+                    for r in ascent_word(p).runs:
+                        weight *= factor(r, v, v == n)
+                        v -= r
+                    total += weight
+                want.append(total)
+            assert path_weight_row(n_max, m, factor) == want, m
+    assert path_weight_row(0, 2, random_factor) == [1]
     with pytest.raises(ValueError):
-        path_weight_sum(-1, 1, lambda r, u: 1)
+        path_weight_row(-1, 1, lambda r, v, first: 1)
     with pytest.raises(ValueError):
-        path_weight_sum(2, 0, lambda r, u: 1)
+        path_weight_row(2, 0, lambda r, v, first: 1)
+
+
+def _values(row):
+    return [value for _, value in row]
+
+
+def _congruence_cases():
+    """Each congruence's run factor against its formula or row, on unit
+    paths with s times their ascent words and on height-m paths, to n = 25."""
+    for s in (1, 2, 3):
+        multi = {
+            "hyposylvester": lambda n, s=s: [g.hyposylvester_multipark(k, s) for k in range(1, n + 1)],
+            "metasylvester": lambda n, s=s: _values(c.first_run_row(n, s)),
+            # 2^(runs - 1) does not see s
+            "hypoplactic": lambda n: [g.hypoplactic_mpark(k, 1) for k in range(1, n + 1)],
+        }
+        for name, want in multi.items():
+            factor = partial(g._CONGRUENCES[name][1], s=s)
+            yield pytest.param(25, 1, factor, want, id=f"multi-{name}-s{s}")
+    for m in (1, 2, 3):
+        mpark = {
+            "hyposylvester": lambda n, m=m: [g.hyposylvester_mpark(k, m) for k in range(1, n + 1)],
+            "hypoplactic": lambda n, m=m: [g.hypoplactic_mpark(k, m) for k in range(1, n + 1)],
+        }
+        for name, want in mpark.items():
+            yield pytest.param(25, m, g._CONGRUENCES[name][1], want, id=f"m-{name}-m{m}")
+
+
+# sha256 of "S_1,...,S_30" for the metasylvester m-parking counts at m = 1, 2, 3,
+# as the order-by-order forward path-weight DP computed them
+METASYLVESTER_MPARK_DIGESTS = {
+    1: "3b535b430e4d66a15cb250a7ac58715e2dca9a9b33bca43c2e426b2c30db102e",
+    2: "717bebba23162caa8fac4ae11ff545ad475014d033cf19f41bfe0a1806f1e6c4",
+    3: "4d14d7b0d10a7baa7ff742c42c0c1bd4ec5cf79e57f0ab00b266c89be75f1a4f",
+}
+
+ROW_CASES = [
+    pytest.param(
+        30, 1, c.PATH_WEIGHTS["123"], lambda n: [c.pk123(k) for k in range(1, n + 1)], id="pk-123"
+    ),
+    pytest.param(30, 1, c.PATH_WEIGHTS["213"], lambda n: _values(c.pk213_row(n)), id="pk-213"),
+    pytest.param(30, 1, c.PATH_WEIGHTS["312"], lambda n: _values(c.first_run_row(n, 1)), id="pk-312"),
+    pytest.param(30, 1, c.PATH_WEIGHTS["321"], lambda n: _values(c.pk321_row(n)), id="pk-321"),
+    pytest.param(
+        30, 1, c.PATH_WEIGHTS["pf-312-321"], lambda n: _values(c.pf312321_row(n)), id="pf-312-321"
+    ),
+    *_congruence_cases(),
+    *(
+        pytest.param(30, m, g._CONGRUENCES["metasylvester"][1], digest, id=f"m-metasylvester-m{m}")
+        for m, digest in METASYLVESTER_MPARK_DIGESTS.items()
+    ),
+]
+
+
+@pytest.mark.parametrize("n_max, m, factor, want", ROW_CASES)
+def test_path_weight_row_matches_every_route(n_max, m, factor, want):
+    got = path_weight_row(n_max, m, factor)
+    assert got[0] == 1
+    if isinstance(want, str):
+        assert hashlib.sha256(",".join(map(str, got[1:])).encode()).hexdigest() == want
+        assert _values(g.metasylvester_mpark_row(n_max, m)) == got[1:]
+    else:
+        assert got[1:] == want(n_max)
 
 
 def test_validation():
