@@ -212,11 +212,12 @@ class Cluster(Record):
         return self.hi - self.lo + 1
 
 
-def _clusters(blocks: Blocks, peel) -> tuple[list[Cluster], list[int], list[int | None]]:
-    """The clusters of the blocks, peeled off the front one at a time; where
-    each cluster's main blocks start in the run of all main blocks, in word
-    order (their total last); and the gap of each cluster's empty block: how
-    many main blocks precede it (None: the cluster has none).
+def _clusters(blocks: Blocks, peel) -> tuple[list[tuple], list[int], list[int | None]]:
+    """The clusters of the blocks, peeled off the front one at a time, each
+    a plain tuple of Cluster's fields in their order; where each cluster's
+    main blocks start in the run of all main blocks, in word order (their
+    total last); and the gap of each cluster's empty block: how many main
+    blocks precede it (None: the cluster has none).
 
     The main blocks are exactly the non-empty blocks (see the module
     docstring), so each peel reads its own off the list of their positions,
@@ -228,11 +229,11 @@ def _clusters(blocks: Blocks, peel) -> tuple[list[Cluster], list[int], list[int 
     n = sum(map(len, blocks))  # the blocks left hold 1..n
     while n:
         cluster = peel(blocks, match, mains, starts[-1], n)
+        _, lo, _, _, main, empty = cluster
         clusters.append(cluster)
-        starts.append(starts[-1] + len(cluster.main_positions))
-        empty = cluster.empty_position
+        starts.append(starts[-1] + len(main))
         gaps.append(None if empty is None else bisect_left(mains, empty))
-        n = cluster.lo - 1
+        n = lo - 1
     return clusters, starts, gaps
 
 
@@ -275,15 +276,15 @@ PATTERNS_123_213 = pattern_set("123", "213")
 def clusters_123_132(f: ParkingFunction | Blocks) -> list[Cluster]:
     """Partition the blocks into extend/branch/jump clusters (positions are
     0-based indices into the original block sequence)."""
-    return _clusters(_domain_blocks(f, PATTERNS_123_132), _peel_132)[0]
+    return [Cluster(*c) for c in _clusters(_domain_blocks(f, PATTERNS_123_132), _peel_132)[0]]
 
 
-def _peel_132(blocks: Blocks, match: dict[int, int], mains: list[int], i: int, n: int) -> Cluster:
+def _peel_132(blocks: Blocks, match: dict[int, int], mains: list[int], i: int, n: int) -> tuple:
     j = i + 1  # past the cluster's last main block, in mains
     if blocks[mains[i]] == (n,):  # extend: {n}, {n-1}, ...
         while j < len(mains) and blocks[mains[j]] == (n + i - j,):
             j += 1
-        return Cluster("extend", n + i - j + 1, n, None, tuple(mains[i:j]), None)
+        return "extend", n + i - j + 1, n, None, tuple(mains[i:j]), None
     if blocks[mains[i]][0] != n - 1:
         raise ValueError("block permutation starts with neither n nor n-1")
     # branch: {n-1}, ..., {k+1}, {n}; jump: {n-1}, ..., {k+2}, {k+1, n}
@@ -294,10 +295,10 @@ def _peel_132(blocks: Blocks, match: dict[int, int], mains: list[int], i: int, n
         raise BijectionDefect("branch or jump cluster blocks must be singletons first")
     last = blocks[main[-1]]
     if last == (n,):
-        return Cluster("branch", n - len(main) + 1, n, None, main, None)
+        return "branch", n - len(main) + 1, n, None, main, None
     if last != (n - len(main), n):
         raise BijectionDefect(f"size-2 block {last} is not {(n - len(main), n)}")
-    return Cluster("jump", n - len(main), n, None, main, match[main[-1]])
+    return "jump", n - len(main), n, None, main, match[main[-1]]
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +307,15 @@ def _peel_132(blocks: Blocks, match: dict[int, int], mains: list[int], i: int, n
 
 def clusters_123_213(f: ParkingFunction | Blocks) -> list[Cluster]:
     """Partition the blocks into closed/open clusters."""
-    return _clusters(_domain_blocks(f, PATTERNS_123_213), _peel_213)[0]
+    return [Cluster(*c) for c in _clusters(_domain_blocks(f, PATTERNS_123_213), _peel_213)[0]]
 
 
-def _peel_213(blocks: Blocks, match: dict[int, int], mains: list[int], i: int, n: int) -> Cluster:
+def _peel_213(blocks: Blocks, match: dict[int, int], mains: list[int], i: int, n: int) -> tuple:
     first = blocks[mains[i]]
     k = first[0] - 1  # the cluster covers k+1..n
     if len(first) == 1:
         # closed, all singletons: {k+1}, {n}, ..., {k+2}
-        cluster = Cluster("closed", k + 1, n, n - k - 1, tuple(mains[i : i + n - k]), None)
+        cluster = "closed", k + 1, n, n - k - 1, tuple(mains[i : i + n - k]), None
     else:
         # {k+1, n}, {n-1}, ..., {k+2}, and the empty block matched to the
         # first: before the next cluster's first main block (closed), or after it
@@ -322,13 +323,13 @@ def _peel_213(blocks: Blocks, match: dict[int, int], mains: list[int], i: int, n
         empty = match[main[0]]
         if i + len(main) == len(mains) or empty < mains[i + len(main)]:
             parameter = len(main) - bisect_left(main, empty)  # main blocks after the empty one
-            cluster = Cluster("closed", k + 1, n, parameter, main, empty)
+            cluster = "closed", k + 1, n, parameter, main, empty
         else:
-            cluster = Cluster("open", k + 1, n, None, main, empty)
+            cluster = "open", k + 1, n, None, main, empty
     # after the first block, singletons from n (or n - 1 after {k+1, n}) down to k+2
-    singletons = [blocks[q] for q in cluster.main_positions[1:]]
+    singletons = [blocks[q] for q in cluster[4][1:]]
     if (len(first) == 2 and first[1] != n) or singletons != list(zip(range(n + 1 - len(first), k + 1, -1))):
-        raise BijectionDefect(f"{cluster.kind} cluster blocks out of shape")
+        raise BijectionDefect(f"{cluster[0]} cluster blocks out of shape")
     return cluster
 
 
@@ -358,14 +359,14 @@ def _graft_table(blocks: Blocks) -> dict[int | None, list[int]]:
     clusters, starts, gaps = _clusters(blocks, _peel_132)
     table = {None: [0], 0: []}
     for i in range(len(clusters) - 1, -1, -1):
-        c, g = clusters[i], gaps[i]
-        target = c.lo - 1
-        if c.kind == "jump":
-            target = None  # the root, unless a main block follows the empty one
+        kind, lo, hi, _, _, _ = clusters[i]
+        target = lo - 1
+        if kind == "jump":
+            target, g = None, gaps[i]  # the root, unless a main block follows the empty one
             if g < starts[-1]:
                 h = _owner(starts, g)
-                target = clusters[h].hi - 1 - (g - starts[h])
-        _graft(table, target, c.lo - 1, c.hi, c.kind == "extend")
+                target = clusters[h][2] - 1 - (g - starts[h])  # below the host's hi
+        _graft(table, target, lo - 1, hi, kind == "extend")
     return table
 
 
@@ -488,24 +489,24 @@ def _phi_213(blocks: Blocks) -> OrderedTree:
     spine = [1, 0]  # the right-most spine, its bottom leaf first
     grown_from = {}  # per closed cluster: spine length and root degree of the tree it grew
     for i in range(len(clusters) - 1, -1, -1):
-        c = clusters[i]
-        if c.kind == "closed":
+        kind, lo, hi, parameter, _, _ = clusters[i]
+        if kind == "closed":
             grown_from[i] = len(spine) - 1, len(kids[root])
-            for _ in range(c.parameter):
+            for _ in range(parameter):
                 kids.append([root])
                 root = len(kids) - 1
                 spine.append(root)
-            kids[root].append(_new_path(kids, c.length - c.parameter))
+            kids[root].append(_new_path(kids, hi - lo + 1 - parameter))
             continue
         # open: the host owns the last main block before the empty one
         h = _owner(starts, gaps[i] - 1)
-        host = clusters[h]
+        host_kind, _, _, host_parameter, _, _ = clusters[h]
         if h == i:
             raise BijectionDefect("open cluster's empty block precedes every later block")
-        if host.kind != "closed":
+        if host_kind != "closed":
             raise BijectionDefect("the matched empty block must sit inside a closed cluster")
         ell = starts[h + 1] - gaps[i]  # the host's main blocks after the empty one
-        if ell > host.parameter:
+        if ell > host_parameter:
             raise BijectionDefect("empty block sits deeper than the host's parameter allows")
         spine_length, degree = grown_from[h]
         depth = spine_length + ell  # v's height above the spine's bottom leaf
@@ -516,7 +517,7 @@ def _phi_213(blocks: Blocks) -> OrderedTree:
         if len(kids[v]) < branches:
             raise BijectionDefect("kept subtree wants more branches than the vertex has")
         kept, kids[v] = kids[v][:branches], kids[v][branches:]
-        top = _new_path(kids, c.length - 1)
+        top = _new_path(kids, hi - lo)
         for s in reversed(spine[depth + 1 :]):  # from the old root down to v's parent
             kids[s] = kids[s][1:] + [top]
             top = s

@@ -9,10 +9,11 @@ Subcommands:
   verify     formula-vs-oracle sweeps; exit code 2 on any mismatch
 
 Output is deterministic byte-for-byte for identical invocations; timing is
-only emitted under --timing.  Exit codes: 0 ok, 1 usage or parse error,
-2 verification mismatch, 3 refused by a work budget (BudgetExceeded) or
-by Python's recursion limit (RecursionError; no route is known to reach it),
-141 the reader of stdout went away (BrokenPipeError; nothing more is printed).
+only emitted under --timing, which only csv and json accept.  Exit codes:
+0 ok, 1 usage or parse error, 2 verification mismatch, 3 refused by a work
+budget (BudgetExceeded) or by Python's recursion limit (RecursionError; no
+route is known to reach it), 141 the reader of stdout went away
+(BrokenPipeError; nothing more is printed).
 
 Each subcommand's options are declared once, in ``COMMANDS``.  ``main``
 first hands argv to ``read_plain``, which reads a plain argv (the
@@ -217,6 +218,7 @@ class Option(Record):
 
 
 FORMATS = ["bfile", "csv", "json"]
+TIMED_FORMATS = ["csv", "json"]  # the formats whose records carry elapsed_ms
 
 # subcommand -> (help, handler, {option: Option}); build_parser and the
 # direct reader both read this one table
@@ -331,6 +333,9 @@ def main(argv: list[str] | None = None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as e:
             return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
+    if getattr(args, "timing", False) and args.format not in TIMED_FORMATS:
+        print(f"error: --timing needs --format csv or json; {args.format} carries no elapsed_ms", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.fn(args, sys.stdout)
     except (BudgetExceeded, RecursionError) as e:

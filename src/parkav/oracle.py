@@ -3,11 +3,17 @@
 The oracle never touches the closed forms: one walk per size parks every
 parking function (``parking.parking_walk``) and fills both profiles (how many
 have each outcome, and each block, permutation), a batch of functions per
-placement of all cars but the last.  The profile keys that avoid a pattern,
-by honest containment, are found once per size and pattern for both sides;
-a pattern set counts the intersection of its patterns' key sets, smallest
-first.  Filling both profiles takes about 0.02 s at n = 6, 0.25 s at n = 7
-and 5 s at n = 8 (one process, 2-vCPU host).
+placement of all cars but the last.  Containment of the patterns of size
+<= 3 is read off one table per size, built from the definition by inserting
+the largest letter into each smaller permutation; each profile is tallied
+once by containment mask, so such a pattern set sums the mask bins it does
+not block.  A set holding a larger pattern finds, by honest containment
+(``contains_sequence``), the profile keys that avoid each of its patterns,
+once per size and pattern for both sides, and counts the intersection of
+those key sets, smallest first.  Filling both profiles takes about 0.02 s
+at n = 6, 0.35 s at n = 7 and 4.2 s at n = 8; the containment tables up to
+n, about 0.0025 s at n = 6, 0.016 s at n = 7 and 0.13 s at n = 8 (one
+process, 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -66,6 +72,62 @@ def _profiles(n: int) -> dict[str, Counter[tuple[int, ...]]]:
     return {"pk": pk, "pf": pf}
 
 
+# one bit per pattern of size <= 3 in a containment mask: 1, 12, 21, then S_3 in lexicographic order
+_MASK_BIT = {q: 1 << b for b, q in enumerate([(1,), (1, 2), (2, 1), *itertools.permutations((1, 2, 3))])}
+
+
+@lru_cache(maxsize=None)
+def _containment_masks(n: int) -> dict[tuple[int, ...], int]:
+    """Every permutation of 1..n, with the bits of the patterns of size <= 3
+    that it contains.
+
+    Built from size n - 1 by inserting n at each position p.  An occurrence
+    that misses n is one of the smaller permutation's; one that uses n uses
+    it as its largest letter, so it needs, of the letters before p (the
+    head) and after p (the tail): 1, nothing; 12, a head; 21, a tail; 123
+    or 213, a rise or fall in the head; 312 or 321, a rise or fall in the
+    tail; 132 or 231, a head letter below or above a tail letter.
+    """
+    if n == 0:
+        return {(): 0}
+    b1, b12, b21, b123, b132, b213, b231, b312, b321 = _MASK_BIT.values()
+    table = {}
+    last = (n,)
+    for sigma, held in _containment_masks(n - 1).items():
+        m = n - 1
+        # per p: the bits n gets from the tail sigma[p:], and its largest and smallest letter
+        tail_bits, tail_max, tail_min = [0] * (m + 1), [0] * (m + 1), [n] * (m + 1)
+        for p in range(m - 1, -1, -1):
+            v, hi, lo = sigma[p], tail_max[p + 1], tail_min[p + 1]
+            tail_bits[p] = tail_bits[p + 1] | b21 | (b312 if v < hi else 0) | (b321 if v > lo else 0)
+            tail_max[p], tail_min[p] = max(v, hi), min(v, lo)
+        head_bits, hi, lo = held | b1, 0, n  # and from the head sigma[:p]
+        for p in range(m + 1):
+            mask = head_bits | tail_bits[p]
+            if lo < tail_max[p]:
+                mask |= b132
+            if hi > tail_min[p]:
+                mask |= b231
+            table[sigma[:p] + last + sigma[p:]] = mask
+            if p < m:
+                v = sigma[p]
+                head_bits |= b12 | (b123 if v > lo else 0) | (b213 if v < hi else 0)
+                hi, lo = max(v, hi), min(v, lo)
+    return table
+
+
+@lru_cache(maxsize=None)
+def _mask_tallies(n: int) -> dict[str, Counter[int]]:
+    """Either side's size-n profile, tallied by containment mask."""
+    masks = _containment_masks(n)
+    tallies = {}
+    for side, profile in _profiles(n).items():
+        tally = tallies[side] = Counter()
+        for entries, count in profile.items():
+            tally[masks[entries]] += count
+    return tallies
+
+
 @lru_cache(maxsize=None)
 def _avoiders(n: int, pattern: Permutation) -> frozenset[tuple[int, ...]]:
     """The keys of either side's size-n profile that avoid the pattern, so
@@ -79,10 +141,12 @@ def _brute_general(n: int, patterns: PatternSet, side: str) -> int:
     """Parking functions of size n whose outcome ("pk") or block ("pf")
     permutation avoids every pattern, for pattern sets of any sizes."""
     check_cap(n)
+    bits = [_MASK_BIT.get(q.entries) for q in patterns]
+    if None not in bits:  # every pattern has size <= 3
+        blocked = sum(bits)
+        return sum(count for mask, count in _mask_tallies(n)[side].items() if not mask & blocked)
     profile = _profiles(n)[side]
     avoiders = sorted((_avoiders(n, q) for q in patterns), key=len)
-    if not avoiders:
-        return sum(profile.values())
     # a key missing from this side counts 0
     return sum(map(profile.__getitem__, avoiders[0].intersection(*avoiders[1:])))
 
@@ -195,7 +259,8 @@ def verify_bijections(n_max: int) -> list[OracleReport]:
 # the largest n each verify suite reaches, whatever n_max asks for
 SUITE_LIMITS = {"formulas": BRUTE_CAP - 1, "classes": 5, "bijections": 7}
 """formulas: the simulation oracle refuses past BRUTE_CAP.  Its walk fills both
-profiles in about 0.25 s at n = 7 and 5 s at n = 8 (4.78 M functions; 2-vCPU host).
+profiles in about 0.35 s at n = 7 and 4.2 s at n = 8 (4.78 M functions); verify_all
+over every suite takes about 0.1 s at n_max = 6 and 0.6 s at 7 (2-vCPU host).
 classes: not cost.  Both sides of the evaluation oracle at m = 1, 2 take
 0.002 s at n = 5, 0.01 s at n = 6 and 0.2 s at n = 8 (one process, 2-vCPU
 host), but raising the limit changes what ``verify --n-max 6`` prints."""

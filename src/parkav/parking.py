@@ -175,13 +175,18 @@ def parking_walk(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
     concatenation of their increasing blocks; the block permutation for v is
     order[:c] + (n,) + order[c:] with c = cuts[v - 1], the number of those
     cars that prefer a spot <= v.  Size 0 has no last car, and no item.
+
+    ``order`` is kept as the walk goes, never sorted: a car leaves it when
+    its preference advances, and a parked car goes in after every placed car
+    that prefers a spot no later than its own.  Every placed car is a
+    smaller car, so that keeps the sort stable.
     """
     if n == 0:
         return
     occupied = [0] * (n + 2)  # occupied[s] = car in spot s, 0 = free; n + 1 stays free
     prefs, spots = [0] * n, [0] * n  # by car; 0 = nothing chosen yet
     wanting = [n - 1] + [0] * n  # wanting[v] = cars preferring spot v; wanting[0]: cars not placed
-    cars = range(1, n)
+    order: list[int] = []  # the placed cars, sorted stably by preference
     car = 1  # the car whose preference advances; n once cars 1..n-1 parked
     while car:
         if car == n:
@@ -189,13 +194,14 @@ def parking_walk(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
             occupied[f] = n
             rho = tuple(occupied[1:-1])
             occupied[f] = 0
-            order = tuple(sorted(cars, key=prefs.__getitem__))
-            yield tuple(prefs[1:]), rho, order, tuple(accumulate(wanting[1 : f + 1]))
+            yield tuple(prefs[1:]), rho, tuple(order), tuple(accumulate(wanting[1 : f + 1]))
             car -= 1
             continue
         v, s = prefs[car] + 1, spots[car]
         occupied[s] = 0  # take back the car's previous spot (spot 0 if none)
         wanting[v - 1] -= 1
+        if v > 1:  # the car was placed, at preference v - 1
+            order.remove(car)
         s = max(s, v)
         while occupied[s]:
             s += 1
@@ -204,6 +210,7 @@ def parking_walk(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
             prefs[car] = spots[car] = 0
             car -= 1
             continue
+        order.insert(sum(wanting[1 : v + 1]), car)
         wanting[v] += 1
         occupied[s], prefs[car], spots[car] = car, v, s
         car += 1

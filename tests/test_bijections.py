@@ -291,7 +291,7 @@ def test_lay_out_inverts_the_gaps(family):
     for n in range(8):
         for blocks in bj.enumerate_pf_family(n, family):
             clusters, _, gaps = bj._clusters(blocks, peel)
-            mains = [tuple(blocks[q] for q in c.main_positions) for c in clusters]
+            mains = [tuple(blocks[q] for q in bj.Cluster(*c).main_positions) for c in clusters]
             assert bj._lay_out(mains, gaps) == blocks
 
 
@@ -305,6 +305,7 @@ def test_clusters_take_the_non_empty_blocks_in_order(family):
     for n in range(8):
         for blocks in bj.enumerate_pf_family(n, family):
             clusters, starts, gaps = bj._clusters(blocks, peel)
+            clusters = [bj.Cluster(*c) for c in clusters]
             non_empty = [q for q, b in enumerate(blocks) if b]
             assert [q for c in clusters for q in c.main_positions] == non_empty
             match = bj.bracket_match(blocks)

@@ -109,6 +109,37 @@ def test_sequence_timing_csv(capsys):
     assert all(float(ms) >= 0 for *_, ms in records)
 
 
+@pytest.mark.parametrize(
+    "argv, fmt",
+    [
+        (["count", "--notion", "pk", "--patterns", "132", "--n", "6", "--timing"], "plain"),
+        (["count", "--notion", "pk", "--patterns", "132", "--n", "6", "--timing", "--format", "bfile"], "bfile"),
+        (["sequence", "--notion", "pk", "--patterns", "321", "--n-max", "4", "--timing"], "bfile"),
+        (["sequence", "--timing", "--notion", "pk", "--patterns", "321", "--n-max", "4", "--format", "bfile"], "bfile"),
+        (["classes", "--family", "hypoplactic-m", "--m", "2", "--n-max", "4", "--timing"], "bfile"),
+        (["classes", "--family", "hypoplactic-m", "--m", "2", "--n-max=4", "--timing"], "bfile"),  # argparse reads it
+    ],
+)
+def test_timing_is_refused_where_no_record_carries_it(capsys, argv, fmt):
+    """plain and bfile print no elapsed_ms, so --timing there is a usage
+    error before any work."""
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"error: --timing needs --format csv or json; {fmt} carries no elapsed_ms\n")
+
+
+@pytest.mark.parametrize("command", ["count", "sequence", "classes"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_timing_is_kept_where_records_carry_it(capsys, command, fmt):
+    argv = {
+        "count": ["count", "--notion", "pk", "--patterns", "132", "--n", "6"],
+        "sequence": ["sequence", "--notion", "pk", "--patterns", "321", "--n-max", "4"],
+        "classes": ["classes", "--family", "hypoplactic-m", "--m", "2", "--n-max", "4"],
+    }[command]
+    code, out = run(capsys, *argv, "--format", fmt, "--timing")
+    assert code == EXIT_OK
+    assert "elapsed_ms" in out
+
+
 def test_trace_child_runs_sequence():
     # the benchmark's tracer wraps counting functions by name: a rename
     # must fail here, not in a traced benchmark run

@@ -13,9 +13,11 @@ from parkav.permutations import (
     S3_PATTERNS,
     PatternSet,
     _contains_by_subsets,
+    all_permutations,
     avoids_all,
     parse_pattern_set,
     pattern_set,
+    perm,
 )
 from invariants import reference_profile
 
@@ -63,14 +65,18 @@ def test_order_independence(side, text):
         assert forward == backward == brute(n, patterns), n
 
 
+def _clear_oracle_caches():
+    for value in vars(oracle).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
 @pytest.fixture
 def cold_oracle():
-    """Empty the oracle's caches before and after the test."""
-    oracle._profiles.cache_clear()
-    oracle._avoiders.cache_clear()
+    """Empty every cache of the oracle's before and after the test."""
+    _clear_oracle_caches()
     yield
-    oracle._profiles.cache_clear()
-    oracle._avoiders.cache_clear()
+    _clear_oracle_caches()
 
 
 def test_verify_walks_once_per_size(monkeypatch, cold_oracle):
@@ -144,8 +150,7 @@ def test_profiles_check_their_totals(monkeypatch, cold_oracle):
         oracle._profiles(4)
 
 
-def test_formula_suite_tests_each_permutation_once_per_pattern(monkeypatch, cold_oracle):
-    """Both sides share one containment test per permutation and pattern."""
+def _count_containment_tests(monkeypatch) -> list:
     calls = []
     real = oracle.contains_sequence
 
@@ -154,11 +159,42 @@ def test_formula_suite_tests_each_permutation_once_per_pattern(monkeypatch, cold
         return real(seq, pattern)
 
     monkeypatch.setattr(oracle, "contains_sequence", counted)
+    return calls
+
+
+def test_formula_suite_tests_each_permutation_once_per_pattern(monkeypatch, cold_oracle):
+    """Every pattern the suite asks about has size <= 3, so the containment
+    tables answer them all and no permutation is scanned."""
+    calls = _count_containment_tests(monkeypatch)
     reports = oracle.verify_all(5, "formulas")
     assert reports and all(r.agree for r in reports)
-    asked = set(S3_PATTERNS).union(*counting.PF_ROUTES)
-    assert set(calls) <= asked
-    assert len(calls) <= sum(factorial(n) for n in range(1, 6)) * len(asked)
+    assert all(q.n <= 3 for q in set(S3_PATTERNS).union(*counting.PF_ROUTES))
+    assert calls == []
+
+
+def test_larger_patterns_test_each_permutation_once_per_pattern(monkeypatch, cold_oracle):
+    """A set with a pattern of size >= 4 scans each permutation once per
+    pattern, for both sides together."""
+    calls = _count_containment_tests(monkeypatch)
+    for n in range(1, 6):
+        for texts in ("21", "1234"), ("12", "123", "1234"):
+            oracle.brute_pk(n, pattern_set(*texts))
+            oracle.brute_pf(n, pattern_set(*texts))
+    asked = {perm(t) for t in ("21", "1234", "12", "123")}
+    assert set(calls) == asked
+    assert len(calls) == sum(factorial(n) for n in range(1, 6)) * len(asked)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_containment_masks_match_the_subset_search(n):
+    """Each size-n permutation's mask has the bit of each pattern of size
+    <= 3 exactly when the reference search finds the pattern in it."""
+    masks = oracle._containment_masks(n)
+    assert sorted(masks) == [p.entries for p in all_permutations(n)]
+    for q, bit in oracle._MASK_BIT.items():
+        pattern = perm(q)
+        for entries, mask in masks.items():
+            assert bool(mask & bit) == _contains_by_subsets(entries, pattern), (entries, q)
 
 
 @pytest.mark.parametrize(
