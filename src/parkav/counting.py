@@ -5,7 +5,8 @@ condition:
 
 - ``pk``: parking functions whose outcome permutation (spot -> car) avoids
   every pattern in a set P.  Every subset of S_3 not containing both 123
-  and 321 dispatches a closed form, linear or triangular recurrence.
+  and 321 dispatches a closed form or a recurrence; the 312 and 321 rows
+  read one first-run table of path weights (``paths.path_weight_table``).
 - ``pf``: parking functions whose block permutation avoids P.  Closed forms
   exist for {12}, {21}, {123,132}, {123,213} and {312,321}.
 
@@ -31,7 +32,7 @@ from itertools import accumulate, islice
 from typing import Callable, Iterator
 
 from ._record import Record
-from .paths import catalan_number, path_weight_row
+from .paths import catalan_number, exact_div, path_weight_row, path_weight_table
 from .permutations import PatternSet, avoider_walk, pattern_set
 
 
@@ -47,13 +48,6 @@ class CountResult(Record):
 
     def __int__(self) -> int:
         return self.value
-
-
-def exact_div(numerator: int, denominator: int) -> int:
-    q, r = divmod(numerator, denominator)
-    if r:
-        raise ArithmeticError(f"{numerator} not divisible by {denominator}")
-    return q
 
 
 def generic_weighted_pk(n: int, patterns: PatternSet) -> CountResult:
@@ -163,38 +157,19 @@ def pk132(n: int) -> int:
     return last_value(pk132_row(n))
 
 
-def triangle(
-    n: int, row_factor: Callable[[int, int], int], diag_kernel: Callable[[int], int]
-) -> dict[tuple[int, int], int]:
-    """Triangular table with t[r,r] = 1 and, for 1 <= k < r <= n,
-    t[r,k] = f(r,k) * sum_{i=r-k}^{r-1} sum_{j=k+1-r+i}^{i} K(r-i+j-k-1) t[i,j].
-
-    With D = r-k-1, the cell (i, j) lies on diagonal d = i-j in 0..D and
-    its kernel is K(D-d).  So with P_d[i] the running sum of t down diagonal
-    d, the double sum is sum_{d=0}^{D} K(D-d) (P_d[r-1] - P_d[D]): O(n^3)
-    for the whole table.
-    """
-    kernel = [diag_kernel(x) for x in range(n + 1)]
-    t: dict[tuple[int, int], int] = {}
-    prefix: list[int] = []  # prefix[d] = P_d[r-1] while row r is built
-    base = [0]  # base[D] = sum_{d<=D} K(D-d) P_d[D], fixed once row D is done
-    for r in range(1, n + 1):
-        t[r, r] = 1
-        for k in range(r - 1, 0, -1):
-            D = r - k - 1
-            acc = sum(map(operator.mul, kernel[D::-1], prefix[: D + 1]))
-            t[r, k] = row_factor(r, k) * (acc - base[D])
-        prefix.append(0)
-        for d in range(r):
-            prefix[d] += t[r, r - d]
-        base.append(sum(map(operator.mul, kernel[r:0:-1], prefix)))
-    return t
+def _first_run_table(n: int, run_factor: Callable[[int, int, bool], int]) -> dict[tuple[int, int], int]:
+    """t[r, k] for 1 <= k <= r <= n: over the order-r unit paths whose first
+    run has length k, the sum of the product of the later runs' factors.
+    These are the cells down[r - k][k] of one path_weight_table."""
+    down = path_weight_table(n, 1, run_factor)
+    return {(r, k): down[r - k][k] for r in range(1, n + 1) for k in range(1, r + 1)}
 
 
 def first_run_triangle(n: int, m: int) -> dict[tuple[int, int], int]:
-    """The triangle with f(n,k) = 1 + m(n-k) and a constant kernel: a plain
-    sum over the sliding window.  m = 1 specializes to the 312 table."""
-    return triangle(n, lambda r, k: 1 + m * (r - k), lambda d: 1)
+    """The first-run table of the "312" weight at s = m, where each later run
+    weighs 1 + m·v: its row sums are the metasylvester m-multiparking counts,
+    and m = 1 specializes to the 312 table."""
+    return _first_run_table(n, partial(PATH_WEIGHTS["312"], s=m))
 
 
 def first_run_row(n_max: int, m: int) -> Row:
@@ -205,7 +180,7 @@ def first_run_row(n_max: int, m: int) -> Row:
 
 
 def pk312_table(n: int) -> dict[tuple[int, int], int]:
-    """The 312 triangle: f(n,k) = n-k+1 and a constant kernel."""
+    """The 312 table: first_run_triangle at m = 1."""
     return first_run_triangle(n, 1)
 
 
@@ -214,8 +189,9 @@ def pk312(n: int) -> int:
 
 
 def pk321_table(n: int) -> dict[tuple[int, int], int]:
-    """The 321 triangle: f(n,k) = n-k+1 and the kernel K(x) = x!."""
-    return triangle(n, lambda r, k: r - k + 1, math.factorial)
+    """The first-run table of the "321" weight: a later run of length r
+    weighs (1 + v)(r - 1)!; the first run's (k - 1)! is left to the row."""
+    return _first_run_table(n, PATH_WEIGHTS["321"])
 
 
 def pk321_row(n_max: int) -> Row:
@@ -244,10 +220,9 @@ PATH_WEIGHTS: dict[str, Callable[..., int]] = {
 
 
 def pk_sum_over_paths(n: int, weight: str) -> CountResult:
-    """Sum the named weight of the ascent word over all order-n paths.
-
-    Independent route to the single-pattern counts (and to the {312,321}
-    block-permutation count via "pf-312-321").
+    """Sum the named weight of the ascent word over all order-n paths: the
+    single-pattern counts, and the {312,321} block-permutation count via
+    "pf-312-321".  The 312 and 321 rows read the table this sum reads.
     """
     if weight not in PATH_WEIGHTS:
         raise ValueError(f"unknown weight {weight!r}; choose from {sorted(PATH_WEIGHTS)}")

@@ -14,10 +14,9 @@ per-class factors prod(1+beta_i) (i>=2), prod(1+suffix sums) (i>=2) and
 2^(|beta|-1) respectively.  Since increasing (m-)parking functions biject
 with (m-)Catalan paths and packed evaluations with ascent words, the totals
 are sums of path weights.  Each factor is a product over the path's up-runs,
-so ``paths.path_weight_row`` computes every total up to n_max from one
-polynomial table: it is the route for metasylvester m-parking rows, which
-have no closed form, and a cross-check for the closed forms and triangular
-recurrences used elsewhere.
+so one polynomial table, ``paths.path_weight_table``, gives every total up
+to n_max.  It is the route for both metasylvester rows (the m-parking one
+has no closed form) and a cross-check for the other closed forms.
 
 Everything returns exact Python integers; the 1/n-style prefactors carry
 divisibility assertions.
@@ -31,8 +30,8 @@ from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from ._record import Record
-from .counting import PATH_WEIGHTS, Route, Row, exact_div, first_run_row, last_value
-from .paths import path_weight_row
+from .counting import PATH_WEIGHTS, Route, Row, first_run_row, last_value
+from .paths import exact_div, path_count, path_weight_row
 
 if TYPE_CHECKING:
     from .series import PowerSeries
@@ -164,16 +163,16 @@ def hyposylvester_multipark(n: int, m: int) -> int:
 
 
 def metasylvester_multipark(n: int, m: int) -> int:
-    """Row sum of the (1 + m(n-k))-weighted triangular recurrence."""
+    """Row sum of first_run_triangle(n, m): the "312" path weight at s = m."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     return last_value(first_run_row(n, m))
 
 
 def multipark_class_count_by_paths(n: int, m: int, congruence: str) -> int:
-    """Independent route: packed evaluations of m-multiparking functions are
-    m times ascent words of ordinary paths, so sum the class factor of
-    m*w(C) over all order-n unit paths."""
+    """Packed evaluations of m-multiparking functions are m times ascent
+    words of ordinary paths, so sum the class factor of m*w(C) over all
+    order-n unit paths."""
     return path_weight_row(n, 1, partial(_CONGRUENCES[congruence][1], s=m))[n]
 
 
@@ -208,12 +207,11 @@ def hypoplactic_mpark(n: int, m: int) -> int:
 
 
 def hyposylvester_mpark(n: int, m: int) -> int:
-    """C((2m+1)n, n) / (2mn + 1), the Fuss-Catalan-shaped count that matches
-    the per-evaluation product sum (both routes are asserted equal in tests)."""
+    """C((2m+1)n, n) / (2mn + 1), the order-n paths of up-height 2m: it
+    matches the per-evaluation product sum (asserted in tests)."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    num = math.comb((2 * m + 1) * n, n)
-    return exact_div(num, 2 * m * n + 1)
+    return path_count(n, 2 * m)
 
 
 # -- the family registry -------------------------------------------------------

@@ -11,9 +11,9 @@ not block.  A set holding a larger pattern finds, by honest containment
 (``contains_sequence``), the profile keys that avoid each of its patterns,
 once per size and pattern for both sides, and counts the intersection of
 those key sets, smallest first.  Filling both profiles takes about 0.02 s
-at n = 6, 0.35 s at n = 7 and 4.2 s at n = 8; the containment tables up to
-n, about 0.0025 s at n = 6, 0.016 s at n = 7 and 0.13 s at n = 8 (one
-process, 2-vCPU host).
+at n = 6, 0.35 s at n = 7 and 4.2 s at n = 8; the tables up to n - 1 and
+both tallies at n, from size-n insertions streamed and never kept, about
+0.002 s, 0.014 s and 0.14-0.22 s (one process, 2-vCPU host).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import lru_cache
+from typing import Iterator
 
 from ._record import Record
 from .parking import parking_walk
@@ -76,8 +77,7 @@ def _profiles(n: int) -> dict[str, Counter[tuple[int, ...]]]:
 _MASK_BIT = {q: 1 << b for b, q in enumerate([(1,), (1, 2), (2, 1), *itertools.permutations((1, 2, 3))])}
 
 
-@lru_cache(maxsize=None)
-def _containment_masks(n: int) -> dict[tuple[int, ...], int]:
+def _insertions(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """Every permutation of 1..n, with the bits of the patterns of size <= 3
     that it contains.
 
@@ -89,9 +89,9 @@ def _containment_masks(n: int) -> dict[tuple[int, ...], int]:
     tail; 132 or 231, a head letter below or above a tail letter.
     """
     if n == 0:
-        return {(): 0}
+        yield (), 0
+        return
     b1, b12, b21, b123, b132, b213, b231, b312, b321 = _MASK_BIT.values()
-    table = {}
     last = (n,)
     for sigma, held in _containment_masks(n - 1).items():
         m = n - 1
@@ -108,23 +108,29 @@ def _containment_masks(n: int) -> dict[tuple[int, ...], int]:
                 mask |= b132
             if hi > tail_min[p]:
                 mask |= b231
-            table[sigma[:p] + last + sigma[p:]] = mask
+            yield sigma[:p] + last + sigma[p:], mask
             if p < m:
                 v = sigma[p]
                 head_bits |= b12 | (b123 if v > lo else 0) | (b213 if v < hi else 0)
                 hi, lo = max(v, hi), min(v, lo)
-    return table
+
+
+@lru_cache(maxsize=None)
+def _containment_masks(n: int) -> dict[tuple[int, ...], int]:
+    """The insertions of size n as a table, which those of size n + 1 read."""
+    return dict(_insertions(n))
 
 
 @lru_cache(maxsize=None)
 def _mask_tallies(n: int) -> dict[str, Counter[int]]:
-    """Either side's size-n profile, tallied by containment mask."""
-    masks = _containment_masks(n)
-    tallies = {}
-    for side, profile in _profiles(n).items():
-        tally = tallies[side] = Counter()
-        for entries, count in profile.items():
-            tally[masks[entries]] += count
+    """Either side's size-n profile, tallied by mask as the insertions stream."""
+    profiles = _profiles(n)
+    tallies = {side: Counter() for side in profiles}
+    for entries, mask in _insertions(n):
+        for side, profile in profiles.items():
+            count = profile.get(entries)
+            if count:
+                tallies[side][mask] += count
     return tallies
 
 

@@ -10,14 +10,16 @@ Besides enumeration and the ascent-word view, this module implements the two
 surgeries the path-weight recurrences rest on: the canonical decomposition
 C = U_1..U_k D_1 C_1 ... D_k C_k, and deleting/reinserting the first peak.
 It also holds the one engine for sums of run-local path weights,
-``path_weight_row``: every weight the package sums over paths is a product
-of one factor per up-run, so one polynomial DP gives a whole row of sums.
+``path_weight_table``: every weight the package sums over paths is a product
+of one factor per up-run, so one polynomial table of tail sums gives a whole
+row of sums (``path_weight_row``) and the pk 312/321 first-run tables.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import accumulate, islice
+from itertools import accumulate
+from operator import mul
 from typing import Callable, Iterator, Sequence
 
 from ._record import Record
@@ -132,48 +134,69 @@ def enumerate_paths(n: int, m: int = 1) -> Iterator[LatticePath]:
     yield from rec(n, total_down, 0)
 
 
+def path_weight_table(n_max: int, m: int, run_factor: Callable[[int, int, bool], int]) -> list[list[int]]:
+    """down[v][h], for 0 <= v < n_max and 0 <= h <= m(n_max - v): the sum,
+    over the path tails with v up-steps that start with a down-step from
+    height h, of the product of run_factor(r, v', False) over their up-runs
+    (v' counts the up-steps from a run's start to the end).  So
+    down[n - k][m*k] sums the later runs of the order-n paths whose first
+    run has length k.
+
+    A tail opening with an up-run of length r at height h goes on from
+    h + m*r with v - r up-steps, so up[h] is the factors' dot product with
+    column h of rows v - 1, ..., 0, each shifted by its m*r, and down[v] is
+    the running sum of up: O(m n_max^3) products, or one per column where
+    the factors do not depend on r.
+
+    >>> path_weight_table(3, 1, lambda r, v, first: 1)
+    [[0, 1, 1, 1], [0, 1, 2], [0, 2]]
+    """
+    if n_max < 0 or m < 1:
+        raise ValueError(f"need n >= 0 and m >= 1, got n={n_max}, m={m}")
+    down = [[0] + [1] * (m * n_max)]  # v = 0: straight down to the axis
+    for v in range(1, n_max):
+        width = m * (n_max - v)
+        factors = [run_factor(r, v, False) for r in range(1, v + 1)]
+        columns = zip(*[down[v - r][m * r : m * r + width] for r in range(1, v + 1)])
+        if factors.count(f := factors[0]) == v:
+            up = (f * sum(column) for column in columns)
+        else:
+            up = (sum(map(mul, factors, column)) for column in columns)
+        down.append([0, *accumulate(up)])
+    return down
+
+
 def path_weight_row(n_max: int, m: int, run_factor: Callable[[int, int, bool], int]) -> list[int]:
     """[S_0, ..., S_{n_max}]: S_n sums, over all order-n, up-height-m paths,
     the product of run_factor(r, v, first) over the maximal up-runs: r is a
     run's length, v the up-steps from its start to the path's end (it is
-    last iff r == v) and first whether it opens the path.
-
-    Read from the end, a tail depends on n only through v, so one table
-    serves every n: down[v][h] sums the tails with v up-steps that start
-    with a down-step from height h <= m(n_max - v).  Each row is a running
-    sum of shifted earlier rows times run factors, O(m n_max^3) products in
-    all; the first run's factor is applied per n at the end.
+    last iff r == v) and first whether it opens the path.  Read from the
+    end, a tail depends on n only through v, so one path_weight_table gives
+    every S_n: the first runs k, weighted, times the tails down[n - k][m*k].
 
     >>> path_weight_row(4, 1, lambda r, v, first: 1)
     [1, 1, 2, 5, 14]
     >>> path_weight_row(4, 1, lambda r, v, first: r)[4]  # pk(123), n = 4
     37
     """
-    if n_max < 0 or m < 1:
-        raise ValueError(f"need n >= 0 and m >= 1, got n={n_max}, m={m}")
-    down = [[0] + [1] * (m * n_max)]  # v = 0: straight down to the axis
-    for v in range(1, n_max):
-        # up[h]: tails with v up-steps that start with an up-run from height h
-        up = [0] * (m * (n_max - v))
-        for r in range(1, v + 1):
-            f = run_factor(r, v, False)
-            up = [a + f * b for a, b in zip(up, islice(down[v - r], m * r, None))]
-        down.append([0, *accumulate(up)])
+    down = path_weight_table(n_max, m, run_factor)
     return [1] + [
         sum(run_factor(r, n, True) * down[n - r][m * r] for r in range(1, n + 1))
         for n in range(1, n_max + 1)
     ]
 
 
+def exact_div(numerator: int, denominator: int) -> int:
+    """numerator / denominator, refusing a remainder."""
+    q, r = divmod(numerator, denominator)
+    if r:
+        raise ArithmeticError(f"{numerator} not divisible by {denominator}")
+    return q
+
+
 def path_count(n: int, m: int = 1) -> int:
     """Exact count C((m+1)n, n) / (mn + 1) of order-n, height-m paths."""
-    if n == 0:
-        return 1
-    num = math.comb((m + 1) * n, n)
-    div, rem = divmod(num, m * n + 1)
-    if rem:
-        raise ArithmeticError(f"{num} not divisible by {m * n + 1}")
-    return div
+    return exact_div(math.comb((m + 1) * n, n), m * n + 1)
 
 
 def catalan_number(n: int) -> int:
@@ -301,8 +324,4 @@ def m_narayana(n: int, k: int, m: int = 1) -> int:
     C(mn, k-1) * C(n, k) / n."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    num = math.comb(m * n, k - 1) * math.comb(n, k)
-    div, rem = divmod(num, n)
-    if rem:
-        raise ArithmeticError(f"{num} not divisible by {n}")
-    return div
+    return exact_div(math.comb(m * n, k - 1) * math.comb(n, k), n)

@@ -202,6 +202,9 @@ def all_reports_agree(reports: list, count: int) -> None:
 
 @lru_cache(maxsize=None)
 def path_sums_match_tables(n_max: int = 10) -> None:
+    """The path sum per n against the row sums of the 312 and 321 tables.
+    Both read one path-weight table, so this checks the two readings agree;
+    the double sum in test_counting is the reference for the cells."""
     for n in range(1, n_max + 1):
         assert counting.pk_sum_over_paths(n, "312").value == counting.pk312(n)
         assert counting.pk_sum_over_paths(n, "321").value == counting.pk321(n)
@@ -428,6 +431,9 @@ def metasylvester_identity(order: int = 8, m_max: int = 3) -> None:
 
 @lru_cache(maxsize=None)
 def consistency_triangle(n_max: int = 8) -> None:
+    """At m = 1 the metasylvester multi and m-parking counts and pk {312} are
+    one sequence; all three read the "312" path-weight table, once through
+    its first-run cells and once through path_weight_row."""
     for n in range(1, n_max + 1):
         a = generalized.metasylvester_multipark(n, 1)
         b = generalized.metasylvester_mpark(n, 1)

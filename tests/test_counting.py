@@ -1,5 +1,7 @@
 import math
+from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -12,7 +14,7 @@ from parkav.counting import (
     pk_count,
     pk_sum_over_paths,
 )
-from parkav.paths import catalan_number
+from parkav.paths import ascent_word, catalan_number, enumerate_paths
 from parkav.permutations import (
     BudgetExceeded,
     all_permutations,
@@ -148,7 +150,8 @@ def test_triangular_tables():
 
 
 def _double_sum_triangle(n, row_factor, kernel):
-    """The defining double sum of counting.triangle, O(n^4): the reference."""
+    """The paper's double sum for the 312/321 triangles, O(n^4): the reference
+    that shares no code with the path-weight table the triangles read."""
     t = {}
     for r in range(1, n + 1):
         t[r, r] = 1
@@ -168,6 +171,28 @@ def test_triangles_match_double_sum():
     assert counting.pk321_table(n) == _double_sum_triangle(n, lambda r, k: r - k + 1, math.factorial)
     for m in (1, 2, 3):
         assert counting.first_run_triangle(n, m) == first_run(m)
+
+
+def test_triangle_cells_sum_the_later_runs_of_paths():
+    # t[r, k]: over the order-r paths whose first run has length k, the sum
+    # of the products of the later runs' factors
+    n = 8
+    tables = {
+        f"312-s{m}": (counting.first_run_triangle(n, m), partial(counting.PATH_WEIGHTS["312"], s=m))
+        for m in (1, 2, 3)
+    }
+    tables["321"] = (counting.pk321_table(n), counting.PATH_WEIGHTS["321"])
+    for name, (table, factor) in tables.items():
+        want = Counter()
+        for r in range(1, n + 1):
+            for p in enumerate_paths(r):
+                first, *later = ascent_word(p).runs
+                weight, v = 1, r - first
+                for run in later:
+                    weight *= factor(run, v, False)
+                    v -= run
+                want[r, first] += weight
+        assert table == dict(want), name
 
 
 def test_rows_match_single_counts():

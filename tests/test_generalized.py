@@ -139,6 +139,7 @@ def test_multipark_path_route():
     for m in (1, 2, 3):
         for n in range(1, 7):
             assert g.multipark_class_count_by_paths(n, m, "hyposylvester") == g.hyposylvester_multipark(n, m)
+            # the same path-weight table, read by path_weight_row and by its first-run cells
             assert g.multipark_class_count_by_paths(n, m, "metasylvester") == g.metasylvester_multipark(n, m)
 
 
@@ -152,7 +153,7 @@ def test_consistency_triangle():
 
 def test_metasylvester_mpark_past_old_cap():
     # from n = 16 on there are more than 10^7 Catalan paths to enumerate;
-    # at m = 1 the triangular recurrence is an independent route
+    # at m = 1 the row and the first-run cells of one path-weight table agree
     for n in range(16, 26):
         assert g.metasylvester_mpark(n, 1) == g.metasylvester_multipark(n, 1)
 

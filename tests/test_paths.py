@@ -84,7 +84,10 @@ def _values(row):
 
 def _congruence_cases():
     """Each congruence's run factor against its formula or row, on unit
-    paths with s times their ascent words and on height-m paths, to n = 25."""
+    paths with s times their ascent words and on height-m paths, to n = 25.
+    The metasylvester multi rows are first_run_row, which reads the same
+    path-weight table: those cases check its first-run reading, not a
+    second engine."""
     for s in (1, 2, 3):
         multi = {
             "hyposylvester": lambda n, s=s: [g.hyposylvester_multipark(k, s) for k in range(1, n + 1)],
@@ -112,6 +115,10 @@ METASYLVESTER_MPARK_DIGESTS = {
     3: "4d14d7b0d10a7baa7ff742c42c0c1bd4ec5cf79e57f0ab00b266c89be75f1a4f",
 }
 
+# pk-312 and pk-321 compare the row with first_run_row and pk321_row, which
+# read the cells of the same path-weight table: they check that reading.  The
+# routes that share no code with it are the closed forms here, the double sum
+# of test_counting.test_triangles_match_double_sum and the digests above.
 ROW_CASES = [
     pytest.param(
         30, 1, c.PATH_WEIGHTS["123"], lambda n: [c.pk123(k) for k in range(1, n + 1)], id="pk-123"
