@@ -5,8 +5,10 @@ condition:
 
 - ``pk``: parking functions whose outcome permutation (spot -> car) avoids
   every pattern in a set P.  Every subset of S_3 not containing both 123
-  and 321 dispatches a closed form or a recurrence; the 312 and 321 rows
-  read one first-run table of path weights (``paths.path_weight_table``).
+  and 321 dispatches a closed form or a recurrence.  The 312 and 321 rows
+  are sums of path weights, read from ``paths.path_weight_row`` through
+  ``path_row``, the adapter every path-weight row shares; their first-run
+  triangles (``pk312_table``, ``pk321_table``) are cells of the same table.
 - ``pf``: parking functions whose block permutation avoids P.  Closed forms
   exist for {12}, {21}, {123,132}, {123,213} and {312,321}.
 
@@ -157,54 +159,6 @@ def pk132(n: int) -> int:
     return last_value(pk132_row(n))
 
 
-def _first_run_table(n: int, run_factor: Callable[[int, int, bool], int]) -> dict[tuple[int, int], int]:
-    """t[r, k] for 1 <= k <= r <= n: over the order-r unit paths whose first
-    run has length k, the sum of the product of the later runs' factors.
-    These are the cells down[r - k][k] of one path_weight_table."""
-    down = path_weight_table(n, 1, run_factor)
-    return {(r, k): down[r - k][k] for r in range(1, n + 1) for k in range(1, r + 1)}
-
-
-def first_run_triangle(n: int, m: int) -> dict[tuple[int, int], int]:
-    """The first-run table of the "312" weight at s = m, where each later run
-    weighs 1 + m·v: its row sums are the metasylvester m-multiparking counts,
-    and m = 1 specializes to the 312 table."""
-    return _first_run_table(n, partial(PATH_WEIGHTS["312"], s=m))
-
-
-def first_run_row(n_max: int, m: int) -> Row:
-    """Row sums of one first_run_triangle(n_max, m)."""
-    t = first_run_triangle(n_max, m)
-    for n in range(1, n_max + 1):
-        yield n, sum(t[n, k] for k in range(1, n + 1))
-
-
-def pk312_table(n: int) -> dict[tuple[int, int], int]:
-    """The 312 table: first_run_triangle at m = 1."""
-    return first_run_triangle(n, 1)
-
-
-def pk312(n: int) -> int:
-    return last_value(first_run_row(n, 1))
-
-
-def pk321_table(n: int) -> dict[tuple[int, int], int]:
-    """The first-run table of the "321" weight: a later run of length r
-    weighs (1 + v)(r - 1)!; the first run's (k - 1)! is left to the row."""
-    return _first_run_table(n, PATH_WEIGHTS["321"])
-
-
-def pk321_row(n_max: int) -> Row:
-    t = pk321_table(n_max)
-    f = _factorials(n_max)
-    for n in range(1, n_max + 1):
-        yield n, sum(f[k - 1] * t[n, k] for k in range(1, n + 1))
-
-
-def pk321(n: int) -> int:
-    return last_value(pk321_row(n))
-
-
 # -- sums over lattice paths -------------------------------------------------
 
 # weight(r, v, first): factor of an up-run of length r, v up-steps from its
@@ -219,14 +173,54 @@ PATH_WEIGHTS: dict[str, Callable[..., int]] = {
 }
 
 
+def path_row(run_factor: Callable[..., int], n_max: int, m: int = 1) -> Row:
+    """The row of path_weight_row(n_max, m, run_factor), n = 1..n_max: how
+    every count that sums path weights reads the one table."""
+    return enumerate(path_weight_row(n_max, m, run_factor)[1:], start=1)
+
+
 def pk_sum_over_paths(n: int, weight: str) -> CountResult:
     """Sum the named weight of the ascent word over all order-n paths: the
     single-pattern counts, and the {312,321} block-permutation count via
-    "pf-312-321".  The 312 and 321 rows read the table this sum reads.
-    """
+    "pf-312-321"."""
     if weight not in PATH_WEIGHTS:
         raise ValueError(f"unknown weight {weight!r}; choose from {sorted(PATH_WEIGHTS)}")
-    return CountResult(path_weight_row(n, 1, PATH_WEIGHTS[weight])[n], "weighted_sum")
+    return CountResult(last_value(path_row(PATH_WEIGHTS[weight], n)), "weighted_sum")
+
+
+def pk312(n: int) -> int:
+    return pk_sum_over_paths(n, "312").value
+
+
+def pk321(n: int) -> int:
+    return pk_sum_over_paths(n, "321").value
+
+
+def _first_run_table(n: int, run_factor: Callable[[int, int, bool], int]) -> dict[tuple[int, int], int]:
+    """t[r, k] for 1 <= k <= r <= n: over the order-r unit paths whose first
+    run has length k, the sum of the product of the later runs' factors.
+    These are the cells down[r - k][k] of one path_weight_table, the cells
+    that path_weight_row weighs by each first run's factor."""
+    down = path_weight_table(n, 1, run_factor)
+    return {(r, k): down[r - k][k] for r in range(1, n + 1) for k in range(1, r + 1)}
+
+
+def first_run_triangle(n: int, m: int) -> dict[tuple[int, int], int]:
+    """The first-run table of the "312" weight at s = m, where each later run
+    weighs 1 + m·v: its row sums are the metasylvester m-multiparking counts,
+    and m = 1 specializes to the 312 table."""
+    return _first_run_table(n, partial(PATH_WEIGHTS["312"], s=m))
+
+
+def pk312_table(n: int) -> dict[tuple[int, int], int]:
+    """The 312 table: first_run_triangle at m = 1."""
+    return first_run_triangle(n, 1)
+
+
+def pk321_table(n: int) -> dict[tuple[int, int], int]:
+    """The first-run table of the "321" weight: a later run of length r
+    weighs (1 + v)(r - 1)!; the first run's (k - 1)! is left to the row."""
+    return _first_run_table(n, PATH_WEIGHTS["321"])
 
 
 # -- dispatch over subsets of S_3 --------------------------------------------
@@ -388,8 +382,8 @@ def _dispatch_table() -> dict[tuple[tuple[int, ...], ...], Route]:
     put(["123"], "formula", pk123)
     put(["213"], "formula", pk213, pk213_row)
     put(["132", "231"], "recurrence", pk132, pk132_row)
-    put(["312"], "recurrence", pk312, partial(first_run_row, m=1))
-    put(["321"], "recurrence", pk321, pk321_row)
+    put(["312"], "recurrence", pk312, partial(path_row, PATH_WEIGHTS["312"]))
+    put(["321"], "recurrence", pk321, partial(path_row, PATH_WEIGHTS["321"]))
     return t
 
 

@@ -15,8 +15,9 @@ per-class factors prod(1+beta_i) (i>=2), prod(1+suffix sums) (i>=2) and
 with (m-)Catalan paths and packed evaluations with ascent words, the totals
 are sums of path weights.  Each factor is a product over the path's up-runs,
 so one polynomial table, ``paths.path_weight_table``, gives every total up
-to n_max.  It is the route for both metasylvester rows (the m-parking one
-has no closed form) and a cross-check for the other closed forms.
+to n_max.  Both metasylvester rows read it through ``counting.path_row``
+(the m-parking one has no closed form); the tests read it with each
+congruence's run factor to cross-check the other closed forms.
 
 Everything returns exact Python integers; the 1/n-style prefactors carry
 divisibility assertions.
@@ -30,8 +31,8 @@ from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from ._record import Record
-from .counting import PATH_WEIGHTS, Route, Row, first_run_row, last_value
-from .paths import exact_div, path_count, path_weight_row
+from .counting import PATH_WEIGHTS, Route, Row, last_value, path_row
+from .paths import exact_div, path_count
 
 if TYPE_CHECKING:
     from .series import PowerSeries
@@ -162,37 +163,27 @@ def hyposylvester_multipark(n: int, m: int) -> int:
     return exact_div(total, n)
 
 
+def _metasylvester_multi_row(n_max: int, m: int) -> Row:
+    """Packed evaluations of m-multiparking functions are m times the ascent
+    words of unit paths: the "312" path weight at s = m, whose first-run
+    triangle is first_run_triangle(n_max, m)."""
+    return path_row(partial(PATH_WEIGHTS["312"], s=m), n_max)
+
+
 def metasylvester_multipark(n: int, m: int) -> int:
-    """Row sum of first_run_triangle(n, m): the "312" path weight at s = m."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    return last_value(first_run_row(n, m))
-
-
-def multipark_class_count_by_paths(n: int, m: int, congruence: str) -> int:
-    """Packed evaluations of m-multiparking functions are m times ascent
-    words of ordinary paths, so sum the class factor of m*w(C) over all
-    order-n unit paths."""
-    return path_weight_row(n, 1, partial(_CONGRUENCES[congruence][1], s=m))[n]
+    return last_value(_metasylvester_multi_row(n, m))
 
 
 # -- m-parking class counts ----------------------------------------------------
 
-def mpark_class_count_by_paths(n: int, m: int, congruence: str) -> int:
-    """Sum the class factor of w(C) over all order-n, up-height-m paths."""
-    return path_weight_row(n, m, _CONGRUENCES[congruence][1])[n]
-
-
-def metasylvester_mpark_row(n_max: int, m: int) -> Row:
-    """Sums of prod_{i>=2}(1 + suffix sums of w(C)) over m-Catalan paths for
-    n = 1..n_max.  No closed form is known; one path-weight table gives all."""
-    return enumerate(path_weight_row(n_max, m, PATH_WEIGHTS["312"])[1:], start=1)
-
-
 def metasylvester_mpark(n: int, m: int) -> int:
+    """The sum of prod_{i>=2}(1 + suffix sums of w(C)) over the order-n,
+    up-height-m paths C: the "312" path weight.  No closed form is known."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    return last_value(metasylvester_mpark_row(n, m))
+    return last_value(path_row(PATH_WEIGHTS["312"], n, m))
 
 
 def hypoplactic_mpark(n: int, m: int) -> int:
@@ -220,8 +211,8 @@ def hyposylvester_mpark(n: int, m: int) -> int:
 # over n.  The CLI, verify and the tests read this one table.
 CLASS_FAMILIES: dict[str, Route] = {
     "hyposylvester-multi": ("formula", hyposylvester_multipark, None),
-    "metasylvester-multi": ("formula", metasylvester_multipark, first_run_row),
-    "metasylvester-m": ("weighted_sum", metasylvester_mpark, metasylvester_mpark_row),
+    "metasylvester-multi": ("formula", metasylvester_multipark, _metasylvester_multi_row),
+    "metasylvester-m": ("weighted_sum", metasylvester_mpark, partial(path_row, PATH_WEIGHTS["312"])),
     "hypoplactic-m": ("formula", hypoplactic_mpark, None),
     "hyposylvester-m": ("formula", hyposylvester_mpark, None),
 }
@@ -282,7 +273,7 @@ def metasylvester_identity_sides(m: int, order: int) -> tuple[PowerSeries, Power
     numer = one(order)
     one_minus_x = series([1, -1], order)
     xs = x(order)
-    for n, p_n in first_run_row(order, m):
+    for n, p_n in _metasylvester_multi_row(order, m):
         numer = numer * one_minus_x * xs
         denom = denom * series([1, m * n], order)
         term = numer * reciprocal(denom)

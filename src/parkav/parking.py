@@ -154,7 +154,7 @@ def block_permutation(f: ParkingFunction) -> Permutation:
     >>> str(block_permutation(parking_function("4,4,6,4,2,2,1")))
     '7561243'
     """
-    return Permutation(tuple(v for b in to_blocks(f) for v in b))
+    return block_permutation_of_blocks(to_blocks(f))
 
 
 def block_permutation_of_blocks(blocks: Blocks) -> Permutation:

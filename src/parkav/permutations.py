@@ -10,6 +10,13 @@ all <= p(i).  That product counts the parking functions whose outcome
 permutation equals p; ``avoider_walk`` sums it, and the matching count for
 block permutations, over an avoidance class.
 
+Containment has two questions.  ``contains_sequence`` asks it of a whole
+sequence: linear scans up to size 3, then the end query at each prefix.
+``ends_with_occurrence`` asks whether an occurrence uses the last entry:
+for sizes <= 3 it reads the one rank scan (``_s3_blocked``) that the
+avoider walk runs once per node for all of a node's children; size 4 is
+one more linear pass and larger sizes try subsets.
+
 Text format: digits for n <= 9 ("7561234"), comma-separated otherwise.
 """
 
@@ -139,28 +146,6 @@ def concat(*pieces: Iterable[int]) -> Permutation:
     return Permutation(tuple(itertools.chain.from_iterable(pieces)))
 
 
-def _rank_order(values: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sorted(range(len(values)), key=lambda j: values[j]))
-
-
-def _contains_by_subsets(seq: Sequence[int], pattern: Permutation) -> bool:
-    """Order-isomorphic subsequence search over all C(n, m) index subsets.
-
-    The fallback for patterns of size >= 5, and the reference the fast
-    paths of contains_sequence are tested against.
-    """
-    m = pattern.n
-    if m == 0:
-        return True
-    if m > len(seq):
-        return False
-    order = _rank_order(pattern.entries)
-    for positions in itertools.combinations(range(len(seq)), m):
-        if _rank_order([seq[i] for i in positions]) == order:
-            return True
-    return False
-
-
 def _has_123(seq: Sequence[int]) -> bool:
     """One left-to-right pass, O(n): ``low`` is the smallest entry so far and
     ``mid`` the smallest entry so far with a smaller one before it, so an
@@ -212,8 +197,9 @@ def contains_sequence(seq: Sequence[int], pattern: Permutation) -> bool:
     """Order-isomorphic subsequence search on any distinct-value sequence.
 
     Sizes 0-1 are a length test, size 2 one pass over adjacent pairs and
-    size 3 a linear scan; size 4 asks the linear end query at each prefix
-    (O(n^2)); larger patterns fall back to the subset search.
+    size 3 a linear scan.  Larger sizes ask the end query at each prefix:
+    O(n^2) for size 4, and for size m >= 5 the sum of C(end - 1, m - 1)
+    over the prefixes, which is C(n, m).
     """
     q = pattern.entries
     m = len(q)
@@ -224,9 +210,7 @@ def contains_sequence(seq: Sequence[int], pattern: Permutation) -> bool:
         return any((a < b) == rising for a, b in zip(seq, seq[1:]))
     if m == 3:
         return _S3_SCANS[q](seq)
-    if m == 4:
-        return any(ends_with_occurrence(seq[:end], pattern) for end in range(4, len(seq) + 1))
-    return _contains_by_subsets(seq, pattern)
+    return any(ends_with_occurrence(seq[:end], pattern) for end in range(m, len(seq) + 1))
 
 
 @lru_cache(maxsize=None)
@@ -278,37 +262,23 @@ def _ends_with_size4(earlier: Sequence[int], x: int, q: tuple[int, ...]) -> bool
 
 
 def ends_with_occurrence(seq: Sequence[int], pattern: Permutation) -> bool:
-    """True iff some occurrence of pattern in seq uses seq's last entry.
+    """True iff some occurrence of pattern in seq uses seq's last entry x.
 
-    Size 2 asks for one earlier entry on the pattern's side of the last
-    entry x.  Size 3 is one O(n) pass: the two earlier entries must lie on
-    the sides of x that the pattern's last letter fixes, in the pattern's
-    order, so keep the extreme candidate for the first of them (its minimum
-    if the pattern rises there, its maximum otherwise).  Size 4 is one O(n)
-    pass too (``_ends_with_size4``).  Larger sizes try the C(n-1, m-1)
-    subsets of the earlier entries.
+    Sizes <= 3 ask whether x lies in an interval of the rank scan over the
+    earlier entries (``_s3_blocked``), size 4 is one O(n) pass
+    (``_ends_with_size4``) and larger sizes try the C(n-1, m-1) subsets of
+    the earlier entries.
     """
     q = pattern.entries
     m = len(q)
     if m == 0 or m > len(seq):
         return False
     x = seq[-1]
-    if m == 2:
-        below = q[0] < q[1]
-        return any((v < x) == below for v in seq[:-1])
-    if m == 3:
-        a, b, c = q
-        first_below, second_below, rising = a < c, b < c, a < b
-        best = None
-        for v in seq[:-1]:
-            if best is not None and (v < x) == second_below and (best < v) == rising:
-                return True
-            if (v < x) == first_below and (best is None or (v < best) == rising):
-                best = v
-        return False
+    if m <= 3:
+        return any(lo < x < hi for lo, hi in _s3_blocked(seq[:-1], q))
     if m == 4:
         return _ends_with_size4(seq[:-1], x, q)
-    order = _rank_order(q)
+    order = sorted(range(m), key=q.__getitem__)
     # order-isomorphic iff read in the pattern's rank order, the values rise
     return any(
         sorted(values := combo + (x,)) == [values[j] for j in order]
@@ -316,39 +286,42 @@ def ends_with_occurrence(seq: Sequence[int], pattern: Permutation) -> bool:
     )
 
 
-def _s3_blocked(seq: Sequence[int], q: tuple[int, ...]) -> list[tuple[int, int]]:
-    """The ranks r at which a new last entry (entries >= r shift up) ends an
-    occurrence of the size-3 pattern q, as intervals (lo, hi): one O(n) pass.
+def _s3_blocked(seq: Sequence[int], q: tuple[int, ...]) -> list[tuple[float, float]]:
+    """The values x of a new last entry that end an occurrence of q, a
+    pattern of size <= 3, as open intervals lo < x < hi (an open end is
+    -inf or inf): one O(n) pass, valid on any distinct-valued sequence.
 
-    The last letter of q puts each earlier letter below the new entry (< r)
-    or above it (>= r).  Both on one side (123, 213, 321, 231): each pair
-    of earlier entries in q's order blocks the ranks past its larger entry
-    (below) or up to its smaller one (above), so together they block one
-    interval, bounded by the least such larger or greatest such smaller
-    entry.  One pass with a running extreme finds it, over seq or its
-    reverse so that this entry is the one scanned second.  Opposite sides
-    (132, 312): each entry and the running minimum (132) or maximum (312)
-    before it block the ranks between them.
+    The last letter of q puts each earlier letter below x or above it.  All
+    on one side, the earlier letters allow one interval of x: every x for
+    none (1), x past the extreme entry for one (12: above the minimum, 21:
+    below the maximum), and for two (123, 213, 321, 231) x past the larger
+    entry (below) or short of the smaller one (above) of some pair in q's
+    order, so past the least such larger or greatest such smaller entry.
+    One pass with a running extreme finds both, over seq or its reverse so
+    that the pair's bound is the entry scanned second.  Opposite sides (132,
+    312): each entry and the running minimum (132) or maximum (312) before
+    it allow the x between them.
     """
-    a, b, c = q
-    low = a < c
+    low = len(q) == 1 or q[0] < q[-1]
     ext = bound = None  # the running extreme; the threshold pair's bound
     out = []
-    if low != (b < c):
+    if len(q) == 3 and low != (q[1] < q[2]):
         for v in seq:
             if ext is not None and (ext < v) == low:
-                out.append((ext + 1, v) if low else (v + 1, ext))
+                out.append((ext, v) if low else (v, ext))
             else:
                 ext = v
         return out
-    for v in seq if (a < b) == low else reversed(seq):
+    for v in seq if len(q) < 3 or (q[0] < q[1]) == low else reversed(seq):
         if ext is not None and (ext < v) == low:
             if bound is None or (v < bound) == low:
                 bound = v
         else:
             ext = v
+    if len(q) < 3:  # x past nothing (1) or past the extreme (12, 21)
+        bound = ext if len(q) == 2 else -math.inf
     if bound is not None:
-        out.append((bound + 1, len(seq) + 1) if low else (1, bound))
+        out.append((bound, math.inf) if low else (-math.inf, bound))
     return out
 
 
@@ -423,9 +396,9 @@ class BudgetExceeded(ValueError):
 # {12345} n = 9 after 15 s).  Counted in entries, not nodes: Av_n(12) has one
 # node per level but O(n^2) work per level.  A pattern of size <= 4 is priced
 # at one linear end query per candidate, a larger one at its subsets of the
-# earlier entries.  Size-3 patterns keep that price, though one scan per node
-# serves all their candidates, so which calls answer and which refuse does
-# not depend on how fast the scan is.
+# earlier entries.  Sizes <= 3 keep that per-candidate price, though one scan
+# per node serves all their candidates, so which calls answer and which
+# refuse does not depend on how fast the scan is.
 WALK_BUDGET = 50_000_000
 
 
@@ -457,9 +430,10 @@ def avoider_walk(n_max: int, patterns: PatternSet, keep_leaves: bool = False) ->
     A size-k avoider grows by a last entry of each rank r in 1..k+1 (entries
     >= r shift up), kept iff no occurrence ends at it, so every node is an
     avoider and the work is sum_k |Av_k(P)| * poly(k).  At a node of size k,
-    one O(k) pass per size-3 pattern marks the ranks of all k+1 children
-    that it forbids (``_s3_blocked``); any other pattern asks one end query
-    per candidate: O(k) for sizes <= 4, C(k, m-1) subsets for size m >= 5.
+    one O(k) pass per pattern of size <= 3 marks the ranks of all k+1
+    children that it forbids (``_s3_blocked``); a larger pattern asks one
+    end query per candidate: O(k) for size 4, C(k, m-1) subsets for size
+    m >= 5.
     One more pass finds every child's ``below``, the entries just before the
     new one that lie under it; its ell_factor is ``below`` + 1.  A block
     permutation p is cut into increasing blocks, each in a later slot but no
@@ -475,8 +449,8 @@ def avoider_walk(n_max: int, patterns: PatternSet, keep_leaves: bool = False) ->
     """
     ell, blocks, leaves = [], [], []
     sizes = [q.n for q in patterns]
-    s3 = [q.entries for q in patterns if q.n == 3]
-    queried = [q for q in patterns if q.n != 3]  # one end query per candidate
+    scanned = [q.entries for q in patterns if q.n <= 3]
+    queried = [q for q in patterns if q.n > 3]  # one end query per candidate
     cost = []  # cost[k]: the scan of one child of a size-k node, set when the walk first reaches k
     spent = 0
     stack = [((), 1, [1])]  # (entries, ell product, block weights by last block slot + 1)
@@ -498,10 +472,11 @@ def avoider_walk(n_max: int, patterns: PatternSet, keep_leaves: bool = False) ->
         if spent > WALK_BUDGET:
             raise BudgetExceeded(f"avoider walk for {patterns} to n={n_max}: past {WALK_BUDGET} entries")
         blocked = [0] * (k + 3)  # difference array over the ranks 1..k+1
-        for q in s3:
+        for q in scanned:
+            # rank r is the value r - 1/2: ranks lo + 1..hi, open ends cut to 1..k+1
             for lo, hi in _s3_blocked(seq, q):
-                blocked[lo] += 1
-                blocked[hi + 1] -= 1
+                blocked[lo + 1 if lo > 0 else 1] += 1
+                blocked[hi + 1 if hi <= k else k + 2] -= 1
         below = [k] * (k + 2)  # below[r]: the entries at seq's end under rank r
         top = 0  # the largest of the last t entries
         for t, v in enumerate(reversed(seq)):

@@ -1,13 +1,17 @@
 """Exhaustive invariant sweeps shared by the module tests and the acceptance
 suite.  Each sweep returns None on success and raises AssertionError with a
 counterexample otherwise; results are cached so double invocation is free.
+The reference computations the engines are checked against (the subset
+search, the triangles' double sum) live here too.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from functools import lru_cache
+from typing import Sequence
 
 from parkav import bijections as bj
 from parkav import counting, generalized, oracle, series, trees
@@ -33,14 +37,64 @@ from parkav.paths import (
     m_narayana,
     path_count,
     path_to_increasing_prefs,
+    path_weight_row,
 )
 from parkav.permutations import (
     S3_PATTERNS,
     PatternSet,
+    Permutation,
     all_permutations,
     ell_weight,
     pattern_set,
 )
+
+
+def contains_by_subsets(seq: Sequence[int], pattern: Permutation) -> bool:
+    """Order-isomorphic subsequence search over all C(n, m) index subsets:
+    the reference the containment engine is tested against."""
+    m = pattern.n
+    if m == 0:
+        return True
+    if m > len(seq):
+        return False
+    order = _rank_order(pattern.entries)
+    for positions in itertools.combinations(range(len(seq)), m):
+        if _rank_order([seq[i] for i in positions]) == order:
+            return True
+    return False
+
+
+def _rank_order(values: Sequence[int]) -> tuple[int, ...]:
+    return tuple(sorted(range(len(values)), key=lambda j: values[j]))
+
+
+def double_sum_triangle(n, row_factor, kernel):
+    """The paper's double sum for the 312/321 triangles, O(n^4): the reference
+    that shares no code with the path-weight table the triangles read."""
+    t = {}
+    for r in range(1, n + 1):
+        t[r, r] = 1
+        for k in range(r - 1, 0, -1):
+            acc = 0
+            for i in range(r - k, r):
+                for j in range(k + 1 - r + i, i + 1):
+                    acc += kernel(r - i + j - k - 1) * t[i, j]
+            t[r, k] = row_factor(r, k) * acc
+    return t
+
+
+@lru_cache(maxsize=None)
+def double_sum_row(n: int, table: str, s: int = 1) -> tuple[int, ...]:
+    """The row n = 1..n of the pk 312 ("312", s = 1), metasylvester multi
+    ("312" at s) or pk 321 ("321") counts, summed from double_sum_triangle:
+    t[n, k] for 312, (k - 1)! t[n, k] for 321."""
+    if table == "312":
+        t = double_sum_triangle(n, lambda r, k: 1 + s * (r - k), lambda d: 1)
+        first = lambda k: 1
+    else:
+        t = double_sum_triangle(n, lambda r, k: r - k + 1, math.factorial)
+        first = lambda k: math.factorial(k - 1)
+    return tuple(sum(first(k) * t[r, k] for k in range(1, r + 1)) for r in range(1, n + 1))
 
 
 def all_s3_subsets(nonempty: bool = True) -> list[PatternSet]:
@@ -202,12 +256,14 @@ def all_reports_agree(reports: list, count: int) -> None:
 
 @lru_cache(maxsize=None)
 def path_sums_match_tables(n_max: int = 10) -> None:
-    """The path sum per n against the row sums of the 312 and 321 tables.
-    Both read one path-weight table, so this checks the two readings agree;
-    the double sum in test_counting is the reference for the cells."""
+    """The 312 and 321 counts per n against the row sums of their first-run
+    tables, t[n, k] and (k - 1)! t[n, k].  Both read one path-weight table,
+    so this checks the two readings agree; double_sum_triangle is the
+    reference for the cells."""
+    t312, t321 = counting.pk312_table(n_max), counting.pk321_table(n_max)
     for n in range(1, n_max + 1):
-        assert counting.pk_sum_over_paths(n, "312").value == counting.pk312(n)
-        assert counting.pk_sum_over_paths(n, "321").value == counting.pk321(n)
+        assert counting.pk312(n) == sum(t312[n, k] for k in range(1, n + 1))
+        assert counting.pk321(n) == sum(math.factorial(k - 1) * t321[n, k] for k in range(1, n + 1))
 
 
 @lru_cache(maxsize=None)
@@ -419,7 +475,8 @@ def generalized_path_sums(n_max: int = 6, m_max: int = 3) -> None:
                 ("hypoplactic", generalized.hypoplactic_mpark),
                 ("hyposylvester", generalized.hyposylvester_mpark),
             ):
-                assert generalized.mpark_class_count_by_paths(n, m, congruence) == formula(n, m)
+                factor = generalized._CONGRUENCES[congruence][1]
+                assert path_weight_row(n, m, factor)[n] == formula(n, m)
 
 
 @lru_cache(maxsize=None)

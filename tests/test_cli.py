@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -156,8 +157,26 @@ def test_trace_child_runs_sequence():
     assert traced.stdout == plain.stdout != ""
     prefix = "perfbench-trace "
     [line] = [line for line in traced.stderr.splitlines() if line.startswith(prefix)]
-    # the whole row reads one triangle
-    assert json.loads(line[len(prefix):])["calls"]["counting.triangle"] == 1
+    # the row reads path_weight_row, not the triangle views the layer wraps
+    assert json.loads(line[len(prefix):])["calls"]["counting.triangle"] == 0
+
+
+def test_benchmark_lookups_resolve():
+    # the tracer wraps these module attributes by name, and the pin script
+    # reads cli.CLASS_FAMILIES: a deletion must fail here, not in every
+    # traced benchmark run
+    spec = importlib.util.spec_from_file_location("trace_child", ROOT / "perfbench" / "trace_child.py")
+    trace_child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(trace_child)  # defines the tables; main() runs only as a script
+    targets = [t for ts in trace_child.LAYERS.values() for t in ts]
+    targets += [*trace_child.GENERATORS.values(), *trace_child.COUNTED.values()]
+    missing = [f"{mod.__name__}.{attr}" for mod, attr in targets if not callable(getattr(mod, attr, None))]
+    assert not missing
+    families = cli.CLASS_FAMILIES
+    assert sorted(families) == [
+        "hypoplactic-m", "hyposylvester-m", "hyposylvester-multi", "metasylvester-m", "metasylvester-multi"
+    ]
+    assert all(isinstance(value(3, 2), int) for value in families.values())
 
 
 def test_start_up_loads_only_what_it_runs():

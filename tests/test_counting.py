@@ -27,6 +27,8 @@ from parkav.permutations import (
 from invariants import (
     all_reports_agree,
     all_s3_subsets,
+    double_sum_row,
+    double_sum_triangle,
     pk_dispatch_matches_weighted,
     path_sums_match_tables,
 )
@@ -149,26 +151,11 @@ def test_triangular_tables():
     assert [counting.pk321(n) for n in range(1, 9)] == PK_ROWS["321"]
 
 
-def _double_sum_triangle(n, row_factor, kernel):
-    """The paper's double sum for the 312/321 triangles, O(n^4): the reference
-    that shares no code with the path-weight table the triangles read."""
-    t = {}
-    for r in range(1, n + 1):
-        t[r, r] = 1
-        for k in range(r - 1, 0, -1):
-            acc = 0
-            for i in range(r - k, r):
-                for j in range(k + 1 - r + i, i + 1):
-                    acc += kernel(r - i + j - k - 1) * t[i, j]
-            t[r, k] = row_factor(r, k) * acc
-    return t
-
-
 def test_triangles_match_double_sum():
     n = 25
-    first_run = lambda m: _double_sum_triangle(n, lambda r, k: 1 + m * (r - k), lambda d: 1)
+    first_run = lambda m: double_sum_triangle(n, lambda r, k: 1 + m * (r - k), lambda d: 1)
     assert counting.pk312_table(n) == first_run(1)
-    assert counting.pk321_table(n) == _double_sum_triangle(n, lambda r, k: r - k + 1, math.factorial)
+    assert counting.pk321_table(n) == double_sum_triangle(n, lambda r, k: r - k + 1, math.factorial)
     for m in (1, 2, 3):
         assert counting.first_run_triangle(n, m) == first_run(m)
 
@@ -288,8 +275,8 @@ def test_path_weight_sums():
     formula_routes = {
         "123": counting.pk123,
         "213": counting.pk213,
-        "312": counting.pk312,
-        "321": counting.pk321,
+        "312": lambda n: double_sum_row(30, "312")[n - 1],
+        "321": lambda n: double_sum_row(30, "321")[n - 1],
         "pf-312-321": lambda n: pf312321_closed_form(n).value,
     }
     for weight, formula in formula_routes.items():

@@ -1,11 +1,13 @@
 import itertools
+from functools import partial
 
 import pytest
 
+from parkav import counting, oracle
 from parkav import generalized as g
-from parkav import oracle
 from parkav.counting import CountResult, row_of
 from parkav.parking import is_parking
+from parkav.paths import path_weight_row
 from invariants import (
     all_reports_agree,
     consistency_triangle,
@@ -75,7 +77,7 @@ def test_metasylvester_mpark_rows_large_m(m):
 def test_metasylvester_mpark_has_degree_n_minus_1_in_m():
     """Checked, not proved: for n <= 9 the values at m = 1..n+1 have a zero
     n-th finite difference and a nonzero (n-1)-th one."""
-    rows = [[v for _, v in g.metasylvester_mpark_row(9, m)] for m in range(1, 11)]
+    rows = [[g.metasylvester_mpark(n, m) for n in range(1, 10)] for m in range(1, 11)]
     for n in range(1, 10):
         diffs = [row[n - 1] for row in rows[: n + 1]]
         for _ in range(n - 1):
@@ -102,7 +104,7 @@ def test_hyposylvester_mpark_dual_route():
     assert g.hyposylvester_mpark(2, 2) == 5
     for m in range(1, 4):
         for n in range(1, 6):
-            assert g.hyposylvester_mpark(n, m) == g.mpark_class_count_by_paths(n, m, "hyposylvester")
+            assert g.hyposylvester_mpark(n, m) == path_weight_row(n, m, g._CONGRUENCES["hyposylvester"][1])[n]
     assert [g.hyposylvester_mpark(n, 1) for n in range(1, 9)] == HYPOSYLVESTER_MULTI[1]
 
 
@@ -138,9 +140,14 @@ def test_per_evaluation_oracle_enumerates_each_size_once(monkeypatch):
 def test_multipark_path_route():
     for m in (1, 2, 3):
         for n in range(1, 7):
-            assert g.multipark_class_count_by_paths(n, m, "hyposylvester") == g.hyposylvester_multipark(n, m)
+            by_paths = {
+                name: path_weight_row(n, 1, partial(g._CONGRUENCES[name][1], s=m))[n]
+                for name in ("hyposylvester", "metasylvester")
+            }
+            assert by_paths["hyposylvester"] == g.hyposylvester_multipark(n, m)
             # the same path-weight table, read by path_weight_row and by its first-run cells
-            assert g.multipark_class_count_by_paths(n, m, "metasylvester") == g.metasylvester_multipark(n, m)
+            first_runs = sum(counting.first_run_triangle(n, m)[n, k] for k in range(1, n + 1))
+            assert by_paths["metasylvester"] == g.metasylvester_multipark(n, m) == first_runs
 
 
 def test_functional_identity():

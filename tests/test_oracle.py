@@ -12,14 +12,13 @@ from parkav.parking import (
 from parkav.permutations import (
     S3_PATTERNS,
     PatternSet,
-    _contains_by_subsets,
     all_permutations,
     avoids_all,
     parse_pattern_set,
     pattern_set,
     perm,
 )
-from invariants import reference_profile
+from invariants import contains_by_subsets, reference_profile
 
 
 def test_brute_pk_examples():
@@ -194,7 +193,7 @@ def test_containment_masks_match_the_subset_search(n):
     for q, bit in oracle._MASK_BIT.items():
         pattern = perm(q)
         for entries, mask in masks.items():
-            assert bool(mask & bit) == _contains_by_subsets(entries, pattern), (entries, q)
+            assert bool(mask & bit) == contains_by_subsets(entries, pattern), (entries, q)
 
 
 @pytest.mark.parametrize(
@@ -219,7 +218,7 @@ def test_filter_matches_direct_count(side, texts):
         direct = sum(
             count
             for entries, count in reference_profile(n, side).items()
-            if not any(_contains_by_subsets(entries, q) for q in patterns)
+            if not any(contains_by_subsets(entries, q) for q in patterns)
         )
         assert brute(n, patterns) == direct, n
         if not texts:

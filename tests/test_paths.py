@@ -24,7 +24,7 @@ from parkav.paths import (
     path_weight_row,
     peak_count,
 )
-from invariants import narayana_sums, path_bijection_with_increasing, path_surgery_roundtrips
+from invariants import double_sum_row, narayana_sums, path_bijection_with_increasing, path_surgery_roundtrips
 
 
 def test_enumeration_counts():
@@ -85,13 +85,11 @@ def _values(row):
 def _congruence_cases():
     """Each congruence's run factor against its formula or row, on unit
     paths with s times their ascent words and on height-m paths, to n = 25.
-    The metasylvester multi rows are first_run_row, which reads the same
-    path-weight table: those cases check its first-run reading, not a
-    second engine."""
+    The metasylvester multi rows are the paper's double sum."""
     for s in (1, 2, 3):
         multi = {
             "hyposylvester": lambda n, s=s: [g.hyposylvester_multipark(k, s) for k in range(1, n + 1)],
-            "metasylvester": lambda n, s=s: _values(c.first_run_row(n, s)),
+            "metasylvester": lambda n, s=s: list(double_sum_row(n, "312", s)),
             # 2^(runs - 1) does not see s
             "hypoplactic": lambda n: [g.hypoplactic_mpark(k, 1) for k in range(1, n + 1)],
         }
@@ -115,17 +113,15 @@ METASYLVESTER_MPARK_DIGESTS = {
     3: "4d14d7b0d10a7baa7ff742c42c0c1bd4ec5cf79e57f0ab00b266c89be75f1a4f",
 }
 
-# pk-312 and pk-321 compare the row with first_run_row and pk321_row, which
-# read the cells of the same path-weight table: they check that reading.  The
-# routes that share no code with it are the closed forms here, the double sum
-# of test_counting.test_triangles_match_double_sum and the digests above.
+# every route here but the digests shares no code with the path-weight table:
+# closed forms, recurrences and, for pk-312 and pk-321, the paper's double sum
 ROW_CASES = [
     pytest.param(
         30, 1, c.PATH_WEIGHTS["123"], lambda n: [c.pk123(k) for k in range(1, n + 1)], id="pk-123"
     ),
     pytest.param(30, 1, c.PATH_WEIGHTS["213"], lambda n: _values(c.pk213_row(n)), id="pk-213"),
-    pytest.param(30, 1, c.PATH_WEIGHTS["312"], lambda n: _values(c.first_run_row(n, 1)), id="pk-312"),
-    pytest.param(30, 1, c.PATH_WEIGHTS["321"], lambda n: _values(c.pk321_row(n)), id="pk-321"),
+    pytest.param(30, 1, c.PATH_WEIGHTS["312"], lambda n: list(double_sum_row(n, "312")), id="pk-312"),
+    pytest.param(30, 1, c.PATH_WEIGHTS["321"], lambda n: list(double_sum_row(n, "321")), id="pk-321"),
     pytest.param(
         30, 1, c.PATH_WEIGHTS["pf-312-321"], lambda n: _values(c.pf312321_row(n)), id="pf-312-321"
     ),
@@ -143,7 +139,7 @@ def test_path_weight_row_matches_every_route(n_max, m, factor, want):
     assert got[0] == 1
     if isinstance(want, str):
         assert hashlib.sha256(",".join(map(str, got[1:])).encode()).hexdigest() == want
-        assert _values(g.metasylvester_mpark_row(n_max, m)) == got[1:]
+        assert _values(g.CLASS_FAMILIES["metasylvester-m"][2](n_max, m)) == got[1:]
     else:
         assert got[1:] == want(n_max)
 

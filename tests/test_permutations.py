@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -36,7 +37,7 @@ from parkav.permutations import (
     s3_containment_mask,
     skew_sum,
 )
-from invariants import all_s3_subsets, ell_weights_match_outcome_counts
+from invariants import all_s3_subsets, contains_by_subsets, ell_weights_match_outcome_counts
 
 
 def test_identity_and_reversal():
@@ -103,7 +104,7 @@ def test_containment_transitive_on_random_triples():
 
 
 # the subset search the fast paths must agree with
-reference = permutations._contains_by_subsets
+reference = contains_by_subsets
 
 
 def _masks_by_subsets(n: int) -> dict[tuple[int, ...], int]:
@@ -173,7 +174,7 @@ def test_small_and_size4_patterns_through_the_engine():
 def test_ends_with_occurrence_matches_subset_search():
     # every size-4 pattern, on all of S_n for n <= 6 and on sequences with
     # gaps and negative values (the walk's probe doubles the old entries)
-    patterns = list(S3_PATTERNS) + [perm("1"), perm("21")]
+    patterns = list(S3_PATTERNS) + [perm("1"), perm("12"), perm("21")]
     patterns += [Permutation(q) for q in itertools.permutations(range(1, 5))]
     rng = random.Random(10)
     cases = [e for n in range(1, 7) for e in itertools.permutations(range(1, n + 1))]
@@ -305,21 +306,20 @@ def test_block_weight_matches_enumeration(text):
     assert sums.blocks == [len(enumerate_pf_avoiding(n, patterns)) for n in range(8)]
 
 
-@pytest.mark.parametrize("q", S3_PATTERNS, ids=str)
+@pytest.mark.parametrize("q", [perm("1"), perm("12"), perm("21"), *S3_PATTERNS], ids=str)
 def test_s3_scan_marks_the_ranks_the_end_query_forbids(q):
-    # the one pass per node against the per-candidate end query, asked on
-    # the probe of each child: 2v for each entry, then 2r - 1
+    # the one pass per node against the subset search on each child: rank r
+    # (entries >= r shift up) is the value r - 1/2 among the old entries
+    is_occurrence = functools.lru_cache(maxsize=None)(lambda values: reference(values, q))
     for n in range(8):
         for seq in itertools.permutations(range(1, n + 1)):
-            marked = set()
-            for lo, hi in permutations._s3_blocked(seq, q.entries):
-                assert 1 <= lo <= hi <= n + 1, (seq, lo, hi)
-                marked.update(range(lo, hi + 1))
-            probe = [2 * v for v in seq] + [0]
-            forbidden = set()
+            blocked = permutations._s3_blocked(seq, q.entries)
+            marked, forbidden = set(), set()
             for r in range(1, n + 2):
-                probe[-1] = 2 * r - 1
-                if ends_with_occurrence(probe, q):
+                if any(lo < r - 0.5 < hi for lo, hi in blocked):
+                    marked.add(r)
+                child = [v + (v >= r) for v in seq]
+                if any(is_occurrence((*combo, r)) for combo in itertools.combinations(child, q.n - 1)):
                     forbidden.add(r)
             assert marked == forbidden, seq
 
