@@ -3,15 +3,15 @@
 The oracle never touches the closed forms: one walk per size parks every
 parking function (``parking.parking_walk``) and fills both profiles (how many
 have each outcome, and each block, permutation), a batch of functions per
-placement of all cars but the last.  Containment of the patterns of size
+placement of all cars but the last two.  Containment of the patterns of size
 <= 3 is read off one table per size, built from the definition by inserting
 the largest letter into each smaller permutation; each profile is tallied
 once by containment mask, so such a pattern set sums the mask bins it does
 not block.  A set holding a larger pattern finds, by honest containment
 (``contains_sequence``), the profile keys that avoid each of its patterns,
 once per size and pattern for both sides, and counts the intersection of
-those key sets, smallest first.  Filling both profiles takes about 0.02 s
-at n = 6, 0.35 s at n = 7 and 4.2 s at n = 8; the tables up to n - 1 and
+those key sets, smallest first.  Filling both profiles takes about 0.007 s
+at n = 6, 0.1 s at n = 7 and 1.1 s at n = 8; the tables up to n - 1 and
 both tallies at n, from size-n insertions streamed and never kept, about
 0.002 s, 0.014 s and 0.14-0.22 s (one process, 2-vCPU host).
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ._record import Record
 from .parking import parking_walk
@@ -43,29 +43,39 @@ def _profiles(n: int) -> dict[str, Counter[tuple[int, ...]]]:
     """How many parking functions of size n have each outcome permutation
     ("pk") and each block permutation ("pf"), keyed by its entries.
 
-    Each walk item stands for the functions whose last car parks in the one
-    spot the others left free: one outcome for all of them, and one block
-    permutation each, order[:c] + (n,) + order[c:] for each c in its cuts.
-    The pf side counts the functions per (order, c) as the walk goes and
-    builds each block permutation once, after it.  Both sides must count all
-    (n+1)^(n-1) functions.
+    Each walk item stands for the functions whose last two cars park in the
+    two spots a < b the others left free: a*b with one outcome, (b-a)*a with
+    the two cars swapped, and one block permutation each, order with cars
+    n-1 and n inserted at c1 = cuts[v - 1] and c2 = cuts[w - 1] + (v <= w).
+    The pf side counts the functions per (order, c1, c2) as the walk goes,
+    reading each (cuts, a) pair's counts per (c1, c2) from a table filled on
+    first sight, and builds each block permutation once, after it.  Both
+    sides must count all (n+1)^(n-1) functions.
     """
     pk, pf = Counter(), Counter()
-    if n == 0:
-        pk[()] = pf[()] = 1  # the empty function: the walk has no last car to place
-    by_order: dict[tuple[int, ...], list[int]] = {}  # per order: the functions at each c
-    for _, rho, order, cuts in parking_walk(n):
-        pk[rho] += len(cuts)
+    width = n + 2  # cell c1 * width + c2; c2 < n, or 1 in the one item of sizes 0 and 1
+    by_order: dict[tuple[int, ...], list[int]] = {}  # per order: the functions at each cell
+    by_cuts: dict[tuple[tuple[int, ...], int], Iterable[tuple[int, int]]] = {}  # per (cuts, a): (cell, functions)
+    for _, rho, swapped, order, cuts, a in parking_walk(n):
+        b = len(cuts)
+        pk[rho] += a * b
+        pk[swapped] += (b - a) * a
+        cells = by_cuts.get((cuts, a))
+        if cells is None:
+            pairs = ((v, w) for v in range(b) for w in range(b if v < a else a))  # 0-based preferences
+            cells = by_cuts[cuts, a] = Counter(cuts[v] * width + cuts[w] + (v <= w) for v, w in pairs).items()
         tally = by_order.get(order)
         if tally is None:
-            tally = by_order[order] = [0] * n
-        for c in cuts:
-            tally[c] += 1
-    last = (n,)
+            tally = by_order[order] = [0] * width**2
+        for cell, count in cells:
+            tally[cell] += count
     for order, tally in by_order.items():
-        for c, count in enumerate(tally):
+        for cell, count in enumerate(tally):
             if count:
-                pf[order[:c] + last + order[c:]] += count
+                entries = list(order)
+                for car, c in zip(range(len(order) + 1, n + 1), divmod(cell, width)):  # the unplaced cars
+                    entries.insert(c, car)
+                pf[tuple(entries)] += count
     total = (n + 1) ** n // (n + 1)
     for side, profile in ("pk", pk), ("pf", pf):
         if sum(profile.values()) != total:
@@ -265,8 +275,8 @@ def verify_bijections(n_max: int) -> list[OracleReport]:
 # the largest n each verify suite reaches, whatever n_max asks for
 SUITE_LIMITS = {"formulas": BRUTE_CAP - 1, "classes": 5, "bijections": 7}
 """formulas: the simulation oracle refuses past BRUTE_CAP.  Its walk fills both
-profiles in about 0.35 s at n = 7 and 4.2 s at n = 8 (4.78 M functions); verify_all
-over every suite takes about 0.1 s at n_max = 6 and 0.6 s at 7 (2-vCPU host).
+profiles in about 0.1 s at n = 7 and 1.1 s at n = 8 (4.78 M functions); verify_all
+over every suite takes about 0.08 s at n_max = 6 and 0.3 s at 7 (2-vCPU host).
 classes: not cost.  Both sides of the evaluation oracle at m = 1, 2 take
 0.002 s at n = 5, 0.01 s at n = 6 and 0.2 s at n = 8 (one process, 2-vCPU
 host), but raising the limit changes what ``verify --n-max 6`` prints."""

@@ -24,6 +24,7 @@ from ._record import Record
 from .permutations import Permutation
 
 Blocks = tuple[tuple[int, ...], ...]
+WalkItem = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...], int]
 
 
 def is_parking(prefs: Sequence[int]) -> bool:
@@ -161,40 +162,50 @@ def block_permutation_of_blocks(blocks: Blocks) -> Permutation:
     return Permutation(tuple(v for b in blocks for v in b))
 
 
-def parking_walk(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Every parking function of size n >= 1, lexicographic on preferences,
-    one item per placement of cars 1..n-1: (head, rho, order, cuts).
+def parking_walk(n: int) -> Iterator[WalkItem]:
+    """Every parking function of size n, lexicographic on preferences, one
+    item per placement of cars 1..n-2: (head, rho, swapped, order, cuts, a).
 
     Depth first on an explicit stack: each car parks as its preference is
     chosen, and a branch dies when the car finds no free spot at or past its
-    preference, which is the parking condition.  Once cars 1..n-1 have
-    parked, exactly one spot f is free, and car n parks there from every
-    preference v <= f, so the item stands for the f parking functions
-    head + (v,), v = 1..f.  All of them have the outcome entries rho (car n
-    in spot f).  ``order`` is cars 1..n-1 sorted stably by preference, the
-    concatenation of their increasing blocks; the block permutation for v is
-    order[:c] + (n,) + order[c:] with c = cuts[v - 1], the number of those
-    cars that prefer a spot <= v.  Size 0 has no last car, and no item.
+    preference, which is the parking condition.  Once cars 1..n-2 have
+    parked, two spots a < b are free, and the parking rule settles the last
+    two cars without walking them: car n-1 parks at a from every preference
+    v <= a and at b from v = a+1..b, then car n in the spot still free from
+    every w up to it.  So the item stands for the functions head + (v, w):
+    a*b with the outcome entries rho (car n-1 in spot a, car n in b) and
+    (b-a)*a with ``swapped`` (the two exchanged).  ``order`` is cars 1..n-2
+    sorted stably by preference, the concatenation of their increasing
+    blocks, and cuts[v - 1] counts those that prefer a spot <= v, for
+    v = 1..b; the block permutation for (v, w) inserts car n-1 into order
+    at cuts[v - 1], then car n at cuts[w - 1] + (v <= w).  Sizes 0 and 1
+    yield one item, with a = b = 1 and the identity as both outcomes: its
+    pair (1, 1), cut to the n cars there are, is the one function.
 
     ``order`` is kept as the walk goes, never sorted: a car leaves it when
     its preference advances, and a parked car goes in after every placed car
     that prefers a spot no later than its own.  Every placed car is a
     smaller car, so that keeps the sort stable.
     """
-    if n == 0:
+    if n < 2:
+        identity = tuple(range(1, n + 1))
+        yield (), identity, identity, (), (0,), 1
         return
     occupied = [0] * (n + 2)  # occupied[s] = car in spot s, 0 = free; n + 1 stays free
-    prefs, spots = [0] * n, [0] * n  # by car; 0 = nothing chosen yet
-    wanting = [n - 1] + [0] * n  # wanting[v] = cars preferring spot v; wanting[0]: cars not placed
+    prefs, spots = [0] * (n - 1), [0] * (n - 1)  # by car; 0 = nothing chosen yet
+    wanting = [n - 2] + [0] * n  # wanting[v] = cars preferring spot v; wanting[0]: cars not placed
     order: list[int] = []  # the placed cars, sorted stably by preference
-    car = 1  # the car whose preference advances; n once cars 1..n-1 parked
+    car = 1  # the car whose preference advances; n - 1 once cars 1..n-2 parked
     while car:
-        if car == n:
-            f = occupied.index(0, 1)
-            occupied[f] = n
+        if car == n - 1:
+            a = occupied.index(0, 1)
+            b = occupied.index(0, a + 1)
+            occupied[a], occupied[b] = car, n
             rho = tuple(occupied[1:-1])
-            occupied[f] = 0
-            yield tuple(prefs[1:]), rho, tuple(order), tuple(accumulate(wanting[1 : f + 1]))
+            occupied[a], occupied[b] = n, car
+            swapped = tuple(occupied[1:-1])
+            occupied[a] = occupied[b] = 0
+            yield tuple(prefs[1:]), rho, swapped, tuple(order), tuple(accumulate(wanting[1 : b + 1])), a
             car -= 1
             continue
         v, s = prefs[car] + 1, spots[car]
@@ -217,14 +228,14 @@ def parking_walk(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
 
 
 def enumerate_parking_functions(n: int) -> Iterator[ParkingFunction]:
-    """All parking functions of size n, lexicographic on preferences.  The
-    walk only yields parking functions, so none is validated again."""
+    """All parking functions of size n, lexicographic on preferences: each
+    walk item expanded over the preferences (v, w) of its last two cars.
+    The walk only yields parking functions, so none is validated again."""
     trusted = ParkingFunction._trusted
-    if n == 0:
-        yield trusted(())
-    for head, _, _, cuts in parking_walk(n):
+    for head, _, _, _, cuts, a in parking_walk(n):
         for v in range(1, len(cuts) + 1):
-            yield trusted(head + (v,))
+            for w in range(1, (len(cuts) if v <= a else a) + 1):
+                yield trusted((head + (v, w))[:n])
 
 
 # -- text formats -----------------------------------------------------------

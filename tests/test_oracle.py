@@ -135,6 +135,15 @@ def test_profiles_count_every_parking_function_at_7():
         assert sum(profile.values()) == 8**6, side
 
 
+@pytest.mark.slow
+def test_profiles_match_the_filtered_product_at_7():
+    """n = 7 is as far as the formula suite reaches; the filtered product
+    filters all 7^7 preference lists, which takes seconds."""
+    profiles = oracle._profiles(7)
+    for side in ("pk", "pf"):
+        assert profiles[side] == reference_profile(7, side), side
+
+
 def test_profiles_check_their_totals(monkeypatch, cold_oracle):
     """A walk that loses the last car's batch of one item is caught."""
     real = oracle.parking_walk

@@ -92,20 +92,32 @@ def test_enumeration_small():
 
 @pytest.mark.parametrize("n", range(7))
 def test_walk_matches_filtered_product(n):
-    """The walk's items, each expanded over the last car's preferences, are
-    the parking functions that filtering every preference list finds, in the
-    same order, with the same outcome and block permutations, and the
-    enumeration lists them in that order; n = 0 gives the one empty function
-    and no item."""
-    leaves = [
-        (head + (v,), rho, order[:c] + (n,) + order[c:])
-        for head, rho, order, cuts in parking_walk(n)
-        for v, c in enumerate(cuts, start=1)
-    ]
+    """The walk's items, each expanded over the preferences (v, w) of cars
+    n - 1 and n, are the parking functions that filtering every preference
+    list finds, in the same order, with the same outcome and block
+    permutations, and the enumeration lists them in that order; n = 0 and
+    n = 1 each give their one function from a single item."""
+    leaves = []
+    for head, rho, swapped, order, cuts, a in parking_walk(n):
+        b = len(cuts)
+        for v in range(1, b + 1):
+            for w in range(1, (b if v <= a else a) + 1):
+                entries = list(order)
+                for car, c in zip(range(len(order) + 1, n + 1), (cuts[v - 1], cuts[w - 1] + (v <= w))):
+                    entries.insert(c, car)
+                leaves.append(((head + (v, w))[:n], rho if v <= a else swapped, tuple(entries)))
     reference = list(reference_leaves(n))
-    assert leaves == (reference if n else [])
+    assert leaves == reference
     assert [f.prefs for f in enumerate_parking_functions(n)] == [prefs for prefs, _, _ in reference]
     assert len(reference) == (n + 1) ** n // (n + 1)  # (n+1)^(n-1), exact at n = 0
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_walk_yields_one_item_per_placement_of_all_cars_but_two(n):
+    """Konheim and Weiss: m cars park on n spots in (n - m + 1)(n + 1)^(m - 1)
+    ways, so with m = n - 2 the walk yields 3(n + 1)^(n - 3) items, each
+    standing for functions that differ in both of the last two cars."""
+    assert sum(1 for _ in parking_walk(n)) == 3 * (n + 1) ** (n - 3)
 
 
 def test_enumeration_counts():
