@@ -147,11 +147,19 @@ def pk213(n: int) -> int:
 
 
 def pk132_row(n_max: int) -> Row:
-    """p_0 = 1, p_n = sum_{k=1}^{n} k p_{k-1} p_{n-k}; counts both the 132
-    and the 231 avoidance flavours."""
+    """p_0 = 1, p_n = sum_{j<n} (j+1) p_j p_{n-1-j}, for both the 132 and
+    the 231 flavours.  Terms j and n-1-j pair to (n+1) p_j p_{n-1-j}: with
+    h = n // 2 and s = sum_{j<h} p_j p_{n-1-j}, p_n is (n+1) s for even n
+    and ((n+1)/2)(2s + p_h^2) for odd n, in half the products.
+
+    >>> [p for _, p in pk132_row(5)]
+    [1, 3, 14, 85, 621]
+    """
     p = [1]
     for n in range(1, n_max + 1):
-        p.append(sum(k * p[k - 1] * p[n - k] for k in range(1, n + 1)))
+        h = n // 2
+        s = sum(map(operator.mul, p[:h], reversed(p[n - h :])))
+        p.append((n + 1) * s if n % 2 == 0 else (n + 1) // 2 * (2 * s + p[h] * p[h]))
         yield n, p[n]
 
 
@@ -237,21 +245,14 @@ def _linear_row(step: Callable[[int, int], int]) -> Callable[[int], Row]:
     return row
 
 
-def _pk_conv_factorial_row(n_max: int) -> Row:
-    # p_n = sum_{k=1}^{n} k! p_{n-k}, p_0 = 1
-    f = _factorials(n_max)
-    p = [1]
-    for n in range(1, n_max + 1):
-        p.append(sum(f[k] * p[n - k] for k in range(1, n + 1)))
-        yield n, p[n]
-
-
-def _pk_231_321_row(n_max: int) -> Row:
-    # p_n = (n+1)! - sum_{k=0}^{n-1} p_k (n-k)!, p_0 = 1
+def _factorial_conv_row(n_max: int, complement: bool = False) -> Row:
+    """p_0 = 1 and p_n = c_n, or (n+1)! - c_n if complement, where
+    c_n = sum_{j<n} p_j (n-j)!: the {132,213} and {231,321} rows."""
     f = _factorials(n_max + 1)
     p = [1]
     for n in range(1, n_max + 1):
-        p.append(f[n + 1] - sum(p[k] * f[n - k] for k in range(n)))
+        c = sum(map(operator.mul, p, reversed(f[1 : n + 1])))
+        p.append(f[n + 1] - c if complement else c)
         yield n, p[n]
 
 
@@ -345,7 +346,7 @@ def _dispatch_table() -> dict[tuple[tuple[int, ...], ...], Route]:
         "formula",
         lambda n: exact_div(math.factorial(n + 1), 2),
     )
-    put(["132/213", "213/231"], "recurrence", row=_pk_conv_factorial_row)
+    put(["132/213", "213/231"], "recurrence", row=_factorial_conv_row)
     put(
         ["132/321"],
         "formula",
@@ -368,7 +369,7 @@ def _dispatch_table() -> dict[tuple[tuple[int, ...], ...], Route]:
         "formula",
         _with_factorials(lambda n, f: sum(math.comb(n - 1, k) * f[k + 1] for k in range(0, n))),
     )
-    put(["231/321"], "recurrence", row=_pk_231_321_row)
+    put(["231/321"], "recurrence", row=partial(_factorial_conv_row, complement=True))
     put(
         ["312/321"],
         "formula",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from itertools import accumulate
-from operator import mul
+from operator import add, mul
 from typing import Callable, Iterator, Sequence
 
 from ._record import Record
@@ -95,17 +95,7 @@ def ascent_word(c: LatticePath) -> AscentWord:
     >>> ascent_word(path("UDUUDUDD")).runs
     (1, 2, 1)
     """
-    runs = []
-    current = 0
-    for s in c.steps:
-        if s == UP:
-            current += 1
-        elif current:
-            runs.append(current)
-            current = 0
-    if current:
-        runs.append(current)
-    return AscentWord(tuple(runs))
+    return AscentWord(tuple(len(run) for run in "".join(c.steps).split(DOWN) if run))
 
 
 def peak_count(c: LatticePath) -> int:
@@ -145,8 +135,12 @@ def path_weight_table(n_max: int, m: int, run_factor: Callable[[int, int, bool],
     A tail opening with an up-run of length r at height h goes on from
     h + m*r with v - r up-steps, so up[h] is the factors' dot product with
     column h of rows v - 1, ..., 0, each shifted by its m*r, and down[v] is
-    the running sum of up: O(m n_max^3) products, or one per column where
-    the factors do not depend on r.
+    the running sum of up.  The diagonal sums S_v[h] = down[v - 1][h + m]
+    + S_{v-1}[h + m] (of that column) and W_v[h] = W_{v-1}[h + m] + S_v[h]
+    (of r times it) give up = (a - b) S + b W where runs r < v weigh
+    a + b(r - 1); the last run (r = v) may differ, by one term times
+    down[0][h + m*v] = 1.  Every factor is read: such affine rows cost
+    O(m n_max^2) products in all, the others ("213", "321") O(m n_max^3).
 
     >>> path_weight_table(3, 1, lambda r, v, first: 1)
     [[0, 1, 1, 1], [0, 1, 2], [0, 2]]
@@ -154,13 +148,17 @@ def path_weight_table(n_max: int, m: int, run_factor: Callable[[int, int, bool],
     if n_max < 0 or m < 1:
         raise ValueError(f"need n >= 0 and m >= 1, got n={n_max}, m={m}")
     down = [[0] + [1] * (m * n_max)]  # v = 0: straight down to the axis
+    s = w = [0] * (m * n_max)  # S_0 and W_0
     for v in range(1, n_max):
-        width = m * (n_max - v)
         factors = [run_factor(r, v, False) for r in range(1, v + 1)]
-        columns = zip(*[down[v - r][m * r : m * r + width] for r in range(1, v + 1)])
-        if factors.count(f := factors[0]) == v:
-            up = (f * sum(column) for column in columns)
+        s = list(map(add, down[v - 1][m:], s[m:]))
+        w = list(map(add, w[m:], s))
+        a, b = factors[0], (factors[1] - factors[0] if v > 1 else 0)
+        if all(f == a + b * r for r, f in enumerate(factors[:-1])):
+            c, last = a - b, factors[-1] - a - b * (v - 1)  # last: the r = v excess
+            up = (c * x + b * y + last for x, y in zip(s, w))
         else:
+            columns = zip(*[down[v - r][m * r : m * (n_max - v + r)] for r in range(1, v + 1)])
             up = (sum(map(mul, factors, column)) for column in columns)
         down.append([0, *accumulate(up)])
     return down

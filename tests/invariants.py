@@ -2,13 +2,15 @@
 suite.  Each sweep returns None on success and raises AssertionError with a
 counterexample otherwise; results are cached so double invocation is free.
 The reference computations the engines are checked against (the subset
-search, the triangles' double sum) live here too.
+search, the triangles' double sum, the pk 132 convolution term by term and
+the path-weight table's column fill) live here too.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from functools import lru_cache
 from typing import Sequence
@@ -95,6 +97,29 @@ def double_sum_row(n: int, table: str, s: int = 1) -> tuple[int, ...]:
         t = double_sum_triangle(n, lambda r, k: r - k + 1, math.factorial)
         first = lambda k: math.factorial(k - 1)
     return tuple(sum(first(k) * t[r, k] for k in range(1, r + 1)) for r in range(1, n + 1))
+
+
+def reference_pk132_row(n_max: int) -> list[int]:
+    """[p_1, ..., p_n_max] by p_n = sum_{k=1}^{n} k p_{k-1} p_{n-k}, term by
+    term: the reference for the paired self-convolution of pk132_row."""
+    p = [1]
+    for n in range(1, n_max + 1):
+        p.append(sum(k * p[k - 1] * p[n - k] for k in range(1, n + 1)))
+    return p[1:]
+
+
+def reference_path_weight_table(n_max: int, m: int, run_factor) -> list[list[int]]:
+    """path_weight_table by the column fill alone: up[h] is the dot product
+    of the row's run factors with column h of the earlier rows, each shifted
+    by its m*r, and down[v] its running sum.  O(m n_max^3) products whatever
+    the factors: the reference for the diagonal-sum fill of affine rows."""
+    down = [[0] + [1] * (m * n_max)]
+    for v in range(1, n_max):
+        width = m * (n_max - v)
+        factors = [run_factor(r, v, False) for r in range(1, v + 1)]
+        columns = zip(*[down[v - r][m * r : m * r + width] for r in range(1, v + 1)])
+        down.append([0, *itertools.accumulate(sum(map(operator.mul, factors, c)) for c in columns)])
+    return down
 
 
 def all_s3_subsets(nonempty: bool = True) -> list[PatternSet]:

@@ -31,6 +31,7 @@ from invariants import (
     double_sum_triangle,
     pk_dispatch_matches_weighted,
     path_sums_match_tables,
+    reference_pk132_row,
 )
 from tables import PF_312_321, PK_123_132_FIRST6, PK_123_213_FIRST6, PK_ROWS
 
@@ -208,6 +209,11 @@ def _pk213_by_powers(n_max):
                 nxt[i + j] += a * factorials[j]
         power = nxt
         yield n, counting.exact_div(power[n], n + 1)
+
+
+def test_pk132_row_pairs_the_convolution_terms():
+    """The paired self-convolution gives the term-by-term row to n = 300."""
+    assert [value for _, value in counting.pk132_row(300)] == reference_pk132_row(300)
 
 
 def test_pk213_row_matches_truncated_powers():

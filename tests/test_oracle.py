@@ -145,7 +145,7 @@ def test_profiles_match_the_filtered_product_at_7():
 
 
 def test_profiles_check_their_totals(monkeypatch, cold_oracle):
-    """A walk that loses the last car's batch of one item is caught."""
+    """A walk that loses the last two cars' batch of one item is caught."""
     real = oracle.parking_walk
 
     def lossy(n):

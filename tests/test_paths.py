@@ -22,9 +22,16 @@ from parkav.paths import (
     path_to_increasing_pf,
     path_to_increasing_prefs,
     path_weight_row,
+    path_weight_table,
     peak_count,
 )
-from invariants import double_sum_row, narayana_sums, path_bijection_with_increasing, path_surgery_roundtrips
+from invariants import (
+    double_sum_row,
+    narayana_sums,
+    path_bijection_with_increasing,
+    path_surgery_roundtrips,
+    reference_path_weight_table,
+)
 
 
 def test_enumeration_counts():
@@ -142,6 +149,30 @@ def test_path_weight_row_matches_every_route(n_max, m, factor, want):
         assert _values(g.CLASS_FAMILIES["metasylvester-m"][2](n_max, m)) == got[1:]
     else:
         assert got[1:] == want(n_max)
+
+
+def _table_factors():
+    """Every PATH_WEIGHTS factor ("pf-312-321" is affine but for its last
+    run) and every congruence factor at s = 1, 2, 3 (metasylvester is "312"
+    at s), plus factors the affine detection must read in full: affine at
+    r = 1, 2 but not at 3, off only on the run before the last, and a
+    falling step with a last-run excess."""
+    for name, factor in c.PATH_WEIGHTS.items():
+        yield pytest.param(factor, id=name)
+    for name, (_, factor) in g._CONGRUENCES.items():
+        for s in (1, 2, 3):
+            yield pytest.param(partial(factor, s=s), id=f"{name}-s{s}")
+    yield pytest.param(lambda r, v, first: 2 * r + (r == 3), id="affine-to-r2")
+    yield pytest.param(lambda r, v, first: r + (r == v - 1), id="off-before-last")
+    yield pytest.param(lambda r, v, first: 9 - 2 * r + 5 * (r == v), id="falling-last-excess")
+
+
+@pytest.mark.parametrize("factor", _table_factors())
+def test_path_weight_table_matches_the_column_fill(factor):
+    """Every cell, at N <= 40 and m <= 3, equals the dot-product fill."""
+    for m in (1, 2, 3):
+        for n_max in (0, 1, 2, 3, 40):
+            assert path_weight_table(n_max, m, factor) == reference_path_weight_table(n_max, m, factor), (n_max, m)
 
 
 def test_validation():
