@@ -15,7 +15,9 @@ and at most one empty block: the partner of one of its own main blocks.
 The clusters' main blocks, in order, are exactly the word's non-empty
 blocks, and every empty block belongs to the cluster owning its partner.
 So each cluster reads its main blocks off the list of non-empty positions
-by index, and one bracket match of the whole word serves every cluster.
+by index, and one scan of the whole word serves every cluster: it matches
+the brackets, lists the non-empty positions and counts the non-empty blocks
+before each empty one, which is that empty block's gap (below).
 
 Family {123, 132} (clusters: extend / branch / jump)
     Operations attach a labelled path or a labelled two-branch graft at a
@@ -40,7 +42,7 @@ maps read the gaps off the word; a gap's host is the cluster owning the main
 block after it (jump) or before it (open).  Each inverse builds the
 description, last cluster first, and lays out its word once: every empty
 block is (), so bracket matching constrains only how many a gap holds, and
-one match of the finished word checks that each sits in its own gap.
+one scan of the finished word checks that each sits in its own gap.
 
 Trees are read and written as their parentheses words.  Each map works on
 child lists, one per vertex, right to left, so that a new left-most branch
@@ -59,12 +61,11 @@ the small cases (n <= 3), kept there as fixtures.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import product
 from typing import Callable, NamedTuple
 
 from ._record import Record
 from .parking import Blocks, ParkingFunction, block_permutation_of_blocks, from_blocks, to_blocks
-from .permutations import PatternSet, avoids_all, pattern_set
+from .permutations import PatternSet, avoidance_class, avoids_all, pattern_set
 from .trees import OrderedTree
 
 
@@ -78,93 +79,86 @@ class BijectionDefect(AssertionError):
 
 def _kid_lists(word: str) -> list[list[int]]:
     """Each vertex's children, right to left, read off a tree's word in one
-    pass from its end.  Vertex 0 is the root, and every vertex is numbered
-    after its parent."""
+    pass from its end, where a vertex is open from its ")" to its "(".
+    Vertex 0 is the root, and every vertex is numbered after its parent."""
     kids: list[list[int]] = [[]]
-    unclosed = [kids[0]]  # the child lists of the vertices whose ")" is read and whose "(" is not
+    top, unclosed = kids[0], []  # the child lists of the innermost open vertex and of those around it
     for ch in word[-2:0:-1]:  # inside the root's own pair
-        if ch == ")":
-            unclosed[-1].append(len(kids))
-            kids.append([])
-            unclosed.append(kids[-1])
+        if ch == "(":
+            top = unclosed.pop()
         else:
-            unclosed.pop()
+            top.append(len(kids))
+            unclosed.append(top)
+            top = []
+            kids.append(top)
     return kids
 
 
 def _word(kids, root) -> str:
     """The word of the tree below ``root``, where kids[v] lists the children
-    of v right to left (-1 names no vertex)."""
-    out, stack = [], [root]  # -1 on the stack closes the vertex opened before it
+    of v right to left."""
+    out, stack = [], [root]  # None on the stack closes the vertex opened before it
     while stack:
         v = stack.pop()
-        if v == -1:
+        if v is None:
             out.append(")")
-        else:
+        elif kids[v]:
             out.append("(")
-            stack.append(-1)
+            stack.append(None)
             stack += kids[v]
+        else:
+            out.append("()")
     return "".join(out)
 
 
 def _new_path(kids: list[list[int]], edges: int) -> int:
     """Add a bare path of ``edges`` (>= 1) new vertices; returns its top."""
     top = len(kids)
-    kids.extend([v + 1] for v in range(top, top + edges - 1))
+    kids += map(list, zip(range(top + 1, top + edges)))
     kids.append([])
     return top
-
-
-def _graft(table: dict, target: int | None, k: int, n: int, extend: bool) -> None:
-    """Graft onto the vertex labelled ``target`` (None = root), in place:
-    extend hangs the path k+1..n below the target, a leaf; otherwise the
-    single vertex n and the path k+1..n-1 become its two left-most branches.
-    The table maps each label to its child labels, right to left, so a
-    graft's new branches append."""
-    kids = table.get(target)
-    if kids is None:
-        raise BijectionDefect(f"no vertex labelled {target}")
-    if extend and kids:
-        raise BijectionDefect("extend target must be a leaf")
-    end = n if extend else n - 1
-    kids.append(k + 1)
-    table.update((lab, [lab + 1]) for lab in range(k + 1, end))
-    table[end] = []
-    if not extend:
-        kids.append(n)
-        table[n] = []
 
 
 # ---------------------------------------------------------------------------
 # bracket matching and shared block helpers
 
 
-def bracket_match(blocks: Blocks) -> dict[int, int]:
-    """Pair each size-2 block with its empty block (stack matching).
+def bracket_match(blocks: Blocks) -> tuple[list[int | None], tuple[int, ...], list[int | None]]:
+    """One scan of the block word, size-2 blocks read as opening brackets and
+    empty blocks as closing ones (stack matching).  Returns, per position,
+    the empty block that a size-2 block there is matched to; the positions
+    of the non-empty blocks; and, per position, how many non-empty blocks
+    precede an empty block there.  Both per-position lists hold None at
+    every other block.
 
     Raises for blocks of size >= 3 or for an unmatched word; the two
     families this module handles never produce either.
     """
-    stack: list[int] = []
-    match: dict[int, int] = {}
+    partner: list[int | None] = [None] * len(blocks)
+    before = partner[:]
+    mains, stack = [], []
     for i, b in enumerate(blocks):
-        if len(b) >= 3:
-            raise ValueError(f"block {i + 1} has size {len(b)}; expected 0, 1 or 2")
-        if len(b) == 2:
+        if len(b) == 1:
+            mains.append(i)
+        elif b:
+            if len(b) > 2:
+                raise ValueError(f"block {i + 1} has size {len(b)}; expected 0, 1 or 2")
+            mains.append(i)
             stack.append(i)
-        elif len(b) == 0:
-            if not stack:
-                raise ValueError(f"empty block {i + 1} has no matching size-2 block")
-            match[stack.pop()] = i
+        elif stack:
+            partner[stack.pop()] = i
+            before[i] = len(mains)
+        else:
+            raise ValueError(f"empty block {i + 1} has no matching size-2 block")
     if stack:
         raise ValueError("size-2 block without a matching empty block")
-    return match
+    return partner, tuple(mains), before
 
 
 def match_empty_blocks(f: ParkingFunction | Blocks) -> dict[int, int]:
     """Public pairing (0-based positions): size-2 block -> its empty block."""
     blocks = to_blocks(f) if isinstance(f, ParkingFunction) else f
-    return bracket_match(blocks)
+    return {p: q for p, q in enumerate(bracket_match(blocks)[0]) if q is not None}
 
 
 def _domain_blocks(f: ParkingFunction | Blocks, patterns: PatternSet) -> Blocks:
@@ -221,10 +215,9 @@ def _clusters(blocks: Blocks, peel) -> tuple[list[tuple], list[int], list[int | 
 
     The main blocks are exactly the non-empty blocks (see the module
     docstring), so each peel reads its own off the list of their positions,
-    from its start; all peels share one bracket match of the whole word.
+    from its start; one scan of the whole word serves every peel and gap.
     """
-    match = bracket_match(blocks)
-    mains = [q for q, b in enumerate(blocks) if b]
+    match, mains, before = bracket_match(blocks)
     clusters, starts, gaps = [], [0], []
     n = sum(map(len, blocks))  # the blocks left hold 1..n
     while n:
@@ -232,35 +225,36 @@ def _clusters(blocks: Blocks, peel) -> tuple[list[tuple], list[int], list[int | 
         _, lo, _, _, main, empty = cluster
         clusters.append(cluster)
         starts.append(starts[-1] + len(main))
-        gaps.append(None if empty is None else bisect_left(mains, empty))
+        gaps.append(None if empty is None else before[empty])
         n = lo - 1
     return clusters, starts, gaps
 
 
-def _owner(starts: list[int], j: int) -> int:
-    """The index of the cluster that main block j (in word order) belongs to."""
-    return bisect_right(starts, j) - 1
-
-
 def _lay_out(mains: list[Blocks], gaps: list[int | None]) -> Blocks:
     """The word whose clusters have these main blocks, in word order, and
-    these gaps for their empty blocks: the inverse of _clusters' gaps, in
-    one pass."""
-    empties = [0] * (sum(map(len, mains)) + 1)  # per gap: the empty blocks in it
-    for g in gaps:
+    these gaps for their empty blocks: the inverse of _clusters' gaps.  One
+    scan of the word checks that each size-2 block's partner sits in its
+    own cluster's gap."""
+    # the main blocks; per size-2 block, in word order, its cluster's gap; per empty block, its gap
+    flat, want, holes = [], [], []
+    for cluster, g in zip(mains, gaps):
+        flat += cluster
         if g is not None:
-            empties[g] += 1
-    word: list[tuple[int, ...]] = []
-    at, gap_of = [], []  # per main block: its word position, its cluster's gap
-    for cluster, gap in zip(mains, gaps):
+            holes.append(g)
         for block in cluster:
-            word += ((),) * empties[len(at)]
-            at.append(len(word))
-            gap_of.append(gap)
-            word.append(block)
-    word += ((),) * empties[len(at)]
-    match = bracket_match(word)
-    if any(len(word[p]) == 2 and bisect_left(at, match[p]) != g for p, g in zip(at, gap_of)):
+            if len(block) == 2:
+                want.append(g)
+    holes.sort()
+    word: list[tuple[int, ...]] = []
+    laid = 0  # the main blocks in the word so far
+    for g in holes:
+        word += flat[laid:g]
+        word.append(())
+        laid = g
+    word += flat[laid:]
+    match, _, before = bracket_match(word)
+    # no empty block comes first in a matched word, so every partner is truthy
+    if list(map(before.__getitem__, filter(None, match))) != want:
         raise BijectionDefect("an empty block lies outside its cluster's gap")
     return tuple(word)
 
@@ -279,21 +273,22 @@ def clusters_123_132(f: ParkingFunction | Blocks) -> list[Cluster]:
     return [Cluster(*c) for c in _clusters(_domain_blocks(f, PATTERNS_123_132), _peel_132)[0]]
 
 
-def _peel_132(blocks: Blocks, match: dict[int, int], mains: list[int], i: int, n: int) -> tuple:
+def _peel_132(blocks: Blocks, match: list[int | None], mains: tuple[int, ...], i: int, n: int) -> tuple:
+    last = blocks[mains[i]]
     j = i + 1  # past the cluster's last main block, in mains
-    if blocks[mains[i]] == (n,):  # extend: {n}, {n-1}, ...
+    if last == (n,):  # extend: {n}, {n-1}, ...
         while j < len(mains) and blocks[mains[j]] == (n + i - j,):
             j += 1
-        return "extend", n + i - j + 1, n, None, tuple(mains[i:j]), None
-    if blocks[mains[i]][0] != n - 1:
+        return "extend", n + i - j + 1, n, None, mains[i:j], None
+    if last[0] != n - 1:
         raise ValueError("block permutation starts with neither n nor n-1")
     # branch: {n-1}, ..., {k+1}, {n}; jump: {n-1}, ..., {k+2}, {k+1, n}
-    while n not in blocks[mains[j - 1]]:
+    while n not in last:
+        if len(last) != 1:
+            raise BijectionDefect("branch or jump cluster blocks must be singletons first")
+        last = blocks[mains[j]]
         j += 1
-    main = tuple(mains[i:j])
-    if any(len(blocks[p]) != 1 for p in main[:-1]):
-        raise BijectionDefect("branch or jump cluster blocks must be singletons first")
-    last = blocks[main[-1]]
+    main = mains[i:j]
     if last == (n,):
         return "branch", n - len(main) + 1, n, None, main, None
     if last != (n - len(main), n):
@@ -310,26 +305,29 @@ def clusters_123_213(f: ParkingFunction | Blocks) -> list[Cluster]:
     return [Cluster(*c) for c in _clusters(_domain_blocks(f, PATTERNS_123_213), _peel_213)[0]]
 
 
-def _peel_213(blocks: Blocks, match: dict[int, int], mains: list[int], i: int, n: int) -> tuple:
+def _peel_213(blocks: Blocks, match: list[int | None], mains: tuple[int, ...], i: int, n: int) -> tuple:
     first = blocks[mains[i]]
     k = first[0] - 1  # the cluster covers k+1..n
+    top = n + 1 - len(first)  # the singletons after the first block run top, ..., k+2
+    main = mains[i : i + top - k]
     if len(first) == 1:
         # closed, all singletons: {k+1}, {n}, ..., {k+2}
-        cluster = "closed", k + 1, n, n - k - 1, tuple(mains[i : i + n - k]), None
+        cluster = "closed", k + 1, n, n - k - 1, main, None
     else:
         # {k+1, n}, {n-1}, ..., {k+2}, and the empty block matched to the
         # first: before the next cluster's first main block (closed), or after it
-        main = tuple(mains[i : i + n - k - 1])
         empty = match[main[0]]
         if i + len(main) == len(mains) or empty < mains[i + len(main)]:
             parameter = len(main) - bisect_left(main, empty)  # main blocks after the empty one
             cluster = "closed", k + 1, n, parameter, main, empty
         else:
             cluster = "open", k + 1, n, None, main, empty
-    # after the first block, singletons from n (or n - 1 after {k+1, n}) down to k+2
-    singletons = [blocks[q] for q in cluster[4][1:]]
-    if (len(first) == 2 and first[1] != n) or singletons != list(zip(range(n + 1 - len(first), k + 1, -1))):
+    if (len(first) == 2 and first[1] != n) or len(main) != top - k:
         raise BijectionDefect(f"{cluster[0]} cluster blocks out of shape")
+    for q in main[1:]:
+        if blocks[q] != (top,):
+            raise BijectionDefect(f"{cluster[0]} cluster blocks out of shape")
+        top -= 1
     return cluster
 
 
@@ -343,30 +341,45 @@ def phi_123_132(f: ParkingFunction | Blocks) -> OrderedTree:
 
 
 def _phi_132(blocks: Blocks) -> OrderedTree:
-    return OrderedTree._trusted(_word(_graft_table(blocks), None))
+    return OrderedTree._trusted(_word(_graft_table(blocks), -1))
 
 
 def phi_123_132_labeled(f: ParkingFunction | Blocks) -> dict[int | None, list[int]]:
     """Forward map with creation labels 0..n on the non-root vertices: each
     label's child labels, left to right (None: the root)."""
     table = _graft_table(_domain_blocks(f, PATTERNS_123_132))
-    return {label: kids[::-1] for label, kids in table.items()}
+    labels = [*range(len(table) - 1), None]
+    return {label: kids[::-1] for label, kids in zip(labels, table)}
 
 
-def _graft_table(blocks: Blocks) -> dict[int | None, list[int]]:
+def _graft_table(blocks: Blocks) -> list[list[int]]:
     """Graft the clusters, the last one first, onto the one-edge tree labelled
-    0; returns the image's child labels of each label (None: the root)."""
+    0; returns the image's child labels of each label 0..n, right to left,
+    and the root's last.  Extend hangs the path lo..hi below its target, a
+    leaf; branch and jump make the vertex hi and the path lo..hi-1 the
+    target's two left-most branches, so a graft's new branches append."""
     clusters, starts, gaps = _clusters(blocks, _peel_132)
-    table = {None: [0], 0: []}
+    table: list = [[]] + [None] * (clusters[0][2] if clusters else 0) + [[0]]  # None: no vertex yet
     for i in range(len(clusters) - 1, -1, -1):
         kind, lo, hi, _, _, _ = clusters[i]
         target = lo - 1
         if kind == "jump":
-            target, g = None, gaps[i]  # the root, unless a main block follows the empty one
+            target, g = -1, gaps[i]  # the root, unless a main block follows the empty one
             if g < starts[-1]:
-                h = _owner(starts, g)
+                h = bisect_right(starts, g) - 1  # the cluster owning main block g
                 target = clusters[h][2] - 1 - (g - starts[h])  # below the host's hi
-        _graft(table, target, lo - 1, hi, kind == "extend")
+        kids = table[target]
+        if kids is None:
+            raise BijectionDefect(f"no vertex labelled {target}")
+        if kind == "extend" and kids:
+            raise BijectionDefect("extend target must be a leaf")
+        end = hi if kind == "extend" else hi - 1
+        kids.append(lo)
+        table[lo:end] = map(list, zip(range(lo + 1, end + 1)))
+        table[end] = []
+        if end < hi:
+            kids.append(hi)
+            table[hi] = []
     return table
 
 
@@ -439,14 +452,14 @@ def psi_123_132(t: OrderedTree) -> Blocks:
     for v, n, k in reversed(grafts):
         empty = None
         if v is None:  # extend
-            main = tuple((e,) for e in range(n, k, -1))
+            main = tuple(zip(range(n, k, -1)))
         elif label[v] == k:  # branch
-            main = tuple((e,) for e in range(n - 1, k, -1)) + ((n,),)
+            main = tuple(zip(range(n - 1, k, -1))) + ((n,),)
         else:  # jump: the empty block goes before the main block pointing at the target
             empty = 0 if label[v] is None else slot[label[v]]
             if empty is None:
                 raise BijectionDefect("jump graft cannot point below its host cluster")
-            main = tuple((e,) for e in range(n - 1, k + 1, -1)) + ((k + 1, n),)
+            main = tuple(zip(range(n - 1, k + 1, -1))) + ((k + 1, n),)
             slot.append(None)  # label k: a jump's main blocks point at k+1..n-1
         slot.extend(range(built + 1, built + len(main) + 1))  # the last block at the lowest label
         mains.append(main)
@@ -499,7 +512,7 @@ def _phi_213(blocks: Blocks) -> OrderedTree:
             kids[root].append(_new_path(kids, hi - lo + 1 - parameter))
             continue
         # open: the host owns the last main block before the empty one
-        h = _owner(starts, gaps[i] - 1)
+        h = bisect_right(starts, gaps[i] - 1) - 1
         host_kind, _, _, host_parameter, _, _ = clusters[h]
         if h == i:
             raise BijectionDefect("open cluster's empty block precedes every later block")
@@ -563,9 +576,9 @@ def psi_123_213(t: OrderedTree) -> Blocks:
     for k, n, parameter, host in reversed(steps):
         empty = None
         if parameter == n - k - 1:  # closed, all singletons
-            main = ((k + 1,),) + tuple((v,) for v in range(n, k + 1, -1))
+            main = ((k + 1,),) + tuple(zip(range(n, k + 1, -1)))
         else:
-            main = ((k + 1, n),) + tuple((v,) for v in range(n - 1, k + 1, -1))
+            main = ((k + 1, n),) + tuple(zip(range(n - 1, k + 1, -1)))
             if parameter is not None:  # closed: `parameter` main blocks follow the empty one
                 empty = built + parameter
             else:  # open: `ell` main blocks of the host cluster b+1.. follow it
@@ -596,9 +609,11 @@ def _unwind_213(
     chain = [root]  # the left-most path, down to a leaf
     while kids[chain[-1]]:
         chain.append(kids[chain[-1]][-1])
-    # the lowest vertex on it, below the root, with two or more branches
-    z_idx = next((i for i in range(len(chain) - 2, 0, -1) if len(kids[chain[i]]) >= 2), None)
-    if z_idx is None:  # closed: the left-most path is the fresh branch
+    # the lowest vertex on it, below the root, with two or more branches (0: none)
+    z_idx = len(chain) - 2
+    while z_idx and len(kids[chain[z_idx]]) < 2:
+        z_idx -= 1
+    if not z_idx:  # closed: the left-most path is the fresh branch
         k = n - (len(chain) - 1)
         kids[root].pop()
         if len(kids[root]) > 1:
@@ -700,50 +715,35 @@ def enumerate_pf_avoiding(n: int, patterns: PatternSet) -> list[Blocks]:
     """Every size-n parking function (in block form) whose block permutation
     avoids ``patterns``.
 
-    Enumerates avoiding permutations, splits each into increasing runs
-    (candidate blocks) and places the runs at positions satisfying the prefix
-    condition.  Independent of the cluster machinery, so it doubles as the
-    domain oracle for the bijections.
+    Cuts each avoiding permutation into blocks, left to right: a block is an
+    increasing stretch of entries (a descent always ends one, an ascent may)
+    followed by empty blocks while no more blocks than entries are laid; the
+    last block takes the empty blocks left.  Independent of the cluster
+    machinery, so it doubles as the domain oracle for the bijections.
     """
-    from .permutations import avoidance_class
-
     if n == 0:
         return [()]
     out: list[Blocks] = []
     for p in avoidance_class(n, patterns):
         entries = p.entries
-        # between entries i-1 and i: a descent always starts a new run, an ascent may
-        choices = [(True,) if entries[i - 1] > entries[i] else (False, True) for i in range(1, n)]
-        for cuts in product(*choices):
-            starts = [0] + [i for i, cut in enumerate(cuts, 1) if cut]
-            runs = [entries[a:b] for a, b in zip(starts, starts[1:] + [n])]
-            out += _placements(runs, starts, n)
+        rise = [n] * n  # per entry: the end of the increasing stretch from it
+        for i in range(n - 2, -1, -1):
+            rise[i] = i + 1 if entries[i] > entries[i + 1] else rise[i + 1]
+        stack = [((), 0)]  # (the blocks so far, the entries they hold)
+        while stack:
+            prefix, i = stack.pop()
+            q = len(prefix) + 1  # the blocks once the next one is laid
+            for j in range(i + 1, rise[i] + 1):
+                word = prefix + (entries[i:j],)
+                if j == n:
+                    out.append(word + ((),) * (n - q))
+                    continue
+                stack.append((word, j))
+                for _ in range(j - q):
+                    word += ((),)
+                    stack.append((word, j))
     out.sort()
     return out
-
-
-def _placements(runs: list[tuple[int, ...]], starts: list[int], n: int) -> list[Blocks]:
-    """The blocks for every choice of positions p_0 < ... < p_(r-1) for the
-    runs, the slots in between left empty.  The prefix condition pins p_j to
-    at most starts[j], the elements already placed (so the first run to slot
-    0), and each run leaves a slot for every run after it.  The positions
-    turn as an odometer, the last one fastest, from p_j = j."""
-    r = len(runs)
-    top = [min(s, n - r + j) for j, s in enumerate(starts)]  # the largest p_j
-    pos = list(range(r))
-    out = []
-    while True:
-        blocks: list[tuple[int, ...]] = [()] * n
-        for p, run in zip(pos, runs):
-            blocks[p] = run
-        out.append(tuple(blocks))
-        j = r - 1
-        while pos[j] == top[j]:
-            j -= 1
-            if j < 0:
-                return out
-        # top[i + 1] > top[i], so each later p_i = p_j + (i - j) stays within its top
-        pos[j:] = range(pos[j] + 1, pos[j] + 1 + r - j)
 
 
 def enumerate_pf_family(n: int, family: str) -> list[Blocks]:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate, islice
 from typing import Callable, Iterator
 
@@ -256,7 +256,9 @@ def _factorial_conv_row(n_max: int, complement: bool = False) -> Row:
         yield n, p[n]
 
 
+@cache
 def _dispatch_table() -> dict[tuple[tuple[int, ...], ...], Route]:
+    """The pk routes by pattern-set key, built on the first pk_route call."""
     t: dict[tuple[tuple[int, ...], ...], Route] = {}
 
     def put(
@@ -388,9 +390,6 @@ def _dispatch_table() -> dict[tuple[tuple[int, ...], ...], Route]:
     return t
 
 
-_DISPATCH = _dispatch_table()
-
-
 def pk_route(patterns: PatternSet) -> Route:
     """The route that counts ``patterns``-avoiding outcome permutations.
 
@@ -400,7 +399,7 @@ def pk_route(patterns: PatternSet) -> Route:
     """
     if len(patterns) == 0:
         raise ValueError("pattern set must be nonempty")
-    return _DISPATCH.get(patterns.key()) or _walk_route("ell", patterns)
+    return _dispatch_table().get(patterns.key()) or _walk_route("ell", patterns)
 
 
 def _count_at(route: Route, n: int) -> CountResult:

@@ -518,7 +518,7 @@ def avoider_walk(n_max: int, patterns: PatternSet, keep_leaves: bool = False) ->
 def avoidance_class(n: int, patterns: PatternSet) -> list[Permutation]:
     """All permutations of size n avoiding every pattern, in lexicographic
     order: the leaves of avoider_walk.  Size 0 gives the empty permutation."""
-    return [Permutation(e) for e in sorted(avoider_walk(n, patterns, keep_leaves=True).leaves)]
+    return [Permutation._trusted(e) for e in sorted(avoider_walk(n, patterns, keep_leaves=True).leaves)]
 
 
 def ell_factor(p: Permutation, i: int) -> int:

@@ -2,8 +2,9 @@
 suite.  Each sweep returns None on success and raises AssertionError with a
 counterexample otherwise; results are cached so double invocation is free.
 The reference computations the engines are checked against (the subset
-search, the triangles' double sum, the pk 132 convolution term by term and
-the path-weight table's column fill) live here too.
+search, the triangles' double sum, the pk 132 convolution term by term, the
+path-weight table's column fill and the bijections' bracket match, cluster
+peels and layout) live here too.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from bisect import bisect_left
 from collections import Counter
 from functools import lru_cache
 from typing import Sequence
@@ -308,6 +310,109 @@ def bijection_roundtrips(n_max: int = 9) -> dict[tuple[str, int], int]:
         for r in reports
         if r.quantity.startswith("roundtrip ")
     }
+
+
+# The cluster machinery as it stood before the block-word scan: a bracket
+# match into a dict, the non-empty positions listed apart, each gap found by
+# bisection, and a layout checked by bisecting every main block's partner.
+# The scan, the peels and the layout are checked against these.
+
+
+def reference_bracket_match(blocks) -> dict[int, int]:
+    """Pair each size-2 block with its empty block (stack matching)."""
+    stack: list[int] = []
+    match: dict[int, int] = {}
+    for i, b in enumerate(blocks):
+        if len(b) >= 3:
+            raise ValueError(f"block {i + 1} has size {len(b)}; expected 0, 1 or 2")
+        if len(b) == 2:
+            stack.append(i)
+        elif len(b) == 0:
+            if not stack:
+                raise ValueError(f"empty block {i + 1} has no matching size-2 block")
+            match[stack.pop()] = i
+    if stack:
+        raise ValueError("size-2 block without a matching empty block")
+    return match
+
+
+def reference_clusters(blocks, family: str) -> tuple[list[tuple], list[int], list[int | None]]:
+    """The clusters, their starts in the run of main blocks and their gaps."""
+    peel = {"123-132": reference_peel_132, "123-213": reference_peel_213}[family]
+    match = reference_bracket_match(blocks)
+    mains = [q for q, b in enumerate(blocks) if b]
+    clusters, starts, gaps = [], [0], []
+    n = sum(map(len, blocks))
+    while n:
+        cluster = peel(blocks, match, mains, starts[-1], n)
+        _, lo, _, _, main, empty = cluster
+        clusters.append(cluster)
+        starts.append(starts[-1] + len(main))
+        gaps.append(None if empty is None else bisect_left(mains, empty))
+        n = lo - 1
+    return clusters, starts, gaps
+
+
+def reference_peel_132(blocks, match: dict[int, int], mains: list[int], i: int, n: int) -> tuple:
+    j = i + 1
+    if blocks[mains[i]] == (n,):
+        while j < len(mains) and blocks[mains[j]] == (n + i - j,):
+            j += 1
+        return "extend", n + i - j + 1, n, None, tuple(mains[i:j]), None
+    if blocks[mains[i]][0] != n - 1:
+        raise ValueError("block permutation starts with neither n nor n-1")
+    while n not in blocks[mains[j - 1]]:
+        j += 1
+    main = tuple(mains[i:j])
+    if any(len(blocks[p]) != 1 for p in main[:-1]):
+        raise bj.BijectionDefect("branch or jump cluster blocks must be singletons first")
+    last = blocks[main[-1]]
+    if last == (n,):
+        return "branch", n - len(main) + 1, n, None, main, None
+    if last != (n - len(main), n):
+        raise bj.BijectionDefect(f"size-2 block {last} is not {(n - len(main), n)}")
+    return "jump", n - len(main), n, None, main, match[main[-1]]
+
+
+def reference_peel_213(blocks, match: dict[int, int], mains: list[int], i: int, n: int) -> tuple:
+    first = blocks[mains[i]]
+    k = first[0] - 1
+    if len(first) == 1:
+        cluster = "closed", k + 1, n, n - k - 1, tuple(mains[i : i + n - k]), None
+    else:
+        main = tuple(mains[i : i + n - k - 1])
+        empty = match[main[0]]
+        if i + len(main) == len(mains) or empty < mains[i + len(main)]:
+            parameter = len(main) - bisect_left(main, empty)
+            cluster = "closed", k + 1, n, parameter, main, empty
+        else:
+            cluster = "open", k + 1, n, None, main, empty
+    singletons = [blocks[q] for q in cluster[4][1:]]
+    if (len(first) == 2 and first[1] != n) or singletons != list(zip(range(n + 1 - len(first), k + 1, -1))):
+        raise bj.BijectionDefect(f"{cluster[0]} cluster blocks out of shape")
+    return cluster
+
+
+def reference_lay_out(mains, gaps):
+    """The word with these clusters' main blocks and gaps, checked by
+    bisecting the partner of every size-2 main block."""
+    empties = [0] * (sum(map(len, mains)) + 1)
+    for g in gaps:
+        if g is not None:
+            empties[g] += 1
+    word: list[tuple[int, ...]] = []
+    at, gap_of = [], []
+    for cluster, gap in zip(mains, gaps):
+        for block in cluster:
+            word += ((),) * empties[len(at)]
+            at.append(len(word))
+            gap_of.append(gap)
+            word.append(block)
+    word += ((),) * empties[len(at)]
+    match = reference_bracket_match(word)
+    if any(len(word[p]) == 2 and bisect_left(at, match[p]) != g for p, g in zip(at, gap_of)):
+        raise bj.BijectionDefect("an empty block lies outside its cluster's gap")
+    return tuple(word)
 
 
 def random_family_tree(edges: int, family: str, rng) -> trees.OrderedTree:

@@ -10,8 +10,8 @@ import pytest
 
 from parkav import bijections as bj
 from parkav import oracle, trees
-from parkav.parking import format_blocks, parse_blocks
-from parkav.permutations import pattern_set
+from parkav.parking import block_permutation, enumerate_parking_functions, format_blocks, parse_blocks, to_blocks
+from parkav.permutations import avoids_all, pattern_set
 from parkav.trees import OrderedTree, serialize_tree, tree
 from invariants import (
     bijection_roundtrips,
@@ -23,6 +23,9 @@ from invariants import (
     is_full_right_subtree,
     labeled_text,
     random_family_tree,
+    reference_bracket_match,
+    reference_clusters,
+    reference_lay_out,
     text_labels,
 )
 from tables import SMALL_123_132, SMALL_123_213
@@ -147,12 +150,15 @@ def test_enumerator_against_simulation():
         patterns = bj.family_patterns(family)
         for n in range(1, 7):
             assert len(bj.enumerate_pf_family(n, family)) == oracle.brute_pf(n, patterns)
-    # the enumerator is generic in the pattern set; spot-check other sets
-    for text in ("123", "132,213", "312,321"):
+    # the enumerator is generic in the pattern set; spot-check other sets,
+    # word for word against the parking functions filtered by their blocks
+    for text in ("123", "132,213", "312,321", "123,132", "123,213"):
         patterns = pattern_set(*text.split(","))
         for n in range(1, 6):
             got = bj.enumerate_pf_avoiding(n, patterns)
             assert len(got) == len(set(got)) == oracle.brute_pf(n, patterns), (text, n)
+            want = {to_blocks(f) for f in enumerate_parking_functions(n) if avoids_all(block_permutation(f), patterns)}
+            assert set(got) == want, (text, n)
 
 
 # the labelled image of every {123,132} word with n <= 7, written by
@@ -284,6 +290,87 @@ def test_backward_derives_each_fact_once(monkeypatch, family):
 
 
 @pytest.mark.parametrize("family", list(bj.FAMILIES))
+def test_forward_scans_each_word_once(monkeypatch, family):
+    """forward reads the word's bracket partners, non-empty positions and
+    gaps off one scan: no peel, gap or graft scans the word again."""
+    calls = []
+    real = bj.bracket_match
+    monkeypatch.setattr(bj, "bracket_match", lambda blocks: calls.append(blocks) or real(blocks))
+    rng = random.Random(150)
+    for edges in (1, 2, 40, 150):
+        t = random_family_tree(edges, family, rng)
+        blocks = bj.backward(t, family)
+        calls.clear()
+        assert bj.forward(blocks, family) == t
+        assert calls == [blocks]
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as e:  # the outcome under comparison, whatever it is
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("family", list(bj.FAMILIES))
+def test_scan_peels_and_layout_match_the_references(family):
+    """The scan, the peels and the layout give what the bracket match into a
+    dict, the bisected gaps and the bisected layout check give (the
+    references in invariants.py): on every domain word with n <= 7, on the
+    worked example, and on the words backward gives for the trees of
+    test_roundtrip_on_large_trees.  Each layout is also redone with each
+    empty block one gap early and one gap late, and must give the same word
+    or raise the same exception; so must the scan on every parking function
+    of size 5 or less, most of which no bijection takes."""
+    peel = {"123-132": bj._peel_132, "123-213": bj._peel_213}[family]
+    words = [b for n in range(8) for b in bj.enumerate_pf_family(n, family)]
+    assert len(words) == {"123-132": 1163, "123-213": 1430}[family]
+    words.append(FIG25_BLOCKS if family == "123-132" else FIG20_BLOCKS)
+    rng = random.Random(150)
+    words += [bj.backward(random_family_tree(edges, family, rng), family) for edges in (150, 150, 600)]
+    for blocks in words:
+        match, mains, _ = bj.bracket_match(blocks)
+        assert {p: q for p, q in enumerate(match) if q is not None} == reference_bracket_match(blocks)
+        assert list(mains) == [q for q, b in enumerate(blocks) if b]
+        clusters, starts, gaps = bj._clusters(blocks, peel)
+        assert (clusters, starts, gaps) == reference_clusters(blocks, family), blocks
+        main_blocks = [tuple(blocks[q] for q in c[4]) for c in clusters]
+        assert bj._lay_out(main_blocks, gaps) == reference_lay_out(main_blocks, gaps) == blocks
+        for i, g in enumerate(gaps):
+            for moved in (g - 1, g + 1) if g is not None else ():
+                if 0 <= moved <= starts[-1]:
+                    shifted = gaps[:i] + [moved] + gaps[i + 1 :]
+                    got = _outcome(bj._lay_out, main_blocks, shifted)
+                    assert got == _outcome(reference_lay_out, main_blocks, shifted), (blocks, shifted)
+    for n in range(6):
+        for f in enumerate_parking_functions(n):
+            blocks = to_blocks(f)
+            got = _outcome(bj.match_empty_blocks, blocks)
+            assert got == _outcome(reference_bracket_match, blocks), blocks
+
+
+def test_lay_out_rejects_each_misplaced_empty_block():
+    """An empty block one gap early or one gap late leaves a size-2 block
+    matched outside its own cluster's gap; one before every size-2 block, or
+    a size-2 block without one, leaves the word unmatched.  Each raises what
+    the reference layout raises."""
+    mains = [((1, 4),), ((2, 3),), ((5,),)]
+    for gaps in ([3, 2, None], [1, 3, None]):
+        assert bj._lay_out(mains, gaps) == reference_lay_out(mains, gaps)
+    cases = [
+        ([3, 1, None], bj.BijectionDefect),  # {2,3}'s empty block one gap early
+        ([2, 3, None], bj.BijectionDefect),  # {1,4}'s empty block one gap late
+        ([0, 2, None], ValueError),  # an empty block before every size-2 block
+        ([3, None, None], ValueError),  # {2,3} left open
+    ]
+    for gaps, error in cases:
+        for lay_out in (bj._lay_out, reference_lay_out):
+            with pytest.raises(error):
+                lay_out(mains, gaps)
+
+
+@pytest.mark.parametrize("family", list(bj.FAMILIES))
 def test_lay_out_inverts_the_gaps(family):
     """Laying out each cluster's main blocks with the gaps read off a word
     gives the word back, over the whole domain for n <= 7."""
@@ -308,12 +395,12 @@ def test_clusters_take_the_non_empty_blocks_in_order(family):
             clusters = [bj.Cluster(*c) for c in clusters]
             non_empty = [q for q, b in enumerate(blocks) if b]
             assert [q for c in clusters for q in c.main_positions] == non_empty
-            match = bj.bracket_match(blocks)
+            match, _, _ = bj.bracket_match(blocks)
             empties = [c.empty_position for c in clusters if c.empty_position is not None]
             assert sorted(empties) == [q for q, b in enumerate(blocks) if not b]
             for c in clusters:
                 if c.empty_position is not None:
-                    assert any(match.get(q) == c.empty_position for q in c.main_positions)
+                    assert any(match[q] == c.empty_position for q in c.main_positions)
             assert starts == [non_empty.index(c.main_positions[0]) for c in clusters] + [len(non_empty)]
             assert gaps == [None if c.empty_position is None else sum(q < c.empty_position for q in non_empty)
                             for c in clusters]

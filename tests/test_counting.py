@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from functools import partial
@@ -88,11 +91,31 @@ def test_sets_with_both_monotone_patterns_die_at_five():
             assert pk_count(patterns, n) == CountResult(0, "weighted_sum"), (str(patterns), n)
 
 
+def test_pk_dispatch_table_waits_for_the_first_pk_route():
+    # importing counting builds no pk table, so classes and pf calls, which
+    # never read it, do not pay for it; the first pk route builds it once
+    code = (
+        "from parkav import counting, generalized\n"
+        "from parkav.permutations import pattern_set\n"
+        "generalized.metasylvester_mpark(5, 2)\n"
+        "counting.pf_count(pattern_set('312', '321'), 6)\n"
+        "assert counting._dispatch_table.cache_info().currsize == 0\n"
+        "counting.pk_count(pattern_set('321'), 6)\n"
+        "counting.pk_count(pattern_set('123', '132'), 6)\n"
+        "info = counting._dispatch_table.cache_info()\n"
+        "assert (info.misses, info.currsize) == (1, 1), info\n"
+    )
+    src = os.path.dirname(os.path.dirname(counting.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_summed_last_level_matches_the_closed_forms_to_ten():
     # the walk sums its last level without building it: both weights against
     # every closed-form row, and the sums still end where the class dies
     for patterns in all_s3_subsets():
-        if patterns.key() in counting._DISPATCH:
+        if patterns.key() in counting._dispatch_table():
             row = [c.value for _, c in counting.row_of(counting.pk_route(patterns), 10)]
             assert avoider_walk(10, patterns).ell[1:] == row, str(patterns)
     for patterns, route in counting.PF_ROUTES.items():
