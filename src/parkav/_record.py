@@ -1,14 +1,20 @@
 """Immutable slot records: the value-type base of every parkav class.
 
-A subclass lists its fields in ``__slots__`` and sets each one in its own
-``__init__`` with ``object.__setattr__``, after any validation.  The base
-gives it what a frozen dataclass would, without importing ``dataclasses``:
-field-wise equality only between instances of the same class, a hash over
-the same fields, ``Name(field=value, ...)`` as the repr, and AttributeError
-on assignment or deletion.  It defines no ``__len__`` or ``__bool__``, so a
-record is truthy unless its class says otherwise.  Equality and hashing read
-the fields through ``_key``, which every subclass gets from its slots.  No
-record holds another of its own class, so neither recurses deeply.
+A subclass lists its fields in ``__slots__``; the base stores one value per
+field, by position in slot order or by keyword, and a missing, extra or
+unknown field is a TypeError.  A subclass that validates or normalises does
+so in its own ``__init__``, then calls ``super().__init__``.  The base also
+gives what a frozen dataclass would, without ``dataclasses``: type-strict
+field-wise equality, a hash over the same fields, ``Name(field=value, ...)``
+as the repr, and AttributeError on assignment or deletion.  With no
+``__len__`` or ``__bool__``, a record is truthy unless its class says
+otherwise.  No record holds another of its own class, so equality and
+hashing never recurse deeply.
+
+>>> from parkav.counting import CountResult
+>>> CountResult(5, methods="formula")
+Traceback (most recent call last):
+TypeError: CountResult() takes the fields value, method
 """
 
 from __future__ import annotations
@@ -21,14 +27,24 @@ class Record:
 
     def __init_subclass__(cls) -> None:
         cls._key = attrgetter(*cls.__slots__)  # the field values in order (the value itself for one field)
+        # per field, in slot order: its index and its slot's setter (no frozen __setattr__)
+        cls._setters = tuple(enumerate(cls.__dict__[name].__set__ for name in cls.__slots__))
+
+    def __init__(self, *values, **named) -> None:
+        if named:  # the fields after the positional ones, in slot order
+            values += tuple(named.pop(name) for name in self.__slots__[len(values) :] if name in named)
+        if named or len(values) != len(self._setters):  # a field missing, extra, unknown or given twice
+            raise TypeError(f"{self.__class__.__qualname__}() takes the fields {', '.join(self.__slots__)}")
+        for i, set_field in self._setters:
+            set_field(self, values[i])
 
     @classmethod
     def _trusted(cls, *values):
         """An instance from field values already known to be valid; no
         validation or normalisation runs."""
         self = object.__new__(cls)
-        for name, value in zip(cls.__slots__, values):
-            object.__setattr__(self, name, value)
+        for i, set_field in cls._setters:
+            set_field(self, values[i])
         return self
 
     def __eq__(self, other):

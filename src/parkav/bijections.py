@@ -183,23 +183,8 @@ class Cluster(Record):
     """The elements lo..hi, with the 0-based positions of their main blocks
     (in order) and of their matched empty block, when there is one."""
 
+    # kind: extend | branch | jump, or closed | open; parameter: closed only
     __slots__ = ("kind", "lo", "hi", "parameter", "main_positions", "empty_position")
-
-    def __init__(
-        self,
-        kind: str,  # extend | branch | jump, or closed | open
-        lo: int,
-        hi: int,
-        parameter: int | None,  # closed only
-        main_positions: tuple[int, ...],
-        empty_position: int | None,
-    ) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "parameter", parameter)
-        object.__setattr__(self, "main_positions", main_positions)
-        object.__setattr__(self, "empty_position", empty_position)
 
     @property
     def length(self) -> int:
@@ -230,14 +215,16 @@ def _clusters(blocks: Blocks, peel) -> tuple[list[tuple], list[int], list[int | 
     return clusters, starts, gaps
 
 
-def _lay_out(mains: list[Blocks], gaps: list[int | None]) -> Blocks:
-    """The word whose clusters have these main blocks, in word order, and
-    these gaps for their empty blocks: the inverse of _clusters' gaps.  One
-    scan of the word checks that each size-2 block's partner sits in its
-    own cluster's gap."""
+def _lay_out(mains: list[Blocks], after: list[int | None]) -> Blocks:
+    """The word whose clusters have these main blocks, last cluster first,
+    and this many main blocks after each one's empty block (None: it has
+    none): the inverse of _clusters.  One scan of the word checks that each
+    size-2 block's partner sits in its own cluster's gap."""
+    total = sum(map(len, mains))
     # the main blocks; per size-2 block, in word order, its cluster's gap; per empty block, its gap
     flat, want, holes = [], [], []
-    for cluster, g in zip(mains, gaps):
+    for cluster, a in zip(reversed(mains), reversed(after)):
+        g = None if a is None else total - a
         flat += cluster
         if g is not None:
             holes.append(g)
@@ -465,7 +452,7 @@ def psi_123_132(t: OrderedTree) -> Blocks:
         mains.append(main)
         after.append(empty)
         built += len(main)
-    return _lay_out(mains[::-1], [None if a is None else built - a for a in reversed(after)])
+    return _lay_out(mains, after)
 
 
 def _path_below(kids: list[list[int]], x: int) -> list[int]:
@@ -594,7 +581,7 @@ def psi_123_213(t: OrderedTree) -> Blocks:
         mains.append(main)
         after.append(empty)
         built += len(main)
-    return _lay_out(mains[::-1], [None if a is None else built - a for a in reversed(after)])
+    return _lay_out(mains, after)
 
 
 def _unwind_213(

@@ -211,10 +211,7 @@ class Option(Record):
     __slots__ = ("reader", "default", "choices", "help")
 
     def __init__(self, reader, default, choices=None, help=None) -> None:
-        object.__setattr__(self, "reader", reader)
-        object.__setattr__(self, "default", default)
-        object.__setattr__(self, "choices", choices)
-        object.__setattr__(self, "help", help)
+        super().__init__(reader, default, choices, help)
 
 
 FORMATS = ["bfile", "csv", "json"]

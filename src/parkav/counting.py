@@ -41,12 +41,8 @@ from .permutations import PatternSet, avoider_walk, pattern_set
 class CountResult(Record):
     """An exact count plus the provenance of the computation."""
 
+    # method: formula | recurrence | weighted_sum (avoider walk or path weights)
     __slots__ = ("value", "method")
-
-    def __init__(self, value: int, method: str) -> None:
-        object.__setattr__(self, "value", value)
-        # formula | recurrence | weighted_sum (avoider walk or path weights)
-        object.__setattr__(self, "method", method)
 
     def __int__(self) -> int:
         return self.value

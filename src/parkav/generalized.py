@@ -43,9 +43,6 @@ class Evaluation(Record):
 
     __slots__ = ("counts",)
 
-    def __init__(self, counts: tuple[int, ...]) -> None:
-        object.__setattr__(self, "counts", counts)
-
     @property
     def packed(self) -> tuple[int, ...]:
         return tuple(c for c in self.counts if c)
@@ -92,12 +89,10 @@ class MMultiparking(Record):
 
     __slots__ = ("values", "m", "n")
 
-    def __init__(self, values: tuple[int, ...], m: int, n: int) -> None:
+    def __init__(self, values: Sequence[int], m: int, n: int) -> None:
         if not is_m_multiparking(values, m, n):
             raise ValueError(f"not an {m}-multiparking function of size {m * n}")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
+        super().__init__(tuple(values), m, n)
 
     def evaluation(self) -> Evaluation:
         return evaluation(self.values, self.n)
@@ -108,11 +103,10 @@ class MParking(Record):
 
     __slots__ = ("values", "m")
 
-    def __init__(self, values: tuple[int, ...], m: int) -> None:
+    def __init__(self, values: Sequence[int], m: int) -> None:
         if not is_m_parking(values, m, len(values)):
             raise ValueError(f"not an {m}-parking function: {values!r}")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "m", m)
+        super().__init__(tuple(values), m)
 
     def evaluation(self) -> Evaluation:
         return evaluation(self.values, 1 + self.m * (len(self.values) - 1))

@@ -187,13 +187,6 @@ def brute_total(n: int) -> int:
 class OracleReport(Record):
     __slots__ = ("quantity", "n", "m", "oracle_value", "formula_value")
 
-    def __init__(self, quantity: str, n: int, m: int | None, oracle_value: int, formula_value: int) -> None:
-        object.__setattr__(self, "quantity", quantity)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "oracle_value", oracle_value)
-        object.__setattr__(self, "formula_value", formula_value)
-
     @property
     def agree(self) -> bool:
         return self.oracle_value == self.formula_value
@@ -233,7 +226,7 @@ def verify_pf(n_max: int) -> list[OracleReport]:
     return reports
 
 
-def verify_generalized(n_max: int, m_max: int = 2) -> list[OracleReport]:
+def verify_generalized(n_max: int) -> list[OracleReport]:
     """Class-count formulas vs the per-evaluation enumeration oracle."""
     from . import generalized
 
@@ -243,7 +236,7 @@ def verify_generalized(n_max: int, m_max: int = 2) -> list[OracleReport]:
         "m": generalized.mpark_class_count_by_evaluations,
     }
     reports = []
-    for m in range(1, m_max + 1):
+    for m in range(1, GENERALIZED_M_MAX + 1):
         for n in range(1, n_max + 1):
             for name, (_, value, _) in generalized.CLASS_FAMILIES.items():
                 congruence, side = name.rsplit("-", 1)
@@ -272,6 +265,7 @@ def verify_bijections(n_max: int) -> list[OracleReport]:
     return reports
 
 
+GENERALIZED_M_MAX = 2  # the classes suite checks m = 1..2 at each of its n
 # the largest n each verify suite reaches, whatever n_max asks for
 SUITE_LIMITS = {"formulas": BRUTE_CAP - 1, "classes": 5, "bijections": 7}
 """formulas: the simulation oracle refuses past BRUTE_CAP.  Its walk fills both
@@ -309,7 +303,7 @@ def verify_all(n_max: int, families: str = "all") -> list[OracleReport]:
         reports += verify_pk(reach["formulas"])
         reports += verify_pf(reach["formulas"])
     if "classes" in reach:
-        reports += verify_generalized(reach["classes"], 2)
+        reports += verify_generalized(reach["classes"])
     if "bijections" in reach:
         reports += verify_bijections(reach["bijections"])
     return reports

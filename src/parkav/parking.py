@@ -52,10 +52,6 @@ class ParkingOutcome(Record):
 
     __slots__ = ("spots", "rho")
 
-    def __init__(self, spots: tuple[int, ...], rho: Permutation) -> None:
-        object.__setattr__(self, "spots", spots)
-        object.__setattr__(self, "rho", rho)
-
 
 def simulate(prefs: Sequence[int]) -> ParkingOutcome | None:
     """Run the cars; None when some car exits (not a parking function).
@@ -78,7 +74,7 @@ def simulate(prefs: Sequence[int]) -> ParkingOutcome | None:
             return None
         occupied[s] = car
         spots.append(s)
-    return ParkingOutcome(tuple(spots), Permutation(tuple(occupied[1:])))
+    return ParkingOutcome(tuple(spots), Permutation(occupied[1:]))
 
 
 class ParkingFunction(Record):
@@ -86,10 +82,10 @@ class ParkingFunction(Record):
 
     __slots__ = ("prefs",)
 
-    def __init__(self, prefs: tuple[int, ...]) -> None:
+    def __init__(self, prefs: Sequence[int]) -> None:
         if not is_parking(prefs):
             raise ValueError(f"not a parking function: {prefs!r}")
-        object.__setattr__(self, "prefs", prefs)
+        super().__init__(tuple(prefs))
 
     @property
     def n(self) -> int:
@@ -146,7 +142,7 @@ def from_blocks(blocks: Blocks) -> ParkingFunction:
     for i, b in enumerate(blocks, start=1):
         for car in b:
             prefs[car - 1] = i
-    return ParkingFunction(tuple(prefs))
+    return ParkingFunction(prefs)
 
 
 def block_permutation(f: ParkingFunction) -> Permutation:

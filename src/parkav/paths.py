@@ -34,7 +34,7 @@ class LatticePath(Record):
 
     __slots__ = ("steps", "m")
 
-    def __init__(self, steps: tuple[str, ...], m: int = 1) -> None:
+    def __init__(self, steps: Sequence[str], m: int = 1) -> None:
         if m < 1:
             raise ValueError("up-step height m must be >= 1")
         height = 0
@@ -49,8 +49,7 @@ class LatticePath(Record):
                 raise ValueError(f"path dips below axis: {''.join(steps)}")
         if height != 0:
             raise ValueError(f"path does not return to axis: {''.join(steps)}")
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "m", m)
+        super().__init__(tuple(steps), m)
 
     @property
     def n(self) -> int:
@@ -70,7 +69,7 @@ def path(text: str, m: int = 1) -> LatticePath:
     for i, c in enumerate(text):
         if c not in (UP, DOWN):
             raise ValueError(f"bad step at column {i + 1}: {c!r}")
-    return LatticePath(tuple(text), m)
+    return LatticePath(text, m)
 
 
 class AscentWord(Record):
@@ -78,10 +77,10 @@ class AscentWord(Record):
 
     __slots__ = ("runs",)
 
-    def __init__(self, runs: tuple[int, ...]) -> None:
+    def __init__(self, runs: Sequence[int]) -> None:
         if any(r < 1 for r in runs):
             raise ValueError("runs must be positive")
-        object.__setattr__(self, "runs", runs)
+        super().__init__(tuple(runs))
 
     def __len__(self) -> int:
         return len(self.runs)
@@ -110,7 +109,7 @@ def enumerate_paths(n: int, m: int = 1) -> Iterator[LatticePath]:
 
     def rec(ups_left: int, downs_left: int, height: int) -> Iterator[LatticePath]:
         if ups_left == 0 and downs_left == 0:
-            yield LatticePath(tuple(steps), m)
+            yield LatticePath(steps, m)
             return
         if ups_left:
             steps.append(UP)
@@ -224,7 +223,7 @@ def canonical_decomposition(c: LatticePath) -> tuple[int, list[LatticePath]]:
             if height < 0:
                 break
             pos += 1
-        parts.append(LatticePath(tuple(c.steps[start:pos]), 1))
+        parts.append(LatticePath(c.steps[start:pos], 1))
     assert pos == len(c.steps)
     return k, parts
 
@@ -237,7 +236,7 @@ def compose_canonical(k: int, parts: Sequence[LatticePath]) -> LatticePath:
     for part in parts:
         steps.append(DOWN)
         steps.extend(part.steps)
-    return LatticePath(tuple(steps), 1)
+    return LatticePath(steps, 1)
 
 
 def delete_first_peak(c: LatticePath) -> tuple[int, LatticePath]:
@@ -314,7 +313,7 @@ def increasing_pf_to_path(prefs: Sequence[int], m: int = 1) -> LatticePath:
         steps.append(DOWN)
     if pos != n:
         raise ValueError(f"preferences exceed the value range 1..{m * n}")
-    return LatticePath(tuple(steps), m)
+    return LatticePath(steps, m)
 
 
 def m_narayana(n: int, k: int, m: int = 1) -> int:

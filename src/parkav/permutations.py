@@ -35,11 +35,11 @@ class Permutation(Record):
 
     __slots__ = ("entries",)
 
-    def __init__(self, entries: tuple[int, ...]) -> None:
+    def __init__(self, entries: Sequence[int]) -> None:
         n = len(entries)
         if sorted(entries) != list(range(1, n + 1)):
             raise ValueError(f"not a bijection on [{n}]: {entries!r}")
-        object.__setattr__(self, "entries", entries)
+        super().__init__(tuple(entries))
 
     @property
     def n(self) -> int:
@@ -82,7 +82,7 @@ def parse_permutation(text: str) -> Permutation:
             if not (part.isascii() and part.isdigit()):
                 raise ValueError(f"bad permutation entry at position {i + 1}: {part!r}")
             values.append(int(part))
-        return Permutation(tuple(values))
+        return Permutation(values)
     if not (text.isascii() and text.isdigit()):
         bad = next(i for i, c in enumerate(text) if c not in "0123456789")
         raise ValueError(f"bad character in permutation at column {bad + 1}: {text[bad]!r}")
@@ -103,7 +103,7 @@ def identity(n: int) -> Permutation:
     >>> str(identity(3))
     '123'
     """
-    return Permutation(tuple(range(1, n + 1)))
+    return Permutation(range(1, n + 1))
 
 
 def reverse_identity(n: int) -> Permutation:
@@ -112,7 +112,7 @@ def reverse_identity(n: int) -> Permutation:
     >>> str(reverse_identity(4))
     '4321'
     """
-    return Permutation(tuple(range(n, 0, -1)))
+    return Permutation(range(n, 0, -1))
 
 
 def direct_sum(a: Permutation, b: Permutation) -> Permutation:
@@ -351,7 +351,7 @@ class PatternSet(Record):
         if any(q.n == 0 for q in patterns):
             raise ValueError("patterns must have size >= 1")
         canon = sorted(set(patterns), key=lambda q: (q.entries, q.n))
-        object.__setattr__(self, "patterns", tuple(canon))
+        super().__init__(tuple(canon))
 
     def __iter__(self) -> Iterator[Permutation]:
         return iter(self.patterns)
@@ -406,17 +406,9 @@ class AvoiderSums(Record):
     """One avoider walk to n_max, indexed by n up to the largest size it
     reached; no size past that has an avoider."""
 
+    # ell: sum of ell_weight over Av_n(P), the pk count; blocks: parking functions
+    # whose block permutation is in Av_n(P); leaves: Av_{n_max}(P), when kept
     __slots__ = ("ell", "blocks", "leaves")
-
-    def __init__(
-        self,
-        ell: list[int],  # sum of ell_weight over Av_n(P): the pk count
-        blocks: list[int],  # parking functions whose block permutation is in Av_n(P)
-        leaves: list[tuple[int, ...]],  # Av_{n_max}(P), when kept
-    ) -> None:
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "leaves", leaves)
 
     def at(self, weight: str, n: int) -> int:
         """The ``weight`` sum ("ell" or "blocks") at size n; 0 past the walk's depth."""

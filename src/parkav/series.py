@@ -27,7 +27,7 @@ class PowerSeries(Record):
     def __init__(self, coeffs: tuple[Fraction, ...]) -> None:
         if not coeffs:
             raise ValueError("series needs at least the constant coefficient")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in coeffs))
+        super().__init__(tuple(Fraction(c) for c in coeffs))
 
     @property
     def order(self) -> int:

@@ -23,7 +23,7 @@ class OrderedTree(Record):
 
     def __init__(self, word: str = "()") -> None:
         _check_word(word)
-        object.__setattr__(self, "word", word)
+        super().__init__(word)
 
     @property
     def edge_count(self) -> int:

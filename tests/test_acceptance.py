@@ -201,7 +201,7 @@ def test_criterion_8_module_invariant_sweeps():
         ("creation-order claim, n<=8", lambda: creation_order_claim(8)),
         ("kept-right-subtree condition, n<=8", lambda: full_right_subtree_condition(8)),
         ("family sizes vs tree counts, n<=10", lambda: family_cardinalities(10)),
-        ("per-evaluation class oracle, n<=5 m<=2", lambda: all_reports_agree(oracle.verify_generalized(5, 2), 50)),
+        ("per-evaluation class oracle, n<=5 m<=2", lambda: all_reports_agree(oracle.verify_generalized(5), 50)),
     ]
     failures = []
     for name, fn in checks:

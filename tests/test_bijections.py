@@ -305,6 +305,13 @@ def test_forward_scans_each_word_once(monkeypatch, family):
         assert calls == [blocks]
 
 
+def _lay_out_by_gaps(mains, gaps):
+    """bj._lay_out on clusters given in word order with their gaps: it takes
+    them last first, with the main blocks after each empty block."""
+    total = sum(map(len, mains))
+    return bj._lay_out(mains[::-1], [None if g is None else total - g for g in reversed(gaps)])
+
+
 def _outcome(fn, *args):
     """fn(*args), or the type and message of what it raises."""
     try:
@@ -336,12 +343,12 @@ def test_scan_peels_and_layout_match_the_references(family):
         clusters, starts, gaps = bj._clusters(blocks, peel)
         assert (clusters, starts, gaps) == reference_clusters(blocks, family), blocks
         main_blocks = [tuple(blocks[q] for q in c[4]) for c in clusters]
-        assert bj._lay_out(main_blocks, gaps) == reference_lay_out(main_blocks, gaps) == blocks
+        assert _lay_out_by_gaps(main_blocks, gaps) == reference_lay_out(main_blocks, gaps) == blocks
         for i, g in enumerate(gaps):
             for moved in (g - 1, g + 1) if g is not None else ():
                 if 0 <= moved <= starts[-1]:
                     shifted = gaps[:i] + [moved] + gaps[i + 1 :]
-                    got = _outcome(bj._lay_out, main_blocks, shifted)
+                    got = _outcome(_lay_out_by_gaps, main_blocks, shifted)
                     assert got == _outcome(reference_lay_out, main_blocks, shifted), (blocks, shifted)
     for n in range(6):
         for f in enumerate_parking_functions(n):
@@ -357,7 +364,7 @@ def test_lay_out_rejects_each_misplaced_empty_block():
     the reference layout raises."""
     mains = [((1, 4),), ((2, 3),), ((5,),)]
     for gaps in ([3, 2, None], [1, 3, None]):
-        assert bj._lay_out(mains, gaps) == reference_lay_out(mains, gaps)
+        assert _lay_out_by_gaps(mains, gaps) == reference_lay_out(mains, gaps)
     cases = [
         ([3, 1, None], bj.BijectionDefect),  # {2,3}'s empty block one gap early
         ([2, 3, None], bj.BijectionDefect),  # {1,4}'s empty block one gap late
@@ -365,7 +372,7 @@ def test_lay_out_rejects_each_misplaced_empty_block():
         ([3, None, None], ValueError),  # {2,3} left open
     ]
     for gaps, error in cases:
-        for lay_out in (bj._lay_out, reference_lay_out):
+        for lay_out in (_lay_out_by_gaps, reference_lay_out):
             with pytest.raises(error):
                 lay_out(mains, gaps)
 
@@ -379,7 +386,7 @@ def test_lay_out_inverts_the_gaps(family):
         for blocks in bj.enumerate_pf_family(n, family):
             clusters, _, gaps = bj._clusters(blocks, peel)
             mains = [tuple(blocks[q] for q in bj.Cluster(*c).main_positions) for c in clusters]
-            assert bj._lay_out(mains, gaps) == blocks
+            assert _lay_out_by_gaps(mains, gaps) == blocks
 
 
 @pytest.mark.parametrize("family", list(bj.FAMILIES))
@@ -410,9 +417,11 @@ def test_lay_out_checks_each_empty_block_gap():
     # the word ({1,4},{2,3},{},{5},{}) pairs {2,3} with the empty block in
     # gap 2 and {1,4} with the one in gap 3, not the other way round
     mains = [((1, 4),), ((2, 3),), ((5,),)]
-    assert bj._lay_out(mains, [3, 2, None]) == ((1, 4), (2, 3), (), (5,), ())
+    assert _lay_out_by_gaps(mains, [3, 2, None]) == ((1, 4), (2, 3), (), (5,), ())
+    # _lay_out itself takes the clusters last first, with the main blocks after each empty block
+    assert bj._lay_out(mains[::-1], [None, 1, 0]) == ((1, 4), (2, 3), (), (5,), ())
     with pytest.raises(bj.BijectionDefect):
-        bj._lay_out(mains, [2, 3, None])
+        _lay_out_by_gaps(mains, [2, 3, None])
 
 
 @pytest.mark.parametrize("family", list(bj.FAMILIES))

@@ -114,12 +114,12 @@ def test_path_sum_cross_checks():
 
 def test_per_evaluation_oracle():
     # 5 class families x 5 sizes x 2 values of m
-    all_reports_agree(oracle.verify_generalized(5, 2), 50)
+    all_reports_agree(oracle.verify_generalized(5), 50)
 
 
 def test_per_evaluation_oracle_enumerates_each_size_once(monkeypatch):
     """Every family weighs one packed-evaluation tally per (n, m): the
-    multiparking side reads the m = 1 tally, so verify_generalized(5, 2)
+    multiparking side reads the m = 1 tally, so verify_generalized(5)
     enumerates each of the 10 (n, m) once, not once per family."""
     calls = []
     real = g.enumerate_increasing_mpark
@@ -131,7 +131,7 @@ def test_per_evaluation_oracle_enumerates_each_size_once(monkeypatch):
     monkeypatch.setattr(g, "enumerate_increasing_mpark", counted)
     g._evaluation_tally.cache_clear()
     try:
-        all_reports_agree(oracle.verify_generalized(5, 2), 50)
+        all_reports_agree(oracle.verify_generalized(5), 50)
     finally:
         g._evaluation_tally.cache_clear()  # no tally built through the counter outlives the test
     assert sorted(calls) == [(n, m) for n in range(1, 6) for m in (1, 2)]

@@ -4,6 +4,7 @@ validation on construction."""
 
 import copy
 import importlib
+import pathlib
 import pickle
 import pkgutil
 from fractions import Fraction
@@ -19,7 +20,7 @@ from parkav.generalized import Evaluation, MMultiparking, MParking
 from parkav.oracle import OracleReport
 from parkav.parking import ParkingFunction, ParkingOutcome, enumerate_parking_functions
 from parkav.paths import AscentWord, LatticePath
-from parkav.permutations import AvoiderSums, PatternSet, Permutation, perm
+from parkav.permutations import AvoiderSums, PatternSet, Permutation, pattern_set, perm
 from parkav.series import PowerSeries
 from parkav.trees import LEAF, OrderedTree, parse_tree
 
@@ -76,7 +77,24 @@ INVALID = {
     PowerSeries: [((),)],
 }
 
+# the records whose fields are stored as given, with no __init__ of their own
+STORE_ONLY = {CountResult, ParkingOutcome, AvoiderSums, Evaluation, OracleReport, Cluster}
+
+# per validating constructor of a sequence field: the same arguments with lists in place of tuples
+LIST_BUILT = {
+    Permutation: ([2, 1, 3],),
+    ParkingFunction: ([1, 1],),
+    LatticePath: (["U", "D", "D"], 2),
+    AscentWord: ([1, 2],),
+    MMultiparking: ([1, 2, 1, 2], 2, 2),
+    MParking: ([1, 3], 2),
+}
+
 CASES = list(SAMPLES)
+
+
+def _fields(x):
+    return [getattr(x, name) for name in type(x).__slots__]
 
 
 def test_every_record_class_is_sampled():
@@ -131,6 +149,62 @@ def test_validators_still_refuse(cls):
     for args in INVALID[cls]:
         with pytest.raises(ValueError):
             cls(*args)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_base_constructor_takes_each_field_once(case):
+    x = SAMPLES[case]()
+    cls, fields = type(x), _fields(x)
+    with pytest.raises(TypeError):
+        cls(*fields, None)
+    trusted = cls._trusted(*fields)
+    assert type(trusted) is cls and trusted == x
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if type(SAMPLES[case]()) in STORE_ONLY])
+def test_store_only_records_bind_fields_like_a_signature(case):
+    x = SAMPLES[case]()
+    cls, fields, names = type(x), _fields(x), type(x).__slots__
+    assert cls(**dict(zip(names, fields))) == x
+    assert cls(*fields[:1], **dict(zip(names[1:], fields[1:]))) == x
+    bad = [
+        (fields[:-1], {}),  # the last field missing
+        ([], dict(zip(names[1:], fields[1:]))),  # the first field missing
+        (fields[:-1], {"no_such_field": fields[-1]}),  # the last field under an unknown name
+        (fields, {"no_such_field": 1}),  # an unknown field too many
+        (fields, {names[0]: fields[0]}),  # the first field given twice
+    ]
+    for values, named in bad:
+        with pytest.raises(TypeError):
+            cls(*values, **named)
+
+
+def test_only_the_store_only_records_lack_an_init():
+    # every other record validates or normalises, then passes its fields to the base
+    classes = {type(make()) for make in SAMPLES.values()}
+    assert {cls for cls in classes if "__init__" not in vars(cls)} == STORE_ONLY
+
+
+def test_only_the_base_stores_fields():
+    # the slot-storing decision lives in _record.py alone
+    for path in pathlib.Path(parkav.__file__).parent.glob("*.py"):
+        if path.name != "_record.py":
+            assert "object.__setattr__" not in path.read_text(), path.name
+
+
+@pytest.mark.parametrize("cls", list(LIST_BUILT), ids=lambda c: c.__name__)
+def test_sequence_fields_are_stored_as_tuples(cls):
+    args = LIST_BUILT[cls]
+    from_lists = cls(*args)
+    from_tuples = cls(*(tuple(a) if isinstance(a, list) else a for a in args))
+    assert type(_fields(from_lists)[0]) is tuple
+    assert from_lists == from_tuples and hash(from_lists) == hash(from_tuples)
+    assert len({from_lists, from_tuples}) == 1
+
+
+def test_a_pattern_set_of_list_built_permutations():
+    assert PatternSet((Permutation([1, 2]),)) == pattern_set("12")
+    assert Permutation([2, 1]) == perm("21") and hash(Permutation([2, 1])) == hash(perm("21"))
 
 
 def test_equality_is_type_strict():
