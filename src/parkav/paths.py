@@ -109,7 +109,7 @@ def enumerate_paths(n: int, m: int = 1) -> Iterator[LatticePath]:
 
     def rec(ups_left: int, downs_left: int, height: int) -> Iterator[LatticePath]:
         if ups_left == 0 and downs_left == 0:
-            yield LatticePath(steps, m)
+            yield LatticePath._trusted(tuple(steps), m)  # the recursion kept it valid
             return
         if ups_left:
             steps.append(UP)

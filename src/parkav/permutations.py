@@ -13,9 +13,9 @@ block permutations, over an avoidance class.
 Containment has two questions.  ``contains_sequence`` asks it of a whole
 sequence: linear scans up to size 3, then the end query at each prefix.
 ``ends_with_occurrence`` asks whether an occurrence uses the last entry:
-for sizes <= 3 it reads the one rank scan (``_s3_blocked``) that the
-avoider walk runs once per node for all of a node's children; size 4 is
-one more linear pass and larger sizes try subsets.
+for sizes <= 4 it reads the one rank scan (``_s3_blocked``, ``_s4_blocked``)
+that the avoider walk runs once per node for all of a node's children;
+larger sizes try subsets.
 
 Text format: digits for n <= 9 ("7561234"), comma-separated otherwise.
 """
@@ -198,7 +198,7 @@ def contains_sequence(seq: Sequence[int], pattern: Permutation) -> bool:
 
     Sizes 0-1 are a length test, size 2 one pass over adjacent pairs and
     size 3 a linear scan.  Larger sizes ask the end query at each prefix:
-    O(n^2) for size 4, and for size m >= 5 the sum of C(end - 1, m - 1)
+    O(n^2 log n) for size 4, and for size m >= 5 the sum of C(end - 1, m - 1)
     over the prefixes, which is C(n, m).
     """
     q = pattern.entries
@@ -214,70 +214,83 @@ def contains_sequence(seq: Sequence[int], pattern: Permutation) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _size4_plan(q: tuple[int, ...]) -> tuple[bool, int | None, object]:
-    """(side, lone, test) for a size-4 pattern q.  Without a lone letter:
-    whether all three earlier letters lie below x, None, and the size-3 scan
-    for their standardization.  Otherwise: whether the lone letter lies below
-    x, its position, and whether the other two letters rise."""
-    *head, last = q
-    below = [h < last for h in head]  # the side of x each earlier letter takes
-    if below[0] == below[1] == below[2]:
-        return below[0], None, _S3_SCANS[tuple(sorted(head).index(h) + 1 for h in head)]
-    lone = next(j for j in range(3) if below.count(below[j]) == 1)
-    u, w = (h for j, h in enumerate(head) if j != lone)
-    return below[lone], lone, u < w
+def _size4_plan(q: tuple[int, ...]) -> tuple[bool, bool, tuple[int, ...], bool]:
+    """(flip, turn, head, threshold) for a size-4 pattern q.  flip: its last
+    letter is 1 or 2, so the scan reads the complement (4 or 3) on negated
+    values.  threshold: that letter is 4, all three earlier letters below x.
+    head: the earlier letters standardized, 123, 213 or 132 once turn has
+    reversed the scan for 321, 312 or 231."""
+    if flip := q[3] < 3:
+        q = tuple(5 - v for v in q)
+    head = tuple(sorted(q[:3]).index(h) + 1 for h in q[:3])
+    turn = head[0] > head[2]
+    return flip, turn, head[::-1] if turn else head, q[3] == 4
 
 
-def _ends_with_size4(earlier: Sequence[int], x: int, q: tuple[int, ...]) -> bool:
-    """Size-4 end query in one O(n) pass over the entries before x.
+def _s4_blocked(seq: Sequence[int], q: tuple[int, ...]) -> list[tuple[float, float]]:
+    """The values x of a new last entry that end an occurrence of q, a
+    pattern of size 4, as open intervals lo < x < hi: one O(n log n) pass,
+    valid on any distinct-valued sequence.
 
-    Every entry below x is below every entry above x, as in the pattern, so
-    only the order within each side matters.  Three letters on one side:
-    a size-3 scan of that side.  One letter alone on its side: the other two
-    need one rise or fall among the other side's entries, after the first
-    lone-side entry if the lone letter comes first (before the last, by
-    reversal, if it comes last); in the middle, a running extreme of the
-    other side, read at each lone-side entry, meets a later other-side entry.
+    An occurrence of q's earlier letters with values a < b < c lets x end q
+    in one gap: above c if q's last letter is 4, between b and c if it is 3
+    (below a or between a and b for 1 or 2, on the negated values).  So for
+    each entry c the scan finds the least b of an occurrence of the head
+    whose largest letter is c: the running minimum of the entries above an
+    earlier one (123), of the entries above a later one, popped off a stack
+    of right-to-left minima (213), or of the later entries above the minimum
+    before c, kept in a heap (132); the other heads read the reversed
+    sequence.  Last letter 3: each such c gives (b, c); last letter 4: x
+    above the least such c, one threshold.
     """
-    side, lone, test = _size4_plan(q)
-    if lone is None:
-        return test([v for v in earlier if (v < x) == side])
-    rising = test
-    if lone == 2:
-        earlier, rising, lone = earlier[::-1], not rising, 0
-    if lone == 0:
-        start = next((i for i, v in enumerate(earlier) if (v < x) == side), len(earlier))
-        others = [v for v in earlier[start + 1:] if (v < x) != side]
-        return any((a < b) == rising for a, b in zip(others, others[1:]))
-    extreme = best = None  # the other side's min (rising) or max so far; its value at the last lone entry
-    for v in earlier:
-        if (v < x) == side:
-            best = extreme
-            continue
-        if best is not None and (best < v) == rising:
-            return True
-        if extreme is None or (v < extreme) == rising:
-            extreme = v
-    return False
+    flip, turn, head, threshold = _size4_plan(q)
+    vals = seq[::-1] if turn else seq
+    if flip:
+        vals = _negated(vals)
+    least, low, kept, out = math.inf, math.inf, [], []  # out: (that least b, c) for each such c
+    # kept: the heap of later entries (132) or the stack of right-to-left minima (213)
+    if head == (1, 3, 2):
+        import heapq  # here, not at the top: its import would cost every start-up
+
+        lows = [math.inf, *itertools.accumulate(vals, min)]  # lows[j]: the minimum before vals[j]
+        for j in range(len(vals) - 1, -1, -1):
+            while kept and kept[0] < lows[j]:  # under the minimum before any earlier entry too
+                heapq.heappop(kept)
+            if kept and kept[0] < vals[j]:
+                out.append((kept[0], vals[j]))
+            heapq.heappush(kept, vals[j])
+    else:
+        for v in vals:
+            if least < v:
+                out.append((least, v))
+            if head == (2, 1, 3):
+                while kept and kept[-1] > v:  # now above a later entry
+                    least = min(least, kept.pop())
+                kept.append(v)
+            elif v < low:
+                low = v
+            elif v < least:  # above the running minimum
+                least = v
+    if threshold and out:
+        out = [(min(c for _, c in out), math.inf)]
+    return [(-hi, -lo) for lo, hi in out] if flip else out
 
 
 def ends_with_occurrence(seq: Sequence[int], pattern: Permutation) -> bool:
     """True iff some occurrence of pattern in seq uses seq's last entry x.
 
-    Sizes <= 3 ask whether x lies in an interval of the rank scan over the
-    earlier entries (``_s3_blocked``), size 4 is one O(n) pass
-    (``_ends_with_size4``) and larger sizes try the C(n-1, m-1) subsets of
-    the earlier entries.
+    Sizes <= 4 ask whether x lies in an interval of the rank scan over the
+    earlier entries (``_s3_blocked``, ``_s4_blocked``) that the avoider walk
+    reads once per node; larger sizes try the C(n-1, m-1) subsets of the
+    earlier entries.
     """
     q = pattern.entries
     m = len(q)
     if m == 0 or m > len(seq):
         return False
     x = seq[-1]
-    if m <= 3:
-        return any(lo < x < hi for lo, hi in _s3_blocked(seq[:-1], q))
-    if m == 4:
-        return _ends_with_size4(seq[:-1], x, q)
+    if m <= 4:
+        return any(lo < x < hi for lo, hi in (_s3_blocked if m <= 3 else _s4_blocked)(seq[:-1], q))
     order = sorted(range(m), key=q.__getitem__)
     # order-isomorphic iff read in the pattern's rank order, the values rise
     return any(
@@ -391,14 +404,14 @@ class BudgetExceeded(ValueError):
     """Work past a documented budget; the CLI exits 3 before printing."""
 
 
-# Entries the avoider walk may scan: 2-15 s of CPython on a 2-vCPU host
-# (pf {132} refuses n = 13 after 2.3 s, pk {1234} n = 11 after 12 s, pk
+# Entries the avoider walk may scan: 1.6-15 s of CPython on a 2-vCPU host
+# (pk {1234} refuses n = 11 after 1.6 s, pf {132} n = 13 after 2.3 s, pk
 # {12345} n = 9 after 15 s).  Counted in entries, not nodes: Av_n(12) has one
 # node per level but O(n^2) work per level.  A pattern of size <= 4 is priced
 # at one linear end query per candidate, a larger one at its subsets of the
-# earlier entries.  Sizes <= 3 keep that per-candidate price, though one scan
+# earlier entries.  Sizes <= 4 keep that per-candidate price, though one scan
 # per node serves all their candidates, so which calls answer and which
-# refuse does not depend on how fast the scan is.
+# refuse does not depend on how fast the scan is; only how soon they refuse.
 WALK_BUDGET = 50_000_000
 
 
@@ -422,10 +435,10 @@ def avoider_walk(n_max: int, patterns: PatternSet, keep_leaves: bool = False) ->
     A size-k avoider grows by a last entry of each rank r in 1..k+1 (entries
     >= r shift up), kept iff no occurrence ends at it, so every node is an
     avoider and the work is sum_k |Av_k(P)| * poly(k).  At a node of size k,
-    one O(k) pass per pattern of size <= 3 marks the ranks of all k+1
-    children that it forbids (``_s3_blocked``); a larger pattern asks one
-    end query per candidate: O(k) for size 4, C(k, m-1) subsets for size
-    m >= 5.
+    one pass per pattern of size <= 4 marks the ranks of all k+1 children
+    that it forbids (``_s3_blocked`` in O(k), ``_s4_blocked`` in
+    O(k log k)); a larger pattern of size m asks one end query per
+    candidate, over C(k, m-1) subsets.
     One more pass finds every child's ``below``, the entries just before the
     new one that lie under it; its ell_factor is ``below`` + 1.  A block
     permutation p is cut into increasing blocks, each in a later slot but no
@@ -441,8 +454,8 @@ def avoider_walk(n_max: int, patterns: PatternSet, keep_leaves: bool = False) ->
     """
     ell, blocks, leaves = [], [], []
     sizes = [q.n for q in patterns]
-    scanned = [q.entries for q in patterns if q.n <= 3]
-    queried = [q for q in patterns if q.n > 3]  # one end query per candidate
+    scanned = [(_s3_blocked if q.n <= 3 else _s4_blocked, q.entries) for q in patterns if q.n <= 4]
+    queried = [q for q in patterns if q.n > 4]  # one end query per candidate
     cost = []  # cost[k]: the scan of one child of a size-k node, set when the walk first reaches k
     spent = 0
     stack = [((), 1, [1])]  # (entries, ell product, block weights by last block slot + 1)
@@ -464,9 +477,9 @@ def avoider_walk(n_max: int, patterns: PatternSet, keep_leaves: bool = False) ->
         if spent > WALK_BUDGET:
             raise BudgetExceeded(f"avoider walk for {patterns} to n={n_max}: past {WALK_BUDGET} entries")
         blocked = [0] * (k + 3)  # difference array over the ranks 1..k+1
-        for q in scanned:
+        for scan, q in scanned:
             # rank r is the value r - 1/2: ranks lo + 1..hi, open ends cut to 1..k+1
-            for lo, hi in _s3_blocked(seq, q):
+            for lo, hi in scan(seq, q):
                 blocked[lo + 1 if lo > 0 else 1] += 1
                 blocked[hi + 1 if hi <= k else k + 2] -= 1
         below = [k] * (k + 2)  # below[r]: the entries at seq's end under rank r
@@ -495,7 +508,7 @@ def avoider_walk(n_max: int, patterns: PatternSet, keep_leaves: bool = False) ->
                 n_extended += grows
                 n_opened += not grows
             else:
-                child = tuple(v + (v >= r) for v in seq) + (r,)
+                child = (*[v + (v >= r) for v in seq], r)
                 stack.append((child, w_ell * (below[r] + 1), extended if grows else opened))
         if factors:
             if k + 1 == len(ell):

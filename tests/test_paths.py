@@ -42,6 +42,15 @@ def test_enumeration_counts():
     assert path_count(2, 2) == 3
 
 
+def test_enumerated_paths_equal_their_validated_copies():
+    # enumerate_paths skips LatticePath's prefix check; building each path
+    # again through it must accept it and give an equal record
+    for n in range(7):
+        for m in (1, 2, 3):
+            for p in enumerate_paths(n, m):
+                assert p == LatticePath(p.steps, p.m) and type(p.steps) is tuple, (n, m, p.steps)
+
+
 def test_enumeration_order_is_lexicographic_up_first():
     for n, m in ((4, 1), (3, 2)):
         got = list(enumerate_paths(n, m))

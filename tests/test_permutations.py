@@ -198,19 +198,40 @@ def test_avoidance_class_is_the_filtered_sn():
             assert avoidance_class(n, patterns) == want, (n, str(patterns))
 
 
-# |Av_n(q)| for n = 0..8: the three Wilf classes of size-4 patterns
+# |Av_n(q)| for n = 0..8 in the three Wilf classes of S_4; each class is the
+# union of the symmetry orbits (reverse, complement, inverse) of its patterns
 SIZE4_CLASS_SIZES = {
-    "A005802": ([1, 1, 2, 6, 23, 103, 513, 2761, 15767], ("1234", "2143")),
+    "A005802": ([1, 1, 2, 6, 23, 103, 513, 2761, 15767], ("1234", "2143", "1243", "1432")),
     "A022558": ([1, 1, 2, 6, 23, 103, 512, 2740, 15485], ("1342", "2413")),
     "A061552": ([1, 1, 2, 6, 23, 103, 513, 2762, 15793], ("1324", "4231")),
 }
 
 
+def _symmetry_orbit(text: str) -> set[tuple[int, ...]]:
+    orbit, todo = set(), [perm(text).entries]
+    while todo:
+        q = todo.pop()
+        if q not in orbit:
+            orbit.add(q)
+            inverse = tuple(q.index(v) + 1 for v in range(1, len(q) + 1))
+            todo += [q[::-1], tuple(len(q) + 1 - v for v in q), inverse]
+    return orbit
+
+
+def _wilf_class(oeis: str) -> list[tuple[int, ...]]:
+    return sorted(set().union(*map(_symmetry_orbit, SIZE4_CLASS_SIZES[oeis][1])))
+
+
+def test_size4_wilf_classes_cover_s4_once():
+    classes = [_wilf_class(oeis) for oeis in SIZE4_CLASS_SIZES]
+    assert sorted(q for c in classes for q in c) == sorted(itertools.permutations(range(1, 5)))
+
+
 @pytest.mark.parametrize("oeis", sorted(SIZE4_CLASS_SIZES))
 def test_size4_class_sizes_match_published_counts(oeis):
-    row, patterns = SIZE4_CLASS_SIZES[oeis]
-    for text in patterns:
-        assert [len(avoidance_class(n, pattern_set(text))) for n in range(9)] == row, text
+    row = SIZE4_CLASS_SIZES[oeis][0]
+    for q in _wilf_class(oeis):
+        assert [len(avoidance_class(n, pattern_set(q))) for n in range(9)] == row, q
 
 
 def test_avoidance_class_respects_union():
@@ -322,6 +343,41 @@ def test_s3_scan_marks_the_ranks_the_end_query_forbids(q):
                 if any(is_occurrence((*combo, r)) for combo in itertools.combinations(child, q.n - 1)):
                     forbidden.add(r)
             assert marked == forbidden, seq
+
+
+S4_PATTERNS = [Permutation(q) for q in itertools.permutations(range(1, 5))]
+
+
+@pytest.mark.parametrize("q", S4_PATTERNS, ids=str)
+def test_s4_scan_marks_the_values_the_end_query_forbids(q):
+    # the one pass per node against the subset search, at every gap of the
+    # values: on S_n the gaps are the ranks r - 1/2 of the walk's children
+    rng = random.Random(3004)
+    cases = [e for n in range(7) for e in itertools.permutations(range(1, n + 1))]
+    cases += [rng.sample(range(-25, 25), rng.randint(0, 10)) for _ in range(200)]
+    for seq in cases:
+        blocked = permutations._s4_blocked(seq, q.entries)
+        values = sorted(seq)
+        gaps = [v + 0.5 for v in values] + [values[0] - 0.5 if values else 0]
+        marked = {x for x in gaps if any(lo < x < hi for lo, hi in blocked)}
+        forbidden = {
+            x for x in gaps if any(reference((*combo, x), q) for combo in itertools.combinations(seq, 3))
+        }
+        assert marked == forbidden, seq
+
+
+def test_walk_asks_no_end_query_up_to_size_4(monkeypatch):
+    class Asked(Exception):
+        pass
+
+    def refuse(seq, pattern):
+        raise Asked(pattern)
+
+    monkeypatch.setattr(permutations, "ends_with_occurrence", refuse)
+    for q in S4_PATTERNS:
+        assert avoider_walk(7, pattern_set(q)).at("ell", 7) > 0, q
+    with pytest.raises(Asked):  # a size-5 pattern still asks once per candidate
+        avoider_walk(7, pattern_set("12345"))
 
 
 def test_avoider_walk_budget(monkeypatch):
