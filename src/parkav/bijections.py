@@ -8,16 +8,14 @@ into recursive groups (clusters), and each cluster contributes one local
 tree operation.
 
 In both families every block has size 0, 1 or 2, and reading size-2 blocks
-as opening brackets and empty blocks as closing brackets gives a correctly
-matched word; the partner of a size-2 block under this matching is "its"
-empty block.  A cluster takes a run of non-empty blocks, its main blocks,
-and at most one empty block: the partner of one of its own main blocks.
-The clusters' main blocks, in order, are exactly the word's non-empty
-blocks, and every empty block belongs to the cluster owning its partner.
-So each cluster reads its main blocks off the list of non-empty positions
-by index, and one scan of the whole word serves every cluster: it matches
-the brackets, lists the non-empty positions and counts the non-empty blocks
-before each empty one, which is that empty block's gap (below).
+as opening brackets and empty blocks as closing ones gives a matched word;
+a size-2 block's partner under this matching is "its" empty block.  A
+cluster takes a run of non-empty blocks, its main blocks, and at most one
+empty block, the partner of one of its own.  The clusters' main blocks, in
+order, are exactly the word's non-empty blocks, so one scan of the word
+serves every cluster: it matches the brackets, lists the non-empty
+positions and counts the non-empty blocks before each empty one, which is
+that empty block's gap (below).
 
 Family {123, 132} (clusters: extend / branch / jump)
     Operations attach a labelled path or a labelled two-branch graft at a
@@ -38,34 +36,32 @@ Family {123, 213} (clusters: closed / open)
 
 A word is described by its clusters' main blocks, in order, and the gap of
 each cluster's empty block: how many main blocks precede it.  The forward
-maps read the gaps off the word; a gap's host is the cluster owning the main
-block after it (jump) or before it (open).  Each inverse builds the
-description, last cluster first, and lays out its word once: every empty
-block is (), so bracket matching constrains only how many a gap holds, and
-one scan of the finished word checks that each sits in its own gap.
+maps read the gaps off the word, one loop per family peeling its clusters;
+a gap's host is the cluster owning the main block after it (jump) or before
+it (open).  Each inverse builds the description, last cluster first, and
+lays out its word in one pass that also matches its brackets: every empty
+block is (), and as each is placed it pops the gap its partner's cluster
+wants, so the pass checks that each sits in its own gap.
 
 Trees are read and written as their parentheses words.  Each map works on
 child lists, one per vertex, right to left, so that a new left-most branch
-appends and the first branch pops: the forward maps grow them (the
-{123, 132} family's lists are keyed by label) and write the word once, and
-the inverses parse the word into them once and peel in place.  The labelled
-{123, 132} image, phi_123_132_labeled, is that flat table, read left to
-right, so it compares, prints, copies and pickles at any depth.
-
-All four maps are loops over the clusters, with no recursion, down to n = 0:
-its only parking function, the empty one, maps to the one-edge tree (labelled
-0 in the {123, 132} family) and back.  The test suite checks the maps against
-the small cases (n <= 3), kept there as fixtures.
+appends and the first branch pops: the forward maps grow them (keyed by
+label in the {123, 132} family) and write the word once, and the inverses
+parse the word into them once and peel in place.  The labelled {123, 132}
+image, phi_123_132_labeled, is that flat table, read left to right, so it
+compares, prints, copies and pickles at any depth.  All four maps are loops
+with no recursion, down to n = 0: the empty parking function maps to the
+one-edge tree (labelled 0 in the {123, 132} family) and back.  The test
+suite checks the maps against the small cases (n <= 3), kept as fixtures.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import Callable, NamedTuple
+from bisect import bisect_right
 
 from ._record import Record
 from .parking import Blocks, ParkingFunction, block_permutation_of_blocks, from_blocks, to_blocks
-from .permutations import PatternSet, avoidance_class, avoids_all, pattern_set
+from .permutations import PatternSet, avoider_walk, avoids_all, pattern_set
 from .trees import OrderedTree
 
 
@@ -111,10 +107,24 @@ def _word(kids, root) -> str:
     return "".join(out)
 
 
+_SINGLETONS: list[tuple[int]] = []  # (v,) at index v, shared by every inverse
+
+
+def _singletons(n: int) -> list[tuple[int]]:
+    """_SINGLETONS, rebound to a longer list first unless it reaches index n;
+    each caller keeps the list it read, which no one changes."""
+    global _SINGLETONS
+    ones = _SINGLETONS
+    if len(ones) <= n:
+        ones = _SINGLETONS = list(zip(range(2 * n + 2)))
+    return ones
+
+
 def _new_path(kids: list[list[int]], edges: int) -> int:
     """Add a bare path of ``edges`` (>= 1) new vertices; returns its top."""
     top = len(kids)
-    kids += map(list, zip(range(top + 1, top + edges)))
+    for v in range(top + 1, top + edges):
+        kids.append([v])
     kids.append([])
     return top
 
@@ -192,62 +202,59 @@ class Cluster(Record):
 
 
 def _clusters(blocks: Blocks, peel) -> tuple[list[tuple], list[int], list[int | None]]:
-    """The clusters of the blocks, peeled off the front one at a time, each
-    a plain tuple of Cluster's fields in their order; where each cluster's
-    main blocks start in the run of all main blocks, in word order (their
-    total last); and the gap of each cluster's empty block: how many main
-    blocks precede it (None: the cluster has none).
-
-    The main blocks are exactly the non-empty blocks (see the module
-    docstring), so each peel reads its own off the list of their positions,
-    from its start; one scan of the whole word serves every peel and gap.
-    """
+    """The clusters, peeled off the front in one loop, each a plain tuple of
+    Cluster's fields but its main positions: kind, lo, hi, parameter, empty
+    position; where each cluster's main blocks start in the run of all main
+    blocks, the non-empty ones, in word order (their total last); and the
+    gap of each cluster's empty block (None: it has none).  One scan of the
+    whole word serves every cluster and gap."""
     match, mains, before = bracket_match(blocks)
-    clusters, starts, gaps = [], [0], []
-    n = sum(map(len, blocks))  # the blocks left hold 1..n
-    while n:
-        cluster = peel(blocks, match, mains, starts[-1], n)
-        _, lo, _, _, main, empty = cluster
-        clusters.append(cluster)
-        starts.append(starts[-1] + len(main))
-        gaps.append(None if empty is None else before[empty])
-        n = lo - 1
-    return clusters, starts, gaps
+    return peel(blocks, match, mains, before)
 
 
-def _lay_out(mains: list[Blocks], after: list[int | None]) -> Blocks:
-    """The word whose clusters have these main blocks, last cluster first,
-    and this many main blocks after each one's empty block (None: it has
-    none): the inverse of _clusters.  One scan of the word checks that each
-    size-2 block's partner sits in its own cluster's gap."""
-    total = sum(map(len, mains))
-    # the main blocks; per size-2 block, in word order, its cluster's gap; per empty block, its gap
-    flat, want, holes = [], [], []
-    for cluster, a in zip(reversed(mains), reversed(after)):
-        g = None if a is None else total - a
-        flat += cluster
-        if g is not None:
-            holes.append(g)
-        for block in cluster:
-            if len(block) == 2:
-                want.append(g)
-    holes.sort()
-    word: list[tuple[int, ...]] = []
+def _records(f: ParkingFunction | Blocks, patterns: PatternSet, peel) -> list[Cluster]:
+    """The clusters of f, checked to lie in the domain, as Cluster records."""
+    blocks = _domain_blocks(f, patterns)
+    clusters, starts, _ = _clusters(blocks, peel)
+    mains = tuple(q for q, b in enumerate(blocks) if b)
+    return [Cluster(*c[:4], mains[s:e], c[4]) for c, s, e in zip(clusters, starts, starts[1:])]
+
+
+def _lay_out(rev: list[tuple[int, ...]], pairs: list[int | None], holes: list[int]) -> Blocks:
+    """The word whose main blocks, last first, are ``rev``, with an empty
+    block before each count in ``holes`` of main blocks after it: the
+    inverse of _clusters.  ``pairs`` holds, for every size-2 block in rev in
+    turn, its index there and how many main blocks its cluster wants after
+    the block's partner (None: no empty block); both lists are used up.  One
+    pass lays the word out and matches its brackets, each empty block
+    popping what its partner wants.  An unmatched word raises the ValueError
+    bracket_match raises for it, and only a matched one with an empty block
+    outside its partner's gap a BijectionDefect."""
+    flat = rev[::-1]
+    holes.sort(reverse=True)  # in word order
+    word, wanted, misplaced = [], [], False  # wanted: per open size-2 block, what it wants
     laid = 0  # the main blocks in the word so far
-    for g in holes:
+    for a in holes:
+        g = len(flat) - a
         word += flat[laid:g]
-        word.append(())
         laid = g
-    word += flat[laid:]
-    match, _, before = bracket_match(word)
-    # no empty block comes first in a matched word, so every partner is truthy
-    if list(map(before.__getitem__, filter(None, match))) != want:
+        while pairs and len(flat) - pairs[-2] <= g:  # a size-2 block before the empty one opens
+            wanted.append(pairs.pop())
+            pairs.pop()
+        if not wanted:
+            raise ValueError(f"empty block {len(word) + 1} has no matching size-2 block")
+        misplaced |= wanted.pop() != a
+        word.append(())
+    if wanted or pairs:
+        raise ValueError("size-2 block without a matching empty block")
+    if misplaced:
         raise BijectionDefect("an empty block lies outside its cluster's gap")
+    word += flat[laid:]
     return tuple(word)
 
 
 # ---------------------------------------------------------------------------
-# clusters, family {123, 132}
+# clusters of each family, peeled in one loop
 
 
 PATTERNS_123_132 = pattern_set("123", "132")
@@ -257,69 +264,77 @@ PATTERNS_123_213 = pattern_set("123", "213")
 def clusters_123_132(f: ParkingFunction | Blocks) -> list[Cluster]:
     """Partition the blocks into extend/branch/jump clusters (positions are
     0-based indices into the original block sequence)."""
-    return [Cluster(*c) for c in _clusters(_domain_blocks(f, PATTERNS_123_132), _peel_132)[0]]
+    return _records(f, PATTERNS_123_132, _peel_132)
 
 
-def _peel_132(blocks: Blocks, match: list[int | None], mains: tuple[int, ...], i: int, n: int) -> tuple:
-    last = blocks[mains[i]]
-    j = i + 1  # past the cluster's last main block, in mains
-    if last == (n,):  # extend: {n}, {n-1}, ...
-        while j < len(mains) and blocks[mains[j]] == (n + i - j,):
-            j += 1
-        return "extend", n + i - j + 1, n, None, mains[i:j], None
-    if last[0] != n - 1:
-        raise ValueError("block permutation starts with neither n nor n-1")
-    # branch: {n-1}, ..., {k+1}, {n}; jump: {n-1}, ..., {k+2}, {k+1, n}
-    while n not in last:
-        if len(last) != 1:
-            raise BijectionDefect("branch or jump cluster blocks must be singletons first")
-        last = blocks[mains[j]]
-        j += 1
-    main = mains[i:j]
-    if last == (n,):
-        return "branch", n - len(main) + 1, n, None, main, None
-    if last != (n - len(main), n):
-        raise BijectionDefect(f"size-2 block {last} is not {(n - len(main), n)}")
-    return "jump", n - len(main), n, None, main, match[main[-1]]
-
-
-# ---------------------------------------------------------------------------
-# clusters, family {123, 213}
+def _peel_132(blocks: Blocks, match: list[int | None], mains: tuple[int, ...], before: list[int | None]) -> tuple:
+    clusters, starts, gaps = [], [0], []
+    i, n = 0, len(blocks)  # the blocks from mains[i] on hold 1..n, and a parking function has n blocks
+    while n:
+        last = blocks[mains[i]]
+        j = i + 1  # past the cluster's last main block, in mains
+        if last == (n,):  # extend: {n}, {n-1}, ...
+            while j < len(mains) and blocks[mains[j]] == (n + i - j,):
+                j += 1
+            kind, lo, empty = "extend", n + i - j + 1, None
+        else:
+            if last[0] != n - 1:
+                raise ValueError("block permutation starts with neither n nor n-1")
+            # branch: {n-1}, ..., {k+1}, {n}; jump: {n-1}, ..., {k+2}, {k+1, n}
+            while n not in last:
+                if len(last) != 1:
+                    raise BijectionDefect("branch or jump cluster blocks must be singletons first")
+                last = blocks[mains[j]]
+                j += 1
+            if last == (n,):
+                kind, lo, empty = "branch", n - j + i + 1, None
+            elif last == (n - j + i, n):
+                kind, lo, empty = "jump", n - j + i, match[mains[j - 1]]
+            else:
+                raise BijectionDefect(f"size-2 block {last} is not {(n - j + i, n)}")
+        clusters.append((kind, lo, n, None, empty))
+        starts.append(j)
+        gaps.append(None if empty is None else before[empty])
+        i, n = j, lo - 1
+    return clusters, starts, gaps
 
 
 def clusters_123_213(f: ParkingFunction | Blocks) -> list[Cluster]:
     """Partition the blocks into closed/open clusters."""
-    return [Cluster(*c) for c in _clusters(_domain_blocks(f, PATTERNS_123_213), _peel_213)[0]]
+    return _records(f, PATTERNS_123_213, _peel_213)
 
 
-def _peel_213(blocks: Blocks, match: list[int | None], mains: tuple[int, ...], i: int, n: int) -> tuple:
-    first = blocks[mains[i]]
-    k = first[0] - 1  # the cluster covers k+1..n
-    top = n + 1 - len(first)  # the singletons after the first block run top, ..., k+2
-    main = mains[i : i + top - k]
-    if len(first) == 1:
-        # closed, all singletons: {k+1}, {n}, ..., {k+2}
-        cluster = "closed", k + 1, n, n - k - 1, main, None
-    else:
-        # {k+1, n}, {n-1}, ..., {k+2}, and the empty block matched to the
-        # first: before the next cluster's first main block (closed), or after it
-        empty = match[main[0]]
-        if i + len(main) == len(mains) or empty < mains[i + len(main)]:
-            parameter = len(main) - bisect_left(main, empty)  # main blocks after the empty one
-            cluster = "closed", k + 1, n, parameter, main, empty
+def _peel_213(blocks: Blocks, match: list[int | None], mains: tuple[int, ...], before: list[int | None]) -> tuple:
+    clusters, starts, gaps = [], [0], []
+    i, n = 0, len(blocks)  # as in _peel_132
+    while n:
+        first = blocks[mains[i]]
+        k = first[0] - 1  # the cluster covers k+1..n
+        top = n + 1 - len(first)  # the singletons after the first block run top, ..., k+2
+        j = i + top - k  # past the cluster's last main block, in mains
+        if len(first) == 1:  # closed, all singletons: {k+1}, {n}, ..., {k+2}
+            kind, parameter, empty, g = "closed", n - k - 1, None, None
         else:
-            cluster = "open", k + 1, n, None, main, empty
-    if (len(first) == 2 and first[1] != n) or len(main) != top - k:
-        raise BijectionDefect(f"{cluster[0]} cluster blocks out of shape")
-    for q in main[1:]:
-        if blocks[q] != (top,):
-            raise BijectionDefect(f"{cluster[0]} cluster blocks out of shape")
-        top -= 1
-    return cluster
+            # {k+1, n}, {n-1}, ..., {k+2}, and the empty block matched to the first:
+            # before the next cluster's first main block (closed), or after it
+            empty = match[mains[i]]
+            g = before[empty]
+            kind, parameter = ("closed", j - g) if g <= j else ("open", None)  # main blocks after the empty one
+        if (len(first) == 2 and first[1] != n) or j > len(mains):
+            raise BijectionDefect(f"{kind} cluster blocks out of shape")
+        for q in mains[i + 1 : j]:
+            if blocks[q] != (top,):
+                raise BijectionDefect(f"{kind} cluster blocks out of shape")
+            top -= 1
+        clusters.append((kind, k + 1, n, parameter, empty))
+        starts.append(j)
+        gaps.append(g)
+        i, n = j, k
+    return clusters, starts, gaps
 
 
 # ---------------------------------------------------------------------------
-# family {123, 132}: forward map
+# family {123, 132}: forward and inverse maps
 
 
 def phi_123_132(f: ParkingFunction | Blocks) -> OrderedTree:
@@ -348,7 +363,7 @@ def _graft_table(blocks: Blocks) -> list[list[int]]:
     clusters, starts, gaps = _clusters(blocks, _peel_132)
     table: list = [[]] + [None] * (clusters[0][2] if clusters else 0) + [[0]]  # None: no vertex yet
     for i in range(len(clusters) - 1, -1, -1):
-        kind, lo, hi, _, _, _ = clusters[i]
+        kind, lo, hi, _, _ = clusters[i]
         target = lo - 1
         if kind == "jump":
             target, g = -1, gaps[i]  # the root, unless a main block follows the empty one
@@ -362,16 +377,13 @@ def _graft_table(blocks: Blocks) -> list[list[int]]:
             raise BijectionDefect("extend target must be a leaf")
         end = hi if kind == "extend" else hi - 1
         kids.append(lo)
-        table[lo:end] = map(list, zip(range(lo + 1, end + 1)))
+        for v in range(lo, end):
+            table[v] = [v + 1]
         table[end] = []
         if end < hi:
             kids.append(hi)
             table[hi] = []
     return table
-
-
-# ---------------------------------------------------------------------------
-# family {123, 132}: inverse map
 
 
 def psi_123_132(t: OrderedTree) -> Blocks:
@@ -391,10 +403,11 @@ def psi_123_132(t: OrderedTree) -> Blocks:
     if len(kids[0]) % 2 == 0:
         raise ValueError("tree must have odd root degree")
     n = len(kids) - 2
+    # A vertex's first child in its list is numbered right after it, and no peel
+    # takes it before its others: a bare path from x is numbered x, x+1, ...
     bare = [False] * len(kids)  # per vertex: is its subtree a bare path?
     for v in range(len(kids) - 1, -1, -1):
-        below = kids[v]
-        bare[v] = not below or (len(below) == 1 and bare[below[0]])
+        bare[v] = not kids[v] or (len(kids[v]) == 1 and bare[v + 1])
     label: list[int | None] = [None] * len(kids)  # the root keeps None
     grafts = []  # (the target vertex of a branch or jump, None for an extend; n; k)
     stack = [] if bare[0] else [0]  # the descent: vertices whose subtrees are no bare paths
@@ -402,70 +415,63 @@ def psi_123_132(t: OrderedTree) -> Blocks:
         v = stack[-1]
         below = kids[v]
         if len(below) == 1:
-            stack.append(below[0])
+            stack.append(v + 1)
             continue
         first, second = below[-1], below[-2]
         if not bare[second] or not bare[first]:
             stack.append(second if not bare[second] else first)
             continue
         if kids[first]:  # extend: the path k+1..n hangs below the target `first`
-            target, peeled = None, _path_below(kids, first)
+            target, top = None, first + 1
             kids[first] = []
         else:  # branch or jump at v: the leaf n, then the path k+1..n-1
-            target, peeled = v, [second] + _path_below(kids, second)
+            target, top = v, second
             label[first] = n
             del below[-2:]
-        k = n - len(peeled) - (target is not None)
-        for lab, x in enumerate(peeled, k + 1):
-            label[x] = lab
+        leaf = top
+        while kids[leaf]:
+            leaf += 1
+        k = n - (leaf - top + 1) - (target is not None)
+        for x in range(top, leaf + 1):
+            label[x] = x + k + 1 - top
         grafts.append((target, n, k))
         n = k
         while stack:  # leave every subtree the peel made a bare path
-            below = kids[stack[-1]]
-            if len(below) > 1 or (below and not bare[below[0]]):
+            v = stack[-1]
+            if len(kids[v]) > 1 or (kids[v] and not bare[v + 1]):
                 break
             bare[stack.pop()] = True
-    x = 0
-    for lab in range(n + 1):  # the bare path left: 0 below the root, then 1..n
-        x = kids[x][0]
-        label[x] = lab
+    for x in range(1, n + 2):  # the bare path left: 0 below the root, then 1..n
+        label[x] = x - 1
     if n:
         grafts.append((None, n, 0))
-    # per cluster, last first: its main blocks, and the main blocks after its
-    # empty one (None: it has none); and per label v, the main blocks from
-    # the one that points at v to the end (None: no main block points at v)
-    mains, after, slot = [], [], []
-    built = 0  # the main blocks so far
+    # the main blocks, last first; per size-2 block, its index there and the main
+    # blocks after its empty one; per empty block, the same; and per label v, the
+    # main blocks from the one that points at v to the end (None: none points at v)
+    ones = _singletons(len(kids))
+    rev, pairs, holes, slot = [], [], [], []
     for v, n, k in reversed(grafts):
-        empty = None
-        if v is None:  # extend
-            main = tuple(zip(range(n, k, -1)))
-        elif label[v] == k:  # branch
-            main = tuple(zip(range(n - 1, k, -1))) + ((n,),)
-        else:  # jump: the empty block goes before the main block pointing at the target
+        built = len(rev)
+        if v is None:  # extend: {n}, ..., {k+1}
+            rev += ones[k + 1 : n + 1]
+        elif label[v] == k:  # branch: {n-1}, ..., {k+1}, {n}
+            rev.append(ones[n])
+            rev += ones[k + 1 : n]
+        else:  # jump: {n-1}, ..., {k+2}, {k+1, n}, the empty block before the main block pointing at the target
             empty = 0 if label[v] is None else slot[label[v]]
             if empty is None:
                 raise BijectionDefect("jump graft cannot point below its host cluster")
-            main = tuple(zip(range(n - 1, k + 1, -1))) + ((k + 1, n),)
+            holes.append(empty)
+            pairs += built, empty
+            rev.append((k + 1, n))
+            rev += ones[k + 2 : n]
             slot.append(None)  # label k: a jump's main blocks point at k+1..n-1
-        slot.extend(range(built + 1, built + len(main) + 1))  # the last block at the lowest label
-        mains.append(main)
-        after.append(empty)
-        built += len(main)
-    return _lay_out(mains, after)
-
-
-def _path_below(kids: list[list[int]], x: int) -> list[int]:
-    """The vertices below x, top down, where x's subtree is a bare path."""
-    out = []
-    while kids[x]:
-        x = kids[x][0]
-        out.append(x)
-    return out
+        slot.extend(range(built + 1, len(rev) + 1))  # the last block at the lowest label
+    return _lay_out(rev, pairs, holes)
 
 
 # ---------------------------------------------------------------------------
-# family {123, 213}: forward map
+# family {123, 213}: forward and inverse maps
 
 
 def phi_123_213(f: ParkingFunction | Blocks) -> OrderedTree:
@@ -489,7 +495,7 @@ def _phi_213(blocks: Blocks) -> OrderedTree:
     spine = [1, 0]  # the right-most spine, its bottom leaf first
     grown_from = {}  # per closed cluster: spine length and root degree of the tree it grew
     for i in range(len(clusters) - 1, -1, -1):
-        kind, lo, hi, parameter, _, _ = clusters[i]
+        kind, lo, hi, parameter, _ = clusters[i]
         if kind == "closed":
             grown_from[i] = len(spine) - 1, len(kids[root])
             for _ in range(parameter):
@@ -500,7 +506,7 @@ def _phi_213(blocks: Blocks) -> OrderedTree:
             continue
         # open: the host owns the last main block before the empty one
         h = bisect_right(starts, gaps[i] - 1) - 1
-        host_kind, _, _, host_parameter, _, _ = clusters[h]
+        host_kind, _, _, host_parameter, _ = clusters[h]
         if h == i:
             raise BijectionDefect("open cluster's empty block precedes every later block")
         if host_kind != "closed":
@@ -529,43 +535,80 @@ def _phi_213(blocks: Blocks) -> OrderedTree:
     return OrderedTree._trusted(_word(kids, root))
 
 
-# ---------------------------------------------------------------------------
-# family {123, 213}: inverse map
-
-
 def psi_123_213(t: OrderedTree) -> Blocks:
     """Inverse of phi_123_213 on trees with root degree >= 2 (or one edge).
 
-    Each step unwinds the operation of the first cluster, down to the
-    one-edge tree.  The clusters are then built back up, last first, each
-    open cluster finding its host among the closed clusters built so far,
-    and the word is laid out once.
+    Each step undoes, in place, the first cluster's operation, down to the
+    one-edge tree, reading off its k (it covers k+1..n), its parameter when
+    closed, and when open its host (ell, b): the empty block sits ell main
+    blocks deep into the closed cluster b+1.. .  The clusters are then
+    built back up, last first, each open cluster finding its host among the
+    closed ones built so far, and the word is laid out once.
     """
     kids = _kid_lists(t.word)
     n = len(kids) - 2
     if n and len(kids[0]) < 2:
         raise ValueError("tree must have root degree >= 2, or be the one-edge tree")
-    size = [1] * len(kids)  # per vertex: the vertices of its subtree
+    size = [1] * len(kids)  # per vertex: the vertices of its subtree, numbered from it on
     for v in range(len(kids) - 1, 0, -1):  # every child is numbered after its parent
-        for c in kids[v]:
-            size[v] += size[c]
-    root = 0
-    steps = []  # per cluster, first first: k, n, its parameter (None: open), its host
+        if kids[v]:  # up to the end of the subtree of its left-most child, numbered last
+            c = kids[v][-1]
+            size[v] = c + size[c] - v
+    root = 0  # the root of the tree the next cluster's operation made
+    steps = []  # per cluster, first first: k (it covers k+1..n), n, its parameter (None: open), its host
     while n:
-        root, k, parameter, host = _unwind_213(kids, size, root, n)
-        steps.append((k, n, parameter, host))
-        n = k
-    # per cluster, last first: its main blocks, and the main blocks after its
-    # empty one (None: it has none); and per closed cluster k+1..n, by k: its
-    # parameter and the main blocks after its own
-    mains, after, closed = [], [], {}
-    built = 0  # the main blocks so far
+        chain, x = [root], root  # the left-most path, down to a leaf
+        while kids[x]:
+            x = kids[x][-1]
+            chain.append(x)
+        # the lowest vertex on it, below the root, with two or more branches (0: none)
+        z_idx = len(chain) - 2
+        while z_idx and len(kids[chain[z_idx]]) < 2:
+            z_idx -= 1
+        if not z_idx:  # closed: the left-most path is the fresh branch
+            k, parameter = n - (len(chain) - 1), 0
+            kids[root].pop()
+            if len(kids[root]) == 1:
+                parameter, node = _chain_end(kids, kids[root][0])
+                if kids[node]:
+                    root, k = node, k - parameter
+                else:  # a single cluster: the raised path over a lone edge, and nothing left
+                    parameter, k = k, 0
+            steps.append((k, n, parameter, None))
+            n = k
+            continue
+        k = n - 1 - (len(chain) - 1 - z_idx)  # open: the fresh path below z has n - 1 - k edges
+        # read off which closed cluster receives the empty block, and how deep:
+        # its image, raised by ell, is everything right of the first branch
+        first = chain[1]
+        ell = 0
+        if len(kids[root]) == 2:
+            ell, node = _chain_end(kids, kids[root][0])
+        b = n - ell - size[first]
+        if ell and not kids[node]:  # the right branch is a bare path
+            ell, b = ell - 1, 0
+        steps.append((k, n, None, (ell, b)))
+        # unwind the re-rooting: each chain vertex down to z drops its first
+        # branch and takes the one above it (the root's other branches) as its last
+        moved = kids[root][:-1]
+        moved_size = n + 1 - size[first]
+        for j in range(1, z_idx + 1):
+            v = chain[j]
+            kids[v] = moved + kids[v][:-1]
+            size[v] += moved_size - size[chain[j + 1]]
+            moved, moved_size = [v], size[v]
+        root, n = chain[z_idx], k
+    # the main blocks, last first, with the size-2 blocks and empty blocks as in
+    # psi_123_132; and per closed cluster k+1..n, by k: its parameter and the
+    # main blocks after its own
+    ones = _singletons(len(kids))
+    rev, pairs, holes, closed = [], [], [], {}
     for k, n, parameter, host in reversed(steps):
-        empty = None
-        if parameter == n - k - 1:  # closed, all singletons
-            main = ((k + 1,),) + tuple(zip(range(n, k + 1, -1)))
-        else:
-            main = ((k + 1, n),) + tuple(zip(range(n - 1, k + 1, -1)))
+        built = len(rev)
+        if parameter == n - k - 1:  # closed, all singletons: {k+1}, {n}, ..., {k+2}
+            rev += ones[k + 2 : n + 1]
+            rev.append(ones[k + 1])
+        else:  # {k+1, n}, {n-1}, ..., {k+2}
             if parameter is not None:  # closed: `parameter` main blocks follow the empty one
                 empty = built + parameter
             else:  # open: `ell` main blocks of the host cluster b+1.. follow it
@@ -576,62 +619,13 @@ def psi_123_213(t: OrderedTree) -> Blocks:
                 if host_parameter < ell:
                     raise BijectionDefect("receiving cluster's parameter is too small")
                 empty = host_after + ell
+            rev += ones[k + 2 : n]
+            holes.append(empty)
+            pairs += len(rev), empty
+            rev.append((k + 1, n))
         if parameter is not None:
             closed[k] = parameter, built
-        mains.append(main)
-        after.append(empty)
-        built += len(main)
-    return _lay_out(mains, after)
-
-
-def _unwind_213(
-    kids: list[list[int]], size: list[int], root: int, n: int
-) -> tuple[int, int, int | None, tuple[int, int] | None]:
-    """Undo, in place, the first cluster's operation on the tree below
-    ``root`` (n + 1 edges; size counts the subtree of every vertex but the
-    root).  Returns the root of the tree the operation was applied to, the
-    cluster's k (it covers k+1..n), its parameter when closed, and when open
-    its host: (ell, b), the empty block sitting ell main blocks deep into
-    the closed cluster b+1.. ."""
-    chain = [root]  # the left-most path, down to a leaf
-    while kids[chain[-1]]:
-        chain.append(kids[chain[-1]][-1])
-    # the lowest vertex on it, below the root, with two or more branches (0: none)
-    z_idx = len(chain) - 2
-    while z_idx and len(kids[chain[z_idx]]) < 2:
-        z_idx -= 1
-    if not z_idx:  # closed: the left-most path is the fresh branch
-        k = n - (len(chain) - 1)
-        kids[root].pop()
-        if len(kids[root]) > 1:
-            return root, k, 0, None
-        parameter, node = _chain_end(kids, kids[root][0])
-        if not kids[node]:
-            # single cluster: the right branch is the raised path over a lone
-            # edge, and nothing is left to unwind
-            return root, 0, k, None
-        return node, k - parameter, parameter, None
-    d = len(chain) - 1 - z_idx  # edges from z down to the left-most leaf
-    k = n - 1 - d
-    # read off which closed cluster receives the empty block, and how deep:
-    # its image, raised by ell, is everything right of the first branch
-    first = chain[1]
-    ell = 0
-    if len(kids[root]) == 2:
-        ell, node = _chain_end(kids, kids[root][0])
-    b = n - ell - size[first]
-    if ell and not kids[node]:  # the right branch is a bare path
-        ell, b = ell - 1, 0
-    # unwind the re-rooting: each chain vertex down to z drops its first
-    # branch and takes the one above it (the root's other branches) as its last
-    moved = kids[root][:-1]
-    moved_size = n + 1 - size[first]
-    for j in range(1, z_idx + 1):
-        v = chain[j]
-        kids[v] = moved + kids[v][:-1]
-        size[v] += moved_size - size[chain[j + 1]]
-        moved, moved_size = [v], size[v]
-    return chain[z_idx], k, None, (ell, b)
+    return _lay_out(rev, pairs, holes)
 
 
 def _chain_end(kids: list[list[int]], node: int) -> tuple[int, int]:
@@ -648,25 +642,23 @@ def _chain_end(kids: list[list[int]], node: int) -> tuple[int, int]:
 # shared entry points and the independent domain enumerator
 
 
-class Family(NamedTuple):
+class Family(Record):
     """One bijection: the patterns its domain avoids, both maps, its image."""
 
-    patterns: PatternSet
-    unchecked: Callable[[Blocks], OrderedTree]  # the forward map on blocks known to lie in the domain
-    backward: Callable[[OrderedTree], Blocks]
-    constraint: str  # the image, as a trees.enumerate_trees constraint on n+1 edges
+    # unchecked: the forward map on blocks known to lie in the domain;
+    # constraint: the image, as a trees.enumerate_trees constraint on n+1 edges
+    __slots__ = ("patterns", "unchecked", "backward", "constraint")
 
 
-FAMILIES: dict[str, Family] = {
+class _Families(dict):
+    def __missing__(self, name: str):
+        raise ValueError(f"unknown family {name!r}; choose from {tuple(self)}")
+
+
+FAMILIES: dict[str, Family] = _Families({
     "123-132": Family(PATTERNS_123_132, _phi_132, psi_123_132, "odd_root"),
     "123-213": Family(PATTERNS_123_213, _phi_213, psi_123_213, "root_ge2"),
-}
-
-
-def _family(name: str) -> Family:
-    if name not in FAMILIES:
-        raise ValueError(f"unknown family {name!r}; choose from {tuple(FAMILIES)}")
-    return FAMILIES[name]
+})
 
 
 def forward(f: ParkingFunction | Blocks, family: str) -> OrderedTree:
@@ -675,14 +667,14 @@ def forward(f: ParkingFunction | Blocks, family: str) -> OrderedTree:
     >>> forward(((2, 3), (1,), ()), "123-132")
     OrderedTree('(()()(()))')
     """
-    fam = _family(family)
+    fam = FAMILIES[family]
     return fam.unchecked(_domain_blocks(f, fam.patterns))
 
 
 def forward_unchecked(blocks: Blocks, family: str) -> OrderedTree:
     """forward on blocks already known to lie in the family's domain, such
     as enumerate_pf_family's: the input check is skipped."""
-    return _family(family).unchecked(blocks)
+    return FAMILIES[family].unchecked(blocks)
 
 
 def backward(t: OrderedTree, family: str) -> Blocks:
@@ -691,11 +683,11 @@ def backward(t: OrderedTree, family: str) -> Blocks:
     >>> backward(OrderedTree("(()()())"), "123-213")
     ((2,), (1,))
     """
-    return _family(family).backward(t)
+    return FAMILIES[family].backward(t)
 
 
 def family_patterns(family: str) -> PatternSet:
-    return _family(family).patterns
+    return FAMILIES[family].patterns
 
 
 def enumerate_pf_avoiding(n: int, patterns: PatternSet) -> list[Blocks]:
@@ -711,8 +703,7 @@ def enumerate_pf_avoiding(n: int, patterns: PatternSet) -> list[Blocks]:
     if n == 0:
         return [()]
     out: list[Blocks] = []
-    for p in avoidance_class(n, patterns):
-        entries = p.entries
+    for entries in avoider_walk(n, patterns, keep_leaves=True).leaves:  # any order: the words are sorted
         rise = [n] * n  # per entry: the end of the increasing stretch from it
         for i in range(n - 2, -1, -1):
             rise[i] = i + 1 if entries[i] > entries[i + 1] else rise[i + 1]
@@ -735,4 +726,5 @@ def enumerate_pf_avoiding(n: int, patterns: PatternSet) -> list[Blocks]:
 
 def enumerate_pf_family(n: int, family: str) -> list[Blocks]:
     return enumerate_pf_avoiding(n, family_patterns(family))
+
 

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import sys
 import time
+from contextlib import contextmanager
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterator
 
@@ -88,24 +89,42 @@ def _row_records(rows: Iterator[tuple[int, CountResult]]) -> list[dict]:
     return records
 
 
-def _emit_records(records: list[dict], fmt: str, timing: bool, out) -> None:
-    if fmt == "bfile":
-        for r in records:
-            out.write(f"{r['n']} {r['value']}\n")
+@contextmanager
+def _all_digits():
+    """Lift Python's cap on the digits of an int's decimal form (4300 by
+    default) while a result is written, and restore it after: the answers
+    are exact, however long, but argv and stdin are still parsed under the
+    cap."""
+    if not hasattr(sys, "get_int_max_str_digits"):  # CPython before 3.10.7 has no cap
+        yield
         return
-    if fmt == "csv":
-        cols = ["n", "value", "method"] + (["elapsed_ms"] if timing else [])
-        out.write(",".join(cols) + "\n")
-        for r in records:
-            out.write(",".join(str(r[c]) for c in cols) + "\n")
-        return
-    if fmt == "json":
-        import json
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
-        if not timing:
-            records = [{k: v for k, v in r.items() if k != "elapsed_ms"} for r in records]
-        out.write(json.dumps(records, indent=None, separators=(",", ":")) + "\n")
-        return
+
+def _emit_records(records: list[dict], fmt: str, timing: bool, out) -> None:
+    with _all_digits():
+        if fmt == "bfile":
+            for r in records:
+                out.write(f"{r['n']} {r['value']}\n")
+            return
+        if fmt == "csv":
+            cols = ["n", "value", "method"] + (["elapsed_ms"] if timing else [])
+            out.write(",".join(cols) + "\n")
+            for r in records:
+                out.write(",".join(str(r[c]) for c in cols) + "\n")
+            return
+        if fmt == "json":
+            import json
+
+            if not timing:
+                records = [{k: v for k, v in r.items() if k != "elapsed_ms"} for r in records]
+            out.write(json.dumps(records, indent=None, separators=(",", ":")) + "\n")
+            return
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -114,7 +133,8 @@ def cmd_count(args, out) -> int:
     t0 = time.perf_counter()
     result = count(parse_pattern_set(args.patterns), args.n)
     if args.format == "plain":
-        out.write(f"{result.value}\n")
+        with _all_digits():
+            out.write(f"{result.value}\n")
     else:
         _emit_records([_record(args.n, result, t0)], args.format, args.timing, out)
     return EXIT_OK

@@ -270,7 +270,8 @@ GENERALIZED_M_MAX = 2  # the classes suite checks m = 1..2 at each of its n
 SUITE_LIMITS = {"formulas": BRUTE_CAP - 1, "classes": 5, "bijections": 7}
 """formulas: the simulation oracle refuses past BRUTE_CAP.  Its walk fills both
 profiles in about 0.1 s at n = 7 and 1.1 s at n = 8 (4.78 M functions); verify_all
-over every suite takes about 0.05 s at n_max = 6 and 0.17 s at 7 (2-vCPU host).
+over every suite takes about 0.047 s at n_max = 6 and 0.18 s at 7 on its first
+call in a fresh process, 0.030 s and 0.08 s warm (2-vCPU host).
 classes: not cost.  Both sides of the evaluation oracle at m = 1, 2 take
 0.002 s at n = 5, 0.01 s at n = 6 and 0.2 s at n = 8 (one process, 2-vCPU
 host), but raising the limit changes what ``verify --n-max 6`` prints."""

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import itertools
 import os
 import pickle
 import random
@@ -263,7 +264,8 @@ def test_backward_derives_each_fact_once(monkeypatch, family):
     """backward never runs the forward map: the {123,132} inverse labels
     each vertex as its peel takes the vertex off.  Nor does it split
     any word into clusters: it lays its word out once from the clusters it
-    built, and one bracket match of that word checks every empty block."""
+    built, and that one pass matches the word's brackets as it lays each
+    empty block, so no bracket match of the finished word is needed."""
     calls = {"clusters": 0, "bracket_match": 0}
 
     def counted(name, real):
@@ -305,11 +307,30 @@ def test_forward_scans_each_word_once(monkeypatch, family):
         assert calls == [blocks]
 
 
+def _cluster_fields(blocks, peel):
+    """bj._clusters, with each cluster's main positions put back in place:
+    Cluster's fields in their order, as the references give them."""
+    clusters, starts, gaps = bj._clusters(blocks, peel)
+    mains = bj.bracket_match(blocks)[1]
+    return [(*c[:4], mains[s:e], c[4]) for c, s, e in zip(clusters, starts, starts[1:])], starts, gaps
+
+
 def _lay_out_by_gaps(mains, gaps):
     """bj._lay_out on clusters given in word order with their gaps: it takes
-    them last first, with the main blocks after each empty block."""
+    the main blocks last first; each size-2 block's index there and the
+    main blocks its cluster wants after its partner; and the main blocks
+    after each empty block."""
     total = sum(map(len, mains))
-    return bj._lay_out(mains[::-1], [None if g is None else total - g for g in reversed(gaps)])
+    rev, pairs, holes = [], [], []
+    for cluster, g in zip(mains[::-1], gaps[::-1]):
+        after = None if g is None else total - g
+        if after is not None:
+            holes.append(after)
+        for block in cluster[::-1]:
+            if len(block) == 2:
+                pairs += len(rev), after
+            rev.append(block)
+    return bj._lay_out(rev, pairs, holes)
 
 
 def _outcome(fn, *args):
@@ -340,7 +361,7 @@ def test_scan_peels_and_layout_match_the_references(family):
         match, mains, _ = bj.bracket_match(blocks)
         assert {p: q for p, q in enumerate(match) if q is not None} == reference_bracket_match(blocks)
         assert list(mains) == [q for q, b in enumerate(blocks) if b]
-        clusters, starts, gaps = bj._clusters(blocks, peel)
+        clusters, starts, gaps = _cluster_fields(blocks, peel)
         assert (clusters, starts, gaps) == reference_clusters(blocks, family), blocks
         main_blocks = [tuple(blocks[q] for q in c[4]) for c in clusters]
         assert _lay_out_by_gaps(main_blocks, gaps) == reference_lay_out(main_blocks, gaps) == blocks
@@ -375,6 +396,37 @@ def test_lay_out_rejects_each_misplaced_empty_block():
         for lay_out in (_lay_out_by_gaps, reference_lay_out):
             with pytest.raises(error):
                 lay_out(mains, gaps)
+    # ((5,6),(3,4),(),(),(1,2),()) with its last two gaps shifted: the first
+    # empty block is {5,6}'s partner outside its gap, and the fourth has no
+    # partner; the unmatched word is reported, as the reference reports it
+    mains, gaps = [((5, 6),), ((3, 4),), ((1, 2),)], [2, 1, 2]
+    for lay_out in (_lay_out_by_gaps, reference_lay_out):
+        with pytest.raises(ValueError, match="^empty block 5 has no matching size-2 block$"):
+            lay_out(mains, gaps)
+
+
+@pytest.mark.parametrize("family", list(bj.FAMILIES))
+def test_lay_out_orders_its_errors_as_the_reference(family):
+    """Every two gaps of every domain word with n <= 7 shifted at once, each
+    one gap early or late: a word can then be unmatched and hold a misplaced
+    empty block at once.  The layout raises the reference's exception, type
+    and message, so the unmatched word's ValueError comes first."""
+    peel = {"123-132": bj._peel_132, "123-213": bj._peel_213}[family]
+    seen = set()
+    for n in range(8):
+        for blocks in bj.enumerate_pf_family(n, family):
+            clusters, starts, gaps = _cluster_fields(blocks, peel)
+            main_blocks = [tuple(blocks[q] for q in c[4]) for c in clusters]
+            placed = itertools.combinations([i for i, g in enumerate(gaps) if g is not None], 2)
+            for (i, j), (d, e) in itertools.product(placed, [(-1, -1), (-1, 1), (1, -1), (1, 1)]):
+                shifted = list(gaps)
+                shifted[i] += d
+                shifted[j] += e
+                if 0 <= min(shifted[i], shifted[j]) and max(shifted[i], shifted[j]) <= starts[-1]:
+                    got = _outcome(_lay_out_by_gaps, main_blocks, shifted)
+                    assert got == _outcome(reference_lay_out, main_blocks, shifted), (blocks, shifted)
+                    seen.add(got[0] if isinstance(got, tuple) and isinstance(got[0], type) else "laid out")
+    assert seen == {ValueError, bj.BijectionDefect, "laid out"}
 
 
 @pytest.mark.parametrize("family", list(bj.FAMILIES))
@@ -384,7 +436,7 @@ def test_lay_out_inverts_the_gaps(family):
     peel = {"123-132": bj._peel_132, "123-213": bj._peel_213}[family]
     for n in range(8):
         for blocks in bj.enumerate_pf_family(n, family):
-            clusters, _, gaps = bj._clusters(blocks, peel)
+            clusters, _, gaps = _cluster_fields(blocks, peel)
             mains = [tuple(blocks[q] for q in bj.Cluster(*c).main_positions) for c in clusters]
             assert _lay_out_by_gaps(mains, gaps) == blocks
 
@@ -398,7 +450,7 @@ def test_clusters_take_the_non_empty_blocks_in_order(family):
     peel = {"123-132": bj._peel_132, "123-213": bj._peel_213}[family]
     for n in range(8):
         for blocks in bj.enumerate_pf_family(n, family):
-            clusters, starts, gaps = bj._clusters(blocks, peel)
+            clusters, starts, gaps = _cluster_fields(blocks, peel)
             clusters = [bj.Cluster(*c) for c in clusters]
             non_empty = [q for q, b in enumerate(blocks) if b]
             assert [q for c in clusters for q in c.main_positions] == non_empty
@@ -418,8 +470,10 @@ def test_lay_out_checks_each_empty_block_gap():
     # gap 2 and {1,4} with the one in gap 3, not the other way round
     mains = [((1, 4),), ((2, 3),), ((5,),)]
     assert _lay_out_by_gaps(mains, [3, 2, None]) == ((1, 4), (2, 3), (), (5,), ())
-    # _lay_out itself takes the clusters last first, with the main blocks after each empty block
-    assert bj._lay_out(mains[::-1], [None, 1, 0]) == ((1, 4), (2, 3), (), (5,), ())
+    # _lay_out itself takes the main blocks last first, the index there of each
+    # size-2 block with the main blocks its cluster wants after its partner,
+    # and the main blocks after each empty block
+    assert bj._lay_out([(5,), (2, 3), (1, 4)], [1, 1, 2, 0], [1, 0]) == ((1, 4), (2, 3), (), (5,), ())
     with pytest.raises(bj.BijectionDefect):
         _lay_out_by_gaps(mains, [2, 3, None])
 
@@ -459,6 +513,23 @@ def _lines_run(fn, *args):
     finally:
         sys.settrace(before)
     return result, lines
+
+
+# the lines of parkav's modules that oracle.verify_bijections(6) runs, warm:
+# 362,323 measured, plus 10%
+SUITE_LINES = 398_555
+
+
+def test_bijection_suite_runs_a_bounded_number_of_lines():
+    """The bijection suite at n <= 6 (the domain enumerator, both maps on its
+    784 words and the image sets), counted in lines, whatever the host's
+    speed.  A first run fills the caches the suite reads (the trees of each
+    size, the shared singleton blocks), so the count is that of a warm run,
+    whichever tests ran before."""
+    oracle.verify_bijections(6)
+    reports, lines = _lines_run(oracle.verify_bijections, 6)
+    assert reports and all(r.agree for r in reports)
+    assert lines <= SUITE_LINES, lines
 
 
 def _broom(edges: int) -> OrderedTree:

@@ -475,6 +475,47 @@ def test_pf_without_closed_form_past_old_cap(capsys):
     assert (code, out) == (EXIT_OK, "1127649\n")
 
 
+def test_answers_past_the_int_digit_cap_print(capsys):
+    # 4,301 digits, one past Python's default cap on int -> str; the cap is
+    # lifted only while the answer is written, so it is back in force after
+    from parkav.counting import pf_count
+    from parkav.permutations import parse_pattern_set
+
+    limit = sys.get_int_max_str_digits()
+    code, out = run(capsys, "count", "--notion", "pf", "--patterns", "21", "--n", "7153")
+    assert sys.get_int_max_str_digits() == limit
+    value = pf_count(parse_pattern_set("21"), 7153).value
+    sys.set_int_max_str_digits(0)
+    try:
+        assert (code, out) == (EXIT_OK, f"{value}\n")
+        assert len(str(value)) == 4301
+    finally:
+        sys.set_int_max_str_digits(limit)
+    with pytest.raises(ValueError):
+        str(value)
+
+
+@pytest.mark.parametrize(
+    "family,m,n_max",
+    [
+        ("metasylvester-m", "99999999999999999999", "2"),
+        ("metasylvester-multi", "3", "99999999999999999999"),
+        ("metasylvester-m", "10000000000", "2"),
+        ("metasylvester-m", "1000000000000000", "2"),
+    ],
+    ids=["huge-m", "huge-n-max", "m-1e10", "m-1e15"],
+)
+def test_oversized_path_tables_are_refused(capsys, family, m, n_max):
+    # the table is priced before any row is allocated: no OverflowError or
+    # MemoryError, and nothing printed
+    t0 = time.perf_counter()
+    code = main(["classes", "--family", family, "--m", m, "--n-max", n_max])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (EXIT_BUDGET, "")
+    assert captured.err.startswith("refused: ")
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_verify_all_suite(capsys):
     code, out = run(capsys, "verify", "--suite", "all", "--n-max", "5")
     assert code == EXIT_OK

@@ -13,7 +13,7 @@ import pytest
 
 import parkav
 from parkav._record import Record
-from parkav.bijections import Cluster, backward, phi_123_132_labeled
+from parkav.bijections import Cluster, Family, backward, forward_unchecked, phi_123_132_labeled
 from parkav.cli import Option, positive_int
 from parkav.counting import CountResult
 from parkav.generalized import Evaluation, MMultiparking, MParking
@@ -44,6 +44,7 @@ SAMPLES = {
     "OracleReport": lambda: OracleReport("pk(123)", 3, None, 14, 14),
     "Cluster132": lambda: Cluster("extend", 1, 2, None, (0, 1), None),
     "Cluster213": lambda: Cluster("closed", 1, 3, 2, (0, 1), 4),
+    "Family": lambda: Family(pattern_set("123", "132"), forward_unchecked, backward, "odd_root"),
     "Option": lambda: Option(positive_int, 6, None, "at least 1"),
 }
 
@@ -78,7 +79,7 @@ INVALID = {
 }
 
 # the records whose fields are stored as given, with no __init__ of their own
-STORE_ONLY = {CountResult, ParkingOutcome, AvoiderSums, Evaluation, OracleReport, Cluster}
+STORE_ONLY = {CountResult, ParkingOutcome, AvoiderSums, Evaluation, OracleReport, Cluster, Family}
 
 # per validating constructor of a sequence field: the same arguments with lists in place of tuples
 LIST_BUILT = {
