@@ -47,9 +47,10 @@ Trees are read and written as their parentheses words.  Each map works on
 child lists, one per vertex, right to left, so that a new left-most branch
 appends and the first branch pops: the forward maps grow them (keyed by
 label in the {123, 132} family) and write the word once, and the inverses
-parse the word into them once and peel in place.  The labelled {123, 132}
-image, phi_123_132_labeled, is that flat table, read left to right, so it
-compares, prints, copies and pickles at any depth.  All four maps are loops
+parse the word into them once and peel in place.  The {123, 132} forward
+map's flat table, ``_graft_table``, keeps each vertex's creation label, so
+the labelled image the tests read off it compares, prints, copies and
+pickles at any depth.  All four maps are loops
 with no recursion, down to n = 0: the empty parking function maps to the
 one-edge tree (labelled 0 in the {123, 132} family) and back.  The test
 suite checks the maps against the small cases (n <= 3), kept as fixtures.
@@ -165,12 +166,6 @@ def bracket_match(blocks: Blocks) -> tuple[list[int | None], tuple[int, ...], li
     return partner, tuple(mains), before
 
 
-def match_empty_blocks(f: ParkingFunction | Blocks) -> dict[int, int]:
-    """Public pairing (0-based positions): size-2 block -> its empty block."""
-    blocks = to_blocks(f) if isinstance(f, ParkingFunction) else f
-    return {p: q for p, q in enumerate(bracket_match(blocks)[0]) if q is not None}
-
-
 def _domain_blocks(f: ParkingFunction | Blocks, patterns: PatternSet) -> Blocks:
     """The blocks of f, once f is checked to lie in the family's domain: a
     parking function whose block permutation avoids ``patterns``.
@@ -189,35 +184,16 @@ def _domain_blocks(f: ParkingFunction | Blocks, patterns: PatternSet) -> Blocks:
     return blocks
 
 
-class Cluster(Record):
-    """The elements lo..hi, with the 0-based positions of their main blocks
-    (in order) and of their matched empty block, when there is one."""
-
-    # kind: extend | branch | jump, or closed | open; parameter: closed only
-    __slots__ = ("kind", "lo", "hi", "parameter", "main_positions", "empty_position")
-
-    @property
-    def length(self) -> int:
-        return self.hi - self.lo + 1
-
-
 def _clusters(blocks: Blocks, peel) -> tuple[list[tuple], list[int], list[int | None]]:
-    """The clusters, peeled off the front in one loop, each a plain tuple of
-    Cluster's fields but its main positions: kind, lo, hi, parameter, empty
-    position; where each cluster's main blocks start in the run of all main
+    """The clusters, peeled off the front in one loop, each a plain tuple:
+    kind (extend, branch or jump; closed or open), lo and hi (it covers
+    lo..hi), parameter (closed only) and the 0-based position of its empty
+    block; where each cluster's main blocks start in the run of all main
     blocks, the non-empty ones, in word order (their total last); and the
     gap of each cluster's empty block (None: it has none).  One scan of the
     whole word serves every cluster and gap."""
     match, mains, before = bracket_match(blocks)
     return peel(blocks, match, mains, before)
-
-
-def _records(f: ParkingFunction | Blocks, patterns: PatternSet, peel) -> list[Cluster]:
-    """The clusters of f, checked to lie in the domain, as Cluster records."""
-    blocks = _domain_blocks(f, patterns)
-    clusters, starts, _ = _clusters(blocks, peel)
-    mains = tuple(q for q, b in enumerate(blocks) if b)
-    return [Cluster(*c[:4], mains[s:e], c[4]) for c, s, e in zip(clusters, starts, starts[1:])]
 
 
 def _lay_out(rev: list[tuple[int, ...]], pairs: list[int | None], holes: list[int]) -> Blocks:
@@ -261,12 +237,6 @@ PATTERNS_123_132 = pattern_set("123", "132")
 PATTERNS_123_213 = pattern_set("123", "213")
 
 
-def clusters_123_132(f: ParkingFunction | Blocks) -> list[Cluster]:
-    """Partition the blocks into extend/branch/jump clusters (positions are
-    0-based indices into the original block sequence)."""
-    return _records(f, PATTERNS_123_132, _peel_132)
-
-
 def _peel_132(blocks: Blocks, match: list[int | None], mains: tuple[int, ...], before: list[int | None]) -> tuple:
     clusters, starts, gaps = [], [0], []
     i, n = 0, len(blocks)  # the blocks from mains[i] on hold 1..n, and a parking function has n blocks
@@ -297,11 +267,6 @@ def _peel_132(blocks: Blocks, match: list[int | None], mains: tuple[int, ...], b
         gaps.append(None if empty is None else before[empty])
         i, n = j, lo - 1
     return clusters, starts, gaps
-
-
-def clusters_123_213(f: ParkingFunction | Blocks) -> list[Cluster]:
-    """Partition the blocks into closed/open clusters."""
-    return _records(f, PATTERNS_123_213, _peel_213)
 
 
 def _peel_213(blocks: Blocks, match: list[int | None], mains: tuple[int, ...], before: list[int | None]) -> tuple:
@@ -344,14 +309,6 @@ def phi_123_132(f: ParkingFunction | Blocks) -> OrderedTree:
 
 def _phi_132(blocks: Blocks) -> OrderedTree:
     return OrderedTree._trusted(_word(_graft_table(blocks), -1))
-
-
-def phi_123_132_labeled(f: ParkingFunction | Blocks) -> dict[int | None, list[int]]:
-    """Forward map with creation labels 0..n on the non-root vertices: each
-    label's child labels, left to right (None: the root)."""
-    table = _graft_table(_domain_blocks(f, PATTERNS_123_132))
-    labels = [*range(len(table) - 1), None]
-    return {label: kids[::-1] for label, kids in zip(labels, table)}
 
 
 def _graft_table(blocks: Blocks) -> list[list[int]]:
@@ -686,10 +643,6 @@ def backward(t: OrderedTree, family: str) -> Blocks:
     return FAMILIES[family].backward(t)
 
 
-def family_patterns(family: str) -> PatternSet:
-    return FAMILIES[family].patterns
-
-
 def enumerate_pf_avoiding(n: int, patterns: PatternSet) -> list[Blocks]:
     """Every size-n parking function (in block form) whose block permutation
     avoids ``patterns``.
@@ -725,6 +678,4 @@ def enumerate_pf_avoiding(n: int, patterns: PatternSet) -> list[Blocks]:
 
 
 def enumerate_pf_family(n: int, family: str) -> list[Blocks]:
-    return enumerate_pf_avoiding(n, family_patterns(family))
-
-
+    return enumerate_pf_avoiding(n, FAMILIES[family].patterns)

@@ -19,8 +19,10 @@ to n_max.  Both metasylvester rows read it through ``counting.path_row``
 (the m-parking one has no closed form); the tests read it with each
 congruence's run factor to cross-check the other closed forms.
 
-Everything returns exact Python integers; the 1/n-style prefactors carry
-divisibility assertions.
+No function of either kind is built as a value: the counts read paths,
+and the evaluation oracle enumerates the increasing m-parking functions as
+sorted tuples.  Everything returns exact Python integers; the 1/n-style
+prefactors carry divisibility assertions.
 """
 
 from __future__ import annotations
@@ -28,14 +30,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from functools import lru_cache, partial
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ._record import Record
 from .counting import PATH_WEIGHTS, Route, Row, last_value, path_row
 from .paths import exact_div, path_count
-
-if TYPE_CHECKING:
-    from .series import PowerSeries
 
 
 class Evaluation(Record):
@@ -55,61 +54,6 @@ def evaluation(values: Sequence[int], codomain: int) -> Evaluation:
             raise ValueError(f"value {v} outside 1..{codomain}")
         counts[v - 1] += 1
     return Evaluation(tuple(counts))
-
-
-def is_m_multiparking(values: Sequence[int], m: int, n: int) -> bool:
-    """True iff the evaluation is m times a parking-function evaluation."""
-    if len(values) != m * n:
-        return False
-    ev = evaluation(values, n).counts
-    if any(c % m for c in ev):
-        return False
-    scaled = [c // m for c in ev]
-    # an evaluation is a parking evaluation iff its prefix sums dominate 1..n
-    prefix = 0
-    for i, c in enumerate(scaled, start=1):
-        prefix += c
-        if prefix < i:
-            return False
-    return True
-
-
-def is_m_parking(values: Sequence[int], m: int, n: int) -> bool:
-    """True iff sorted values satisfy f(i) <= 1 + m(i-1)."""
-    if len(values) != n:
-        return False
-    bound = 1 + m * (n - 1) if n else 0
-    if any(not 1 <= v <= bound for v in values):
-        return False
-    return all(v <= 1 + m * i for i, v in enumerate(sorted(values)))
-
-
-class MMultiparking(Record):
-    """Validated f : [mn] -> [n] whose evaluation is m times a parking one."""
-
-    __slots__ = ("values", "m", "n")
-
-    def __init__(self, values: Sequence[int], m: int, n: int) -> None:
-        if not is_m_multiparking(values, m, n):
-            raise ValueError(f"not an {m}-multiparking function of size {m * n}")
-        super().__init__(tuple(values), m, n)
-
-    def evaluation(self) -> Evaluation:
-        return evaluation(self.values, self.n)
-
-
-class MParking(Record):
-    """Validated f : [n] -> [1+m(n-1)] with sorted values below the ramp."""
-
-    __slots__ = ("values", "m")
-
-    def __init__(self, values: Sequence[int], m: int) -> None:
-        if not is_m_parking(values, m, len(values)):
-            raise ValueError(f"not an {m}-parking function: {values!r}")
-        super().__init__(tuple(values), m)
-
-    def evaluation(self) -> Evaluation:
-        return evaluation(self.values, 1 + self.m * (len(self.values) - 1))
 
 
 # -- class-count weights ------------------------------------------------------
@@ -252,24 +196,3 @@ def multipark_class_count_by_evaluations(n: int, m: int, congruence: str) -> int
     functions are the increasing 1-parking functions."""
     fn = _CONGRUENCES[congruence][0]
     return sum(fn(tuple(m * c for c in beta)) * count for beta, count in _evaluation_tally(n, 1))
-
-
-# -- the metasylvester functional identity ---------------------------------------
-
-def metasylvester_identity_sides(m: int, order: int) -> tuple[PowerSeries, PowerSeries]:
-    """Both sides of x/(1-x) = sum_n p_n x^n (1-x)^n / prod_l (1+mlx),
-    truncated at ``order`` (terms beyond n = order cannot contribute)."""
-    from .series import geometric, one, reciprocal, series, x, zero
-
-    lhs = x(order) * geometric(order)
-    rhs = zero(order)
-    denom = one(order)
-    numer = one(order)
-    one_minus_x = series([1, -1], order)
-    xs = x(order)
-    for n, p_n in _metasylvester_multi_row(order, m):
-        numer = numer * one_minus_x * xs
-        denom = denom * series([1, m * n], order)
-        term = numer * reciprocal(denom)
-        rhs = rhs + term.scale(p_n)
-    return lhs, rhs

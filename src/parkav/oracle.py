@@ -178,12 +178,6 @@ def brute_pf(n: int, patterns: PatternSet) -> int:
     return _brute_general(n, patterns, "pf")
 
 
-def brute_total(n: int) -> int:
-    """Number of parking functions of size n, by enumeration."""
-    check_cap(n)
-    return sum(_profiles(n)["pk"].values())
-
-
 class OracleReport(Record):
     __slots__ = ("quantity", "n", "m", "oracle_value", "formula_value")
 

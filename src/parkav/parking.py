@@ -104,13 +104,6 @@ def parking_function(prefs: Iterable[int] | str) -> ParkingFunction:
     return ParkingFunction(tuple(prefs))
 
 
-def parking_permutation(f: ParkingFunction) -> Permutation:
-    """The outcome permutation (spot -> car) of f."""
-    outcome = simulate(f.prefs)
-    assert outcome is not None  # constructor validated condition A
-    return outcome.rho
-
-
 def to_blocks(f: ParkingFunction) -> Blocks:
     """Block notation: block i holds the cars preferring spot i, sorted."""
     n = f.n
@@ -143,15 +136,6 @@ def from_blocks(blocks: Blocks) -> ParkingFunction:
         for car in b:
             prefs[car - 1] = i
     return ParkingFunction(prefs)
-
-
-def block_permutation(f: ParkingFunction) -> Permutation:
-    """Concatenate the blocks (each sorted increasing) into a permutation.
-
-    >>> str(block_permutation(parking_function("4,4,6,4,2,2,1")))
-    '7561243'
-    """
-    return block_permutation_of_blocks(to_blocks(f))
 
 
 def block_permutation_of_blocks(blocks: Blocks) -> Permutation:

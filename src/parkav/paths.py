@@ -6,13 +6,13 @@ classic ballot/Catalan paths of length 2n.  The ascent word w(C) records the
 lengths of the maximal runs of consecutive up-steps; it equals the packed
 evaluation of the increasing (m-)parking function the path encodes.
 
-Besides enumeration and the ascent-word view, this module implements the two
-surgeries the path-weight recurrences rest on: the canonical decomposition
-C = U_1..U_k D_1 C_1 ... D_k C_k, and deleting/reinserting the first peak.
-It also holds the one engine for sums of run-local path weights,
-``path_weight_table``: every weight the package sums over paths is a product
-of one factor per up-run, so one polynomial table of tail sums gives a whole
-row of sums (``path_weight_row``) and the pk 312/321 first-run tables.
+Besides enumeration and the exact path counts, this module holds the one
+engine for sums of run-local path weights, ``path_weight_table``: every
+weight the package sums over paths is a product of one factor per up-run,
+so one polynomial table of tail sums gives a whole row of sums
+(``path_weight_row``) and the pk 312/321 first-run tables.  The table reads
+no path; the surgeries its recurrences rest on (the canonical decomposition
+and the first-peak deletion) live with the tests that check it.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from operator import add, mul
 from typing import Callable, Iterator, Sequence
 
 from ._record import Record
-from .parking import ParkingFunction
 from .permutations import BudgetExceeded
 
 UP = "U"
@@ -62,45 +61,6 @@ class LatticePath(Record):
 
     def __repr__(self) -> str:
         return f"LatticePath({''.join(self.steps)!r}, m={self.m})"
-
-
-def path(text: str, m: int = 1) -> LatticePath:
-    """Parse "UDUUDUDD"; validates the prefix condition."""
-    text = text.strip()
-    for i, c in enumerate(text):
-        if c not in (UP, DOWN):
-            raise ValueError(f"bad step at column {i + 1}: {c!r}")
-    return LatticePath(text, m)
-
-
-class AscentWord(Record):
-    """Lengths of the maximal up-runs of a path, in order."""
-
-    __slots__ = ("runs",)
-
-    def __init__(self, runs: Sequence[int]) -> None:
-        if any(r < 1 for r in runs):
-            raise ValueError("runs must be positive")
-        super().__init__(tuple(runs))
-
-    def __len__(self) -> int:
-        return len(self.runs)
-
-    def __iter__(self):
-        return iter(self.runs)
-
-
-def ascent_word(c: LatticePath) -> AscentWord:
-    """
-    >>> ascent_word(path("UDUUDUDD")).runs
-    (1, 2, 1)
-    """
-    return AscentWord(tuple(len(run) for run in "".join(c.steps).split(DOWN) if run))
-
-
-def peak_count(c: LatticePath) -> int:
-    """Number of peaks (UD corners) = number of maximal up-runs."""
-    return len(ascent_word(c))
 
 
 def enumerate_paths(n: int, m: int = 1) -> Iterator[LatticePath]:
@@ -209,127 +169,3 @@ def path_count(n: int, m: int = 1) -> int:
 
 def catalan_number(n: int) -> int:
     return path_count(n, 1)
-
-
-def canonical_decomposition(c: LatticePath) -> tuple[int, list[LatticePath]]:
-    """Split C = U_1..U_k D_1 C_1 ... D_k C_k (m = 1 only).
-
-    k is the first run length; D_i is the first down-step from height k-i+1
-    to k-i; the C_i are the (possibly empty) paths in between.
-    """
-    if c.m != 1:
-        raise ValueError("canonical decomposition is defined for m=1 paths")
-    if c.n < 1:
-        raise ValueError("path must be nonempty")
-    k = ascent_word(c).runs[0]
-    parts: list[LatticePath] = []
-    pos = k  # skip the initial k up-steps
-    for _ in range(k):
-        assert c.steps[pos] == DOWN
-        pos += 1
-        start = pos
-        height = 0
-        while pos < len(c.steps):
-            height += 1 if c.steps[pos] == UP else -1
-            if height < 0:
-                break
-            pos += 1
-        parts.append(LatticePath(c.steps[start:pos], 1))
-    assert pos == len(c.steps)
-    return k, parts
-
-
-def compose_canonical(k: int, parts: Sequence[LatticePath]) -> LatticePath:
-    """Inverse of canonical_decomposition."""
-    if len(parts) != k or k < 1:
-        raise ValueError("need exactly k component paths")
-    steps = [UP] * k
-    for part in parts:
-        steps.append(DOWN)
-        steps.extend(part.steps)
-    return LatticePath(steps, 1)
-
-
-def delete_first_peak(c: LatticePath) -> tuple[int, LatticePath]:
-    """Remove the first peak: drop the last i' up-steps of the first run and
-    the i' down-steps after them, where i' is the first down-run length.
-
-    Requires at least two up-runs; the result's first run has length
-    w_1 + w_2 - i'.
-    """
-    if c.m != 1:
-        raise ValueError("first-peak deletion is defined for m=1 paths")
-    w = ascent_word(c).runs
-    if len(w) < 2:
-        raise ValueError("path has a single up-run; nothing to delete")
-    k = w[0]
-    i_prime = 0
-    pos = k
-    while pos < len(c.steps) and c.steps[pos] == DOWN:
-        i_prime += 1
-        pos += 1
-    remaining = c.steps[: k - i_prime] + c.steps[pos:]
-    return i_prime, LatticePath(remaining, 1)
-
-
-def insert_first_peak(c: LatticePath, i_prime: int, k: int) -> LatticePath:
-    """Inverse of delete_first_peak: rebuild the path whose first run is k and
-    whose first down-run is i_prime, shrinking c's first run accordingly."""
-    if c.m != 1:
-        raise ValueError("first-peak insertion is defined for m=1 paths")
-    j = ascent_word(c).runs[0] if c.n else 0
-    second = j - k + i_prime
-    if not (1 <= i_prime <= k) or second < 1:
-        raise ValueError(f"incompatible insertion: first run {j}, i'={i_prime}, k={k}")
-    steps = (UP,) * k + (DOWN,) * i_prime + (UP,) * second + c.steps[j:]
-    return LatticePath(steps, 1)
-
-
-def path_to_increasing_prefs(c: LatticePath) -> tuple[int, ...]:
-    """Increasing function encoded by a path: value j is preferred once per
-    up-step before the j-th down-step.
-
-    For m = 1 this is an ordinary increasing parking function; in general the
-    values satisfy f(i) <= 1 + m(i-1).  The packed evaluation of the result
-    is the ascent word of the path.
-    """
-    prefs: list[int] = []
-    downs_seen = 0
-    for s in c.steps:
-        if s == UP:
-            prefs.append(downs_seen + 1)
-        else:
-            downs_seen += 1
-    return tuple(prefs)
-
-
-def path_to_increasing_pf(c: LatticePath) -> ParkingFunction:
-    """path_to_increasing_prefs wrapped as a validated parking function (m=1)."""
-    if c.m != 1:
-        raise ValueError("m >= 2 paths encode m-parking functions; use path_to_increasing_prefs")
-    return ParkingFunction(path_to_increasing_prefs(c))
-
-
-def increasing_pf_to_path(prefs: Sequence[int], m: int = 1) -> LatticePath:
-    """Inverse of path_to_increasing_prefs for nondecreasing preference lists."""
-    if list(prefs) != sorted(prefs):
-        raise ValueError("preferences must be nondecreasing")
-    n = len(prefs)
-    steps: list[str] = []
-    pos = 0
-    for j in range(1, m * n + 1):
-        while pos < n and prefs[pos] == j:
-            steps.append(UP)
-            pos += 1
-        steps.append(DOWN)
-    if pos != n:
-        raise ValueError(f"preferences exceed the value range 1..{m * n}")
-    return LatticePath(steps, m)
-
-
-def m_narayana(n: int, k: int, m: int = 1) -> int:
-    """Number of order-n, height-m paths with exactly k peaks:
-    C(mn, k-1) * C(n, k) / n."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    return exact_div(math.comb(m * n, k - 1) * math.comb(n, k), n)

@@ -2,13 +2,12 @@
 
 A permutation of size n is a bijection on {1, ..., n}, stored as the tuple
 (p(1), ..., p(n)).  Size 0 is the empty permutation.  On top of the plain
-carrier type this module provides the structural constructors used to
-describe avoidance classes (direct and skew sums, increasing/decreasing
-listings of a set) and the window statistic ``ell_weight``: the product over
-positions i of the length of the longest window ending at i whose values are
-all <= p(i).  That product counts the parking functions whose outcome
-permutation equals p; ``avoider_walk`` sums it, and the matching count for
-block permutations, over an avoidance class.
+carrier type this module provides pattern sets, the avoider walk and the
+window statistic ``ell_weight``: the product over positions i of the length
+of the longest window ending at i whose values are all <= p(i).  That
+product counts the parking functions whose outcome permutation equals p;
+``avoider_walk`` sums it, and the matching count for block permutations,
+over an avoidance class.
 
 Containment has two questions.  ``contains_sequence`` asks it of a whole
 sequence: linear scans up to size 3, then the end query at each prefix.
@@ -95,55 +94,6 @@ def format_permutation(p: Permutation) -> str:
     if p.n <= 9:
         return "".join(str(v) for v in p.entries)
     return ",".join(str(v) for v in p.entries)
-
-
-def identity(n: int) -> Permutation:
-    """The increasing permutation 1 2 ... n.
-
-    >>> str(identity(3))
-    '123'
-    """
-    return Permutation(range(1, n + 1))
-
-
-def reverse_identity(n: int) -> Permutation:
-    """The decreasing permutation n n-1 ... 1.
-
-    >>> str(reverse_identity(4))
-    '4321'
-    """
-    return Permutation(range(n, 0, -1))
-
-
-def direct_sum(a: Permutation, b: Permutation) -> Permutation:
-    """a followed by b shifted above a; every entry of a is below every entry of b."""
-    n = a.n
-    return Permutation(a.entries + tuple(v + n for v in b.entries))
-
-
-def skew_sum(a: Permutation, b: Permutation) -> Permutation:
-    """a shifted above b, followed by b; every entry of a is above every entry of b."""
-    m = b.n
-    return Permutation(tuple(v + m for v in a.entries) + b.entries)
-
-
-def list_on_set(values: Iterable[int], order: str = "increasing") -> tuple[int, ...]:
-    """The elements of a set listed increasing or decreasing.
-
-    Concatenating such listings (covering {1..n} overall) spells out a
-    permutation in one-line notation, which is how avoidance classes are
-    described structurally.
-    """
-    if order == "increasing":
-        return tuple(sorted(values))
-    if order == "decreasing":
-        return tuple(sorted(values, reverse=True))
-    raise ValueError(f"order must be 'increasing' or 'decreasing', got {order!r}")
-
-
-def concat(*pieces: Iterable[int]) -> Permutation:
-    """Build a permutation by concatenating listings that partition {1..n}."""
-    return Permutation(tuple(itertools.chain.from_iterable(pieces)))
 
 
 def _has_123(seq: Sequence[int]) -> bool:
@@ -341,10 +291,6 @@ def _s3_blocked(seq: Sequence[int], q: tuple[int, ...]) -> list[tuple[float, flo
 def contains(p: Permutation, pattern: Permutation) -> bool:
     """True iff p has a subsequence order-isomorphic to pattern."""
     return contains_sequence(p.entries, pattern)
-
-
-def avoids(p: Permutation, pattern: Permutation) -> bool:
-    return not contains(p, pattern)
 
 
 def avoids_all(p: Permutation, patterns: Iterable[Permutation]) -> bool:
@@ -546,7 +492,7 @@ def ell_weight(p: Permutation) -> int:
 
     >>> ell_weight(perm("7561234"))
     48
-    >>> ell_weight(identity(5)), ell_weight(reverse_identity(5))
+    >>> ell_weight(perm("12345")), ell_weight(perm("54321"))
     (120, 1)
     """
     total = 1

@@ -76,18 +76,10 @@ def _check_word(text: str) -> None:
 LEAF = OrderedTree()
 
 
-def tree(*children: OrderedTree) -> OrderedTree:
-    return OrderedTree._trusted("(" + "".join(c.word for c in children) + ")")
-
-
-def path_tree(edges: int) -> OrderedTree:
-    return OrderedTree._trusted("(" * (edges + 1) + ")" * (edges + 1))
-
-
 def serialize_tree(t: OrderedTree) -> str:
     """
-    >>> serialize_tree(tree(tree(LEAF, LEAF), LEAF))
-    '((()())())'
+    >>> serialize_tree(OrderedTree("((()())())").children[0])
+    '(()())'
     """
     return t.word
 
@@ -136,7 +128,3 @@ def _all_trees(edges: int) -> tuple[tuple[str, int], ...]:
         for first, _ in _all_trees(first_edges)
         for rest, degree in _all_trees(edges - 1 - first_edges)
     )
-
-
-def count_trees(edges: int, constraint: str = "all") -> int:
-    return sum(1 for _ in enumerate_trees(edges, constraint))

@@ -18,31 +18,17 @@ from functools import lru_cache
 from typing import Sequence
 
 from parkav import bijections as bj
-from parkav import counting, generalized, oracle, series, trees
+from parkav import counting, generalized, oracle, trees
 from parkav.parking import (
     ParkingFunction,
-    block_permutation,
     enumerate_parking_functions,
     from_blocks,
     is_parking,
-    parking_permutation,
     satisfies_block_condition,
     simulate,
     to_blocks,
 )
-from parkav.paths import (
-    ascent_word,
-    canonical_decomposition,
-    compose_canonical,
-    delete_first_peak,
-    enumerate_paths,
-    increasing_pf_to_path,
-    insert_first_peak,
-    m_narayana,
-    path_count,
-    path_to_increasing_prefs,
-    path_weight_row,
-)
+from parkav.paths import enumerate_paths, path_count, path_weight_row
 from parkav.permutations import (
     S3_PATTERNS,
     PatternSet,
@@ -50,6 +36,23 @@ from parkav.permutations import (
     all_permutations,
     ell_weight,
     pattern_set,
+)
+from power_series import check_identity, metasylvester_identity_sides
+from views import (
+    ascent_word,
+    block_permutation,
+    canonical_decomposition,
+    clusters_123_213,
+    compose_canonical,
+    count_trees,
+    delete_first_peak,
+    increasing_pf_to_path,
+    insert_first_peak,
+    m_narayana,
+    parking_permutation,
+    path_to_increasing_prefs,
+    phi_123_132_labeled,
+    tree,
 )
 
 
@@ -302,7 +305,7 @@ def bijection_roundtrips(n_max: int = 9) -> dict[tuple[str, int], int]:
     all_reports_agree(reports, 2 * len(bj.FAMILIES) * (n_max + 1))
     for n in range(0, n_max + 1):
         for blocks in bj.enumerate_pf_family(n, "123-132"):
-            labels = text_labels(labeled_text(bj.phi_123_132_labeled(blocks)))
+            labels = text_labels(labeled_text(phi_123_132_labeled(blocks)))
             assert sorted(labels) == list(range(n + 1)), blocks
     # "roundtrip <family>" reports carry the domain size as their oracle value
     return {
@@ -455,7 +458,7 @@ def family_cardinalities(n_max: int = 10) -> None:
         patterns = pattern_set(*text.split(","))
         for n in range(0, n_max + 1):
             domain = len(bj.enumerate_pf_family(n, family))
-            assert domain == trees.count_trees(n + 1, constraint), (family, n)
+            assert domain == count_trees(n + 1, constraint), (family, n)
             assert domain == counting.pf_count(patterns, n).value, (family, n)
 
 
@@ -487,7 +490,7 @@ def creation_order_claim(n_max: int = 8) -> None:
     branches was created after everything in the rest."""
     for n in range(0, n_max + 1):
         for blocks in bj.enumerate_pf_family(n, "123-132"):
-            table = bj.phi_123_132_labeled(blocks)
+            table = phi_123_132_labeled(blocks)
             for kids in table.values():
                 if len(kids) >= 3:
                     branches = [text_labels(labeled_text(table, c)) for c in kids]
@@ -504,7 +507,7 @@ def full_right_subtree_condition(n_max: int = 8) -> None:
     for n in range(0, n_max + 1):
         for blocks in bj.enumerate_pf_family(n, "123-213"):
             whole = bj.phi_123_213(blocks)
-            clusters = bj.clusters_123_213(blocks)
+            clusters = clusters_123_213(blocks)
             for j, c in enumerate(clusters):
                 if c.kind != "closed" or c.parameter is None:
                     continue
@@ -515,7 +518,7 @@ def full_right_subtree_condition(n_max: int = 8) -> None:
                         continue
                     candidate = inner
                     for _ in range(ell):
-                        candidate = trees.tree(candidate)
+                        candidate = tree(candidate)
                     assert is_full_right_subtree(whole, candidate), (blocks, j, ell)
 
 
@@ -527,7 +530,7 @@ def is_full_right_subtree(t: trees.OrderedTree, candidate: trees.OrderedTree) ->
     while True:
         children = node.children
         for take in range(1, len(children) + 1):
-            if trees.tree(*children[len(children) - take :]) == candidate:
+            if tree(*children[len(children) - take :]) == candidate:
                 return True
         if not children:
             return False
@@ -612,8 +615,8 @@ def generalized_path_sums(n_max: int = 6, m_max: int = 3) -> None:
 @lru_cache(maxsize=None)
 def metasylvester_identity(order: int = 8, m_max: int = 3) -> None:
     for m in range(1, m_max + 1):
-        lhs, rhs = generalized.metasylvester_identity_sides(m, order)
-        assert series.check_identity(lhs, rhs), m
+        lhs, rhs = metasylvester_identity_sides(m, order)
+        assert check_identity(lhs, rhs), m
 
 
 @lru_cache(maxsize=None)

@@ -1,20 +1,22 @@
-"""Truncated formal power series over exact rationals.
+"""Truncated formal power series over exact rationals: the generating
+functions the tests check the counting rows against.
 
 Everything here is dense and exact: coefficients are ``fractions.Fraction``,
 no float sneaks in anywhere.  Binary operations report the minimum truncation
 order of their operands.  Beyond the ring operations the module provides the
-two tools the counting formulas lean on: solving P = x * phi(P) by iteration,
-and coefficient extraction via Lagrange inversion
-[x^n] psi(P) = (1/n) [x^(n-1)] psi'(x) phi(x)^n.
+two tools the generating-function checks lean on: solving P = x * phi(P) by
+iteration, and coefficient extraction via Lagrange inversion
+[x^n] psi(P) = (1/n) [x^(n-1)] psi'(x) phi(x)^n.  Both sides of the
+metasylvester functional identity are built here from the package's row.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable
 
-from ._record import Record
+from parkav._record import Record
+from parkav.generalized import _metasylvester_multi_row
 
 Rat = Fraction | int
 
@@ -179,18 +181,18 @@ def check_identity(lhs: PowerSeries, rhs: PowerSeries, order: int | None = None)
     return all(lhs.coeffs[i] == rhs.coeffs[i] for i in range(k + 1))
 
 
-def exp_of(f: PowerSeries) -> PowerSeries:
-    """exp(f) = sum f^k / k! for f with zero constant term.
-
-    Only the truncated power sum is implemented; that is all the exponential
-    generating function comparisons here need.
-    """
-    if f.coeffs[0] != 0:
-        raise ValueError("exp needs a series with zero constant term")
-    order = f.order
-    acc = one(order)
-    term = one(order)
-    for k in range(1, order + 1):
-        term = term * f
-        acc = acc + term.scale(Fraction(1, math.factorial(k)))
-    return acc
+def metasylvester_identity_sides(m: int, order: int) -> tuple[PowerSeries, PowerSeries]:
+    """Both sides of x/(1-x) = sum_n p_n x^n (1-x)^n / prod_l (1+mlx),
+    truncated at ``order`` (terms beyond n = order cannot contribute)."""
+    lhs = x(order) * geometric(order)
+    rhs = zero(order)
+    denom = one(order)
+    numer = one(order)
+    one_minus_x = series([1, -1], order)
+    xs = x(order)
+    for n, p_n in _metasylvester_multi_row(order, m):
+        numer = numer * one_minus_x * xs
+        denom = denom * series([1, m * n], order)
+        term = numer * reciprocal(denom)
+        rhs = rhs + term.scale(p_n)
+    return lhs, rhs

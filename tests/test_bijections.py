@@ -11,9 +11,9 @@ import pytest
 
 from parkav import bijections as bj
 from parkav import oracle, trees
-from parkav.parking import block_permutation, enumerate_parking_functions, format_blocks, parse_blocks, to_blocks
+from parkav.parking import enumerate_parking_functions, format_blocks, parse_blocks, to_blocks
 from parkav.permutations import avoids_all, pattern_set
-from parkav.trees import OrderedTree, serialize_tree, tree
+from parkav.trees import OrderedTree, serialize_tree
 from invariants import (
     bijection_roundtrips,
     creation_order_claim,
@@ -30,6 +30,15 @@ from invariants import (
     text_labels,
 )
 from tables import SMALL_123_132, SMALL_123_213
+from views import (
+    Cluster,
+    block_permutation,
+    clusters_123_132,
+    clusters_123_213,
+    path_tree,
+    phi_123_132_labeled,
+    tree,
+)
 
 # the two worked 25- and 20-car examples, with their published images
 FIG25_BLOCKS = parse_blocks(
@@ -65,39 +74,45 @@ def _tree_from(adjacency, node) -> OrderedTree:
 
 
 def test_cluster_tables_for_worked_examples():
-    cl = bj.clusters_123_132(FIG25_BLOCKS)
+    cl = clusters_123_132(FIG25_BLOCKS)
     assert [c.kind for c in cl] == [
         "jump", "jump", "jump", "extend", "jump", "jump", "branch",
     ]
     assert [(c.lo, c.hi) for c in cl] == [
         (23, 25), (19, 22), (16, 18), (12, 15), (8, 11), (5, 7), (1, 4),
     ]
-    cl2 = bj.clusters_123_213(FIG20_BLOCKS)
+    cl2 = clusters_123_213(FIG20_BLOCKS)
     assert [c.kind for c in cl2] == ["open", "closed", "open", "closed", "open", "closed"]
     assert [c.parameter for c in cl2] == [None, 0, None, 2, None, 4]
 
 
 def test_simple_cluster_cases():
-    assert [c.kind for c in bj.clusters_123_132(parse_blocks("({2},{1})"))] == ["extend"]
-    assert bj.clusters_123_132(parse_blocks("({2},{1})"))[0].length == 2
+    assert [c.kind for c in clusters_123_132(parse_blocks("({2},{1})"))] == ["extend"]
+    assert clusters_123_132(parse_blocks("({2},{1})"))[0].length == 2
     with pytest.raises(ValueError):
-        bj.clusters_123_132(parse_blocks("({1},{2},{3})"))  # contains 123
+        clusters_123_132(parse_blocks("({1},{2},{3})"))  # contains 123
     with pytest.raises(ValueError):
-        bj.clusters_123_213(parse_blocks("({2},{1},{3})"))  # contains 213
+        clusters_123_213(parse_blocks("({2},{1},{3})"))  # contains 213
+
+
+def _pairs(blocks):
+    """bj.bracket_match's pairing as a dict (0-based positions): each size-2
+    block -> its empty block."""
+    return {p: q for p, q in enumerate(bj.bracket_match(blocks)[0]) if q is not None}
 
 
 def test_match_empty_blocks():
-    assert bj.match_empty_blocks(parse_blocks("({2,3},{1},{})")) == {0: 2}
-    assert bj.match_empty_blocks(parse_blocks("({1},{2})")) == {}
+    assert _pairs(parse_blocks("({2,3},{1},{})")) == {0: 2}
+    assert _pairs(parse_blocks("({1},{2})")) == {}
     with pytest.raises(ValueError):
-        bj.match_empty_blocks((((1, 2, 3),) + ((),) * 2))
+        _pairs((((1, 2, 3),) + ((),) * 2))
 
 
 def test_worked_example_123_132():
     golden = _tree_from(FIG25_ADJACENCY, "R")
     got = bj.phi_123_132(FIG25_BLOCKS)
     assert got == golden
-    labeled = bj.phi_123_132_labeled(FIG25_BLOCKS)
+    labeled = phi_123_132_labeled(FIG25_BLOCKS)
     assert labeled == {None if v == "R" else v: children for v, children in FIG25_ADJACENCY.items()}
     assert bj.psi_123_132(golden) == FIG25_BLOCKS
 
@@ -110,7 +125,7 @@ def test_worked_example_123_213():
 
 def test_small_case_tables():
     # a couple of spot checks straight from the small-case tables
-    assert bj.phi_123_132(parse_blocks("({2},{1})")) == trees.path_tree(3)
+    assert bj.phi_123_132(parse_blocks("({2},{1})")) == path_tree(3)
     assert serialize_tree(bj.phi_123_132(parse_blocks("({1,2},{})"))) == "(()()())"
     assert serialize_tree(bj.phi_123_213(parse_blocks("({1})"))) == "(()())"
     assert serialize_tree(bj.phi_123_213(parse_blocks("({2},{1})"))) == "(()()())"
@@ -125,7 +140,7 @@ def test_recursion_reproduces_small_case_tables():
     small cases transcribed in tables.py, labels included."""
     for blocks_text, labeled in SMALL_123_132.items():
         blocks = parse_blocks(blocks_text)
-        assert labeled_text(bj.phi_123_132_labeled(blocks)) == labeled, blocks_text
+        assert labeled_text(phi_123_132_labeled(blocks)) == labeled, blocks_text
         assert bj.psi_123_132(_shape_of_labeled(labeled)) == blocks, blocks_text
     for blocks_text, tree_text in SMALL_123_213.items():
         blocks = parse_blocks(blocks_text)
@@ -148,7 +163,7 @@ def test_family_sizes_match_tree_counts_to_ten():
 
 def test_enumerator_against_simulation():
     for family in bj.FAMILIES:
-        patterns = bj.family_patterns(family)
+        patterns = bj.FAMILIES[family].patterns
         for n in range(1, 7):
             assert len(bj.enumerate_pf_family(n, family)) == oracle.brute_pf(n, patterns)
     # the enumerator is generic in the pattern set; spot-check other sets,
@@ -169,7 +184,7 @@ LABELS_TO_SEVEN_SHA256 = "ddc98959ec0563e75047d6520360ade6aca30a9069d34e1f8deb60
 
 def test_labels_match_the_pinned_digest():
     domain = [b for n in range(8) for b in bj.enumerate_pf_family(n, "123-132")]
-    texts = [labeled_text(bj.phi_123_132_labeled(b)) for b in domain]
+    texts = [labeled_text(phi_123_132_labeled(b)) for b in domain]
     assert len(texts) == 1163
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest() == LABELS_TO_SEVEN_SHA256
 
@@ -178,7 +193,7 @@ def test_labeled_shape_on_deep_trees():
     # a chain 20,000 deep that ends in two leaves: the labelled image is a
     # flat table, so building, writing, copying and pickling it never recurse
     blocks = ((20000,), (20001,)) + tuple((v,) for v in range(19999, 0, -1))
-    table = bj.phi_123_132_labeled(blocks)
+    table = phi_123_132_labeled(blocks)
     text = labeled_text(table)
     assert _shape_of_labeled(text) == bj.forward(blocks, "123-132")
     assert _shape_of_labeled(text).edge_count == 20002
@@ -191,11 +206,11 @@ def test_find_target_vertex():
     assert find_target_path(star) == ()
     assert find_target_vertex(star) == star
     with pytest.raises(ValueError):
-        find_target_path(trees.path_tree(4))
+        find_target_path(path_tree(4))
     # in the worked 26-edge image, the last graft landed on the vertex
     # created 21st (label 20): two bare branches, then the older path
     vpath = find_target_path(bj.phi_123_132(FIG25_BLOCKS))
-    labeled = bj.phi_123_132_labeled(FIG25_BLOCKS)
+    labeled = phi_123_132_labeled(FIG25_BLOCKS)
     vertex = None
     for i in vpath:
         vertex = labeled[vertex][i]
@@ -374,7 +389,7 @@ def test_scan_peels_and_layout_match_the_references(family):
     for n in range(6):
         for f in enumerate_parking_functions(n):
             blocks = to_blocks(f)
-            got = _outcome(bj.match_empty_blocks, blocks)
+            got = _outcome(_pairs, blocks)
             assert got == _outcome(reference_bracket_match, blocks), blocks
 
 
@@ -437,7 +452,7 @@ def test_lay_out_inverts_the_gaps(family):
     for n in range(8):
         for blocks in bj.enumerate_pf_family(n, family):
             clusters, _, gaps = _cluster_fields(blocks, peel)
-            mains = [tuple(blocks[q] for q in bj.Cluster(*c).main_positions) for c in clusters]
+            mains = [tuple(blocks[q] for q in Cluster(*c).main_positions) for c in clusters]
             assert _lay_out_by_gaps(mains, gaps) == blocks
 
 
@@ -451,7 +466,7 @@ def test_clusters_take_the_non_empty_blocks_in_order(family):
     for n in range(8):
         for blocks in bj.enumerate_pf_family(n, family):
             clusters, starts, gaps = _cluster_fields(blocks, peel)
-            clusters = [bj.Cluster(*c) for c in clusters]
+            clusters = [Cluster(*c) for c in clusters]
             non_empty = [q for q, b in enumerate(blocks) if b]
             assert [q for c in clusters for q in c.main_positions] == non_empty
             match, _, _ = bj.bracket_match(blocks)

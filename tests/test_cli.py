@@ -180,8 +180,9 @@ def test_benchmark_lookups_resolve():
 
 
 def test_start_up_loads_only_what_it_runs():
-    # json, the oracle and the series arithmetic load in the commands that
-    # use them; the records need no dataclasses (and so no inspect)
+    # json and the oracle load in the commands that use them; fractions, which
+    # only the tests' power series use, and a parkav.series load in none; the
+    # records need no dataclasses (and so no inspect)
     code = (
         f"import sys; sys.path.insert(0, {str(ROOT / 'src')!r}); "
         "import parkav.cli; parkav.cli.build_parser(); print(' '.join(sys.modules))"
@@ -224,7 +225,12 @@ def _loaded_by(tmp_path, *argv):
         (
             ["count", "--notion", "pk", "--patterns", "132", "--n", "5"],
             b"621\n",
-            {"argparse", "parkav.bijections", "parkav.generalized", "parkav.trees"},
+            {"argparse", "parkav.bijections", "parkav.generalized", "parkav.parking", "parkav.trees"},
+        ),
+        (
+            ["classes", "--family", "metasylvester-multi", "--m", "2", "--n-max", "3"],
+            b"1 1\n2 4\n3 27\n",
+            {"argparse", "parkav.bijections", "parkav.parking", "parkav.trees"},
         ),
         (
             ["bijection", "--family", "123-132", "--direction", "backward", "--input", "-"],
@@ -232,7 +238,7 @@ def _loaded_by(tmp_path, *argv):
             {"argparse", "parkav.counting", "parkav.paths", "parkav.generalized"},
         ),
     ],
-    ids=["count", "bijection"],
+    ids=["count", "classes", "bijection"],
 )
 def test_a_plain_call_loads_only_its_command(tmp_path, argv, want, unwanted):
     # a plain argv is read without argparse, and each command imports what it runs

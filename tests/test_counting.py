@@ -17,7 +17,7 @@ from parkav.counting import (
     pk_count,
     pk_sum_over_paths,
 )
-from parkav.paths import ascent_word, catalan_number, enumerate_paths
+from parkav.paths import catalan_number, enumerate_paths
 from parkav.permutations import (
     BudgetExceeded,
     all_permutations,
@@ -37,6 +37,7 @@ from invariants import (
     reference_pk132_row,
 )
 from tables import PF_312_321, PK_123_132_FIRST6, PK_123_213_FIRST6, PK_ROWS
+from views import ascent_word
 
 
 @pytest.mark.parametrize("patterns_text,row", sorted(PK_ROWS.items()))

@@ -20,6 +20,7 @@ from tables import (
     METASYLVESTER_MPARK,
     METASYLVESTER_MULTI,
 )
+from views import is_m_parking
 
 
 def test_evaluation_example():
@@ -30,22 +31,16 @@ def test_evaluation_example():
         g.evaluation((8,), 7)
 
 
-def test_multiparking_membership():
-    assert g.is_m_multiparking((1, 1, 2, 2), 2, 2)
-    assert not g.is_m_multiparking((2, 2, 2, 2), 2, 2)
-    assert not g.is_m_multiparking((1, 1, 2), 2, 2)  # wrong length
-
-
 def test_m_parking_collapses_to_ordinary():
     for n in range(1, 6):
         for values in itertools.product(range(1, n + 1), repeat=n):
-            assert g.is_m_parking(values, 1, n) == is_parking(values)
+            assert is_m_parking(values, 1, n) == is_parking(values)
 
 
 def test_m_parking_bound():
-    assert g.is_m_parking((1, 3, 5), 2, 3)
-    assert not g.is_m_parking((2, 3, 5), 2, 3)  # sorted f(1) must be 1
-    assert not g.is_m_parking((1, 3, 6), 2, 3)  # exceeds 1 + m(n-1)
+    assert is_m_parking((1, 3, 5), 2, 3)
+    assert not is_m_parking((2, 3, 5), 2, 3)  # sorted f(1) must be 1
+    assert not is_m_parking((1, 3, 6), 2, 3)  # exceeds 1 + m(n-1)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -182,23 +177,12 @@ def test_argument_validation():
 def test_increasing_mpark_enumeration():
     fns = list(g.enumerate_increasing_mpark(2, 2))
     assert fns == [(1, 1), (1, 2), (1, 3)]
-    assert all(g.is_m_parking(f, 2, 2) for f in fns)
+    assert all(is_m_parking(f, 2, 2) for f in fns)
     # at m = 1, the increasing parking functions: the multiparking side of
     # the evaluation oracle weighs these
     for n in range(1, 7):
         increasing = [f for f in itertools.product(range(1, n + 1), repeat=n) if list(f) == sorted(f)]
         assert list(g.enumerate_increasing_mpark(n, 1)) == [f for f in increasing if is_parking(f)]
-
-
-def test_wrapper_types():
-    f = g.MMultiparking((1, 1, 2, 2), 2, 2)
-    assert f.evaluation().packed == (2, 2)
-    with pytest.raises(ValueError):
-        g.MMultiparking((2, 2, 2, 2), 2, 2)
-    p = g.MParking((1, 3, 5), 2)
-    assert p.evaluation().counts == (1, 0, 1, 0, 1)
-    with pytest.raises(ValueError):
-        g.MParking((2, 3, 5), 2)
 
 
 @pytest.mark.parametrize("family", sorted(g.CLASS_FAMILIES))

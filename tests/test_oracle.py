@@ -4,11 +4,7 @@ from math import factorial
 import pytest
 
 from parkav import counting, oracle
-from parkav.parking import (
-    block_permutation,
-    enumerate_parking_functions,
-    parking_permutation,
-)
+from parkav.parking import enumerate_parking_functions
 from parkav.permutations import (
     S3_PATTERNS,
     PatternSet,
@@ -19,6 +15,7 @@ from parkav.permutations import (
     perm,
 )
 from invariants import contains_by_subsets, reference_profile
+from views import block_permutation, parking_permutation
 
 
 def test_brute_pk_examples():
@@ -39,7 +36,7 @@ def test_empty_pattern_set_counts_everything():
     empty = PatternSet(())
     for n in range(1, 8):
         assert oracle.brute_pk(n, empty) == (n + 1) ** (n - 1)
-        assert oracle.brute_total(n) == (n + 1) ** (n - 1)
+        assert oracle.brute_pf(n, empty) == (n + 1) ** (n - 1)
 
 
 def test_cap():

@@ -4,14 +4,12 @@ from hypothesis import strategies as st
 
 from parkav.parking import (
     ParkingFunction,
-    block_permutation,
     enumerate_parking_functions,
     format_blocks,
     format_prefs,
     from_blocks,
     is_parking,
     parking_function,
-    parking_permutation,
     parking_walk,
     parse_blocks,
     parse_prefs,
@@ -25,6 +23,7 @@ from invariants import (
     parking_counts,
     reference_leaves,
 )
+from views import block_permutation, parking_permutation
 
 EXAMPLE = (4, 4, 6, 4, 2, 2, 1)
 

@@ -6,24 +6,14 @@ import pytest
 
 from parkav import counting as c
 from parkav import generalized as g
+from parkav.parking import ParkingFunction
 from parkav.paths import (
     LatticePath,
-    ascent_word,
-    canonical_decomposition,
     catalan_number,
-    compose_canonical,
-    delete_first_peak,
     enumerate_paths,
-    increasing_pf_to_path,
-    insert_first_peak,
-    m_narayana,
-    path,
     path_count,
-    path_to_increasing_pf,
-    path_to_increasing_prefs,
     path_weight_row,
     path_weight_table,
-    peak_count,
 )
 from invariants import (
     double_sum_row,
@@ -31,6 +21,17 @@ from invariants import (
     path_bijection_with_increasing,
     path_surgery_roundtrips,
     reference_path_weight_table,
+)
+from views import (
+    ascent_word,
+    canonical_decomposition,
+    compose_canonical,
+    delete_first_peak,
+    increasing_pf_to_path,
+    insert_first_peak,
+    m_narayana,
+    path,
+    path_to_increasing_prefs,
 )
 
 
@@ -198,7 +199,7 @@ def test_ascent_word():
     assert ascent_word(path("UDUUDUDD")).runs == (1, 2, 1)
     assert ascent_word(path("UUUUDDDD")).runs == (4,)
     assert ascent_word(path("UDUDUD")).runs == (1, 1, 1)
-    assert peak_count(path("UDUUDUDD")) == 3
+    assert len(ascent_word(path("UDUUDUDD"))) == 3  # one run per peak
 
 
 def test_canonical_decomposition():
@@ -221,18 +222,16 @@ def test_first_peak():
 
 
 def test_increasing_parking_functions():
-    assert path_to_increasing_pf(path("UUDUDD")).prefs == (1, 1, 2)
-    assert path_to_increasing_pf(path("UUUDDD")).prefs == (1, 1, 1)
+    assert path_to_increasing_prefs(path("UUDUDD")) == (1, 1, 2)
+    assert path_to_increasing_prefs(path("UUUDDD")) == (1, 1, 1)
     c = path("UDUUDUDD")
-    f = path_to_increasing_pf(c)
+    f = ParkingFunction(path_to_increasing_prefs(c))
     counts = [f.prefs.count(v) for v in range(1, 5)]
     assert tuple(x for x in counts if x) == ascent_word(c).runs
     assert increasing_pf_to_path(f.prefs, 1) == c
     # m = 2: values bounded by 1 + m(i-1)
     prefs = path_to_increasing_prefs(path("UDUDDD", m=2))
     assert prefs == (1, 2)
-    with pytest.raises(ValueError):
-        path_to_increasing_pf(path("UDUDDD", m=2))
 
 
 def test_path_pf_bijection_sweep():

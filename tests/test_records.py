@@ -13,16 +13,17 @@ import pytest
 
 import parkav
 from parkav._record import Record
-from parkav.bijections import Cluster, Family, backward, forward_unchecked, phi_123_132_labeled
+from parkav.bijections import Family, backward, forward_unchecked
 from parkav.cli import Option, positive_int
 from parkav.counting import CountResult
-from parkav.generalized import Evaluation, MMultiparking, MParking
+from parkav.generalized import Evaluation
 from parkav.oracle import OracleReport
 from parkav.parking import ParkingFunction, ParkingOutcome, enumerate_parking_functions
-from parkav.paths import AscentWord, LatticePath
+from parkav.paths import LatticePath
 from parkav.permutations import AvoiderSums, PatternSet, Permutation, pattern_set, perm
-from parkav.series import PowerSeries
 from parkav.trees import LEAF, OrderedTree, parse_tree
+from power_series import PowerSeries
+from views import AscentWord, Cluster, phi_123_132_labeled
 
 # one sample per record class, keyed by test id; the cluster record, shared by
 # both tree families, has one sample per family. Each call builds a fresh,
@@ -38,8 +39,6 @@ SAMPLES = {
     "OrderedTree": lambda: OrderedTree("(())"),
     "CountResult": lambda: CountResult(5, "formula"),
     "Evaluation": lambda: Evaluation((2, 0, 1)),
-    "MMultiparking": lambda: MMultiparking((1, 2, 1, 2), 2, 2),
-    "MParking": lambda: MParking((1, 3), 2),
     "PowerSeries": lambda: PowerSeries((1, Fraction(1, 2))),
     "OracleReport": lambda: OracleReport("pk(123)", 3, None, 14, 14),
     "Cluster132": lambda: Cluster("extend", 1, 2, None, (0, 1), None),
@@ -56,8 +55,6 @@ DEFAULT_REPRS = {
     "AscentWord": "AscentWord(runs=(1, 2))",
     "CountResult": "CountResult(value=5, method='formula')",
     "Evaluation": "Evaluation(counts=(2, 0, 1))",
-    "MMultiparking": "MMultiparking(values=(1, 2, 1, 2), m=2, n=2)",
-    "MParking": "MParking(values=(1, 3), m=2)",
     "PowerSeries": "PowerSeries(coeffs=(Fraction(1, 1), Fraction(1, 2)))",
     "OracleReport": "OracleReport(quantity='pk(123)', n=3, m=None, oracle_value=14, formula_value=14)",
     "Cluster132": (
@@ -73,8 +70,6 @@ INVALID = {
     ParkingFunction: [((2, 2),), ((1, 3),)],
     LatticePath: [(("D", "U"),), (("U",),), (("U", "X", "D"),), (("U", "D"), 0)],
     AscentWord: [((1, 0),)],
-    MMultiparking: [((2, 2, 2, 2), 2, 2), ((1, 2, 1), 2, 2)],
-    MParking: [((3, 3), 1), ((0,), 1)],
     PowerSeries: [((),)],
 }
 
@@ -87,8 +82,6 @@ LIST_BUILT = {
     ParkingFunction: ([1, 1],),
     LatticePath: (["U", "D", "D"], 2),
     AscentWord: ([1, 2],),
-    MMultiparking: ([1, 2, 1, 2], 2, 2),
-    MParking: ([1, 3], 2),
 }
 
 CASES = list(SAMPLES)
@@ -99,7 +92,8 @@ def _fields(x):
 
 
 def test_every_record_class_is_sampled():
-    # with every module loaded, each record class in parkav is a subclass here
+    # with every module loaded, each record class in parkav, and each in the
+    # test views imported above, is a subclass here
     for module in pkgutil.iter_modules(parkav.__path__):
         importlib.import_module(f"parkav.{module.name}")
     assert {type(make()) for make in SAMPLES.values()} == set(Record.__subclasses__())

@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 
 from parkav import counting
-from parkav.series import (
+from power_series import (
     check_identity,
     compose,
     derivative,
-    exp_of,
     geometric,
     lagrange_coefficient,
+    metasylvester_identity_sides,
     one,
     power,
     reciprocal,
@@ -104,20 +104,9 @@ def test_chini_equation_for_product_weight_counts():
 
 
 def test_metasylvester_identity_m1_with_312_counts():
-    from parkav.generalized import metasylvester_identity_sides
-
     lhs, rhs = metasylvester_identity_sides(1, 10)
     assert check_identity(lhs, rhs)
     assert check_identity(one(5), one(5))
-
-
-def test_exponential_route_to_312_321_row():
-    f = x(8) * geometric(8)
-    e = exp_of(f)
-    values = [e.coefficient(n) * math.factorial(n) for n in range(1, 9)]
-    assert values == [1, 3, 13, 73, 501, 4051, 37633, 394353]
-    with pytest.raises(ValueError):
-        exp_of(one(4))
 
 
 def test_truncation_tracking():

@@ -2,16 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parkav.trees import (
-    LEAF,
-    OrderedTree,
-    count_trees,
-    enumerate_trees,
-    parse_tree,
-    path_tree,
-    serialize_tree,
-    tree,
-)
+from parkav.trees import LEAF, OrderedTree, enumerate_trees, parse_tree, serialize_tree
+from views import count_trees, path_tree, tree
 
 
 def test_serialization_roundtrip():
