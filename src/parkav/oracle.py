@@ -14,6 +14,12 @@ those key sets, smallest first.  Filling both profiles takes about 0.007 s
 at n = 6, 0.1 s at n = 7 and 1.1 s at n = 8; the tables up to n - 1 and
 both tallies at n, from size-n insertions streamed and never kept, about
 0.002 s, 0.014 s and 0.14-0.22 s (one process, 2-vCPU host).
+
+``verify_pk`` checks every subset of S_3 against those bins, and reads its
+weighted sums off bins in the same bit layout (``permutations._MASK_BIT``):
+one avoider walk of all of S_<=n marks S_3 instead of pruning it and splits
+the ell sums by mask, so each subset's weighted sum is the bins it does
+not block.
 """
 
 from __future__ import annotations
@@ -25,7 +31,15 @@ from typing import Iterable, Iterator
 
 from ._record import Record
 from .parking import parking_walk
-from .permutations import S3_PATTERNS, BudgetExceeded, PatternSet, Permutation, avoider_walk, contains_sequence
+from .permutations import (
+    _MASK_BIT,
+    S3_PATTERNS,
+    BudgetExceeded,
+    PatternSet,
+    Permutation,
+    avoider_walk,
+    contains_sequence,
+)
 
 BRUTE_CAP = 8
 
@@ -81,10 +95,6 @@ def _profiles(n: int) -> dict[str, Counter[tuple[int, ...]]]:
         if sum(profile.values()) != total:
             raise AssertionError(f"{side} profile of size {n} counts {sum(profile.values())}, not {total}")
     return {"pk": pk, "pf": pf}
-
-
-# one bit per pattern of size <= 3 in a containment mask: 1, 12, 21, then S_3 in lexicographic order
-_MASK_BIT = {q: 1 << b for b, q in enumerate([(1,), (1, 2), (2, 1), *itertools.permutations((1, 2, 3))])}
 
 
 def _insertions(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -153,14 +163,18 @@ def _avoiders(n: int, pattern: Permutation) -> frozenset[tuple[int, ...]]:
     return frozenset(e for e in keys if not contains_sequence(e, pattern))
 
 
+def _unblocked(tally: dict[int, int], blocked: int) -> int:
+    """The counts of a by-mask tally whose masks share no bit with ``blocked``."""
+    return sum(count for mask, count in tally.items() if not mask & blocked)
+
+
 def _brute_general(n: int, patterns: PatternSet, side: str) -> int:
     """Parking functions of size n whose outcome ("pk") or block ("pf")
     permutation avoids every pattern, for pattern sets of any sizes."""
     check_cap(n)
     bits = [_MASK_BIT.get(q.entries) for q in patterns]
     if None not in bits:  # every pattern has size <= 3
-        blocked = sum(bits)
-        return sum(count for mask, count in _mask_tallies(n)[side].items() if not mask & blocked)
+        return _unblocked(_mask_tallies(n)[side], sum(bits))
     profile = _profiles(n)[side]
     avoiders = sorted((_avoiders(n, q) for q in patterns), key=len)
     # a key missing from this side counts 0
@@ -193,18 +207,28 @@ class OracleReport(Record):
 
 
 def verify_pk(n_max: int) -> list[OracleReport]:
-    """pk formulas vs weighted sums vs simulation, every subset of S_3."""
+    """pk formulas vs weighted sums vs simulation, every subset of S_3.
+
+    Each subset P gives two lines per n, both against the simulation
+    (``brute_pk``).  The formula line reads P's route
+    (``counting.pk_route``): a closed form or recurrence, or for the 16
+    subsets holding both 123 and 321 a pruned avoider walk of P's own.  The
+    ``[weighted]`` line reads one avoider walk of all of S_<=n_max that
+    marks S_3 instead of pruning it: the ell sum over Av_n(P) sums the
+    walk's size-n bins whose masks share no bit with P's.
+    """
     from .counting import pk_route, row_of
 
+    split = avoider_walk(n_max, PatternSet(()), marks=S3_PATTERNS).split
     reports = []
     subsets = (PatternSet(c) for r in range(1, 7) for c in itertools.combinations(S3_PATTERNS, r))
     for patterns in subsets:
         name = f"pk({patterns})"
-        walk = avoider_walk(n_max, patterns)  # one walk gives every n
-        for n, formula in row_of(pk_route(patterns), n_max):  # and one row
+        blocked = sum(_MASK_BIT[q.entries] for q in patterns)
+        for n, formula in row_of(pk_route(patterns), n_max):
             brute = brute_pk(n, patterns)
             reports.append(OracleReport(name, n, None, brute, formula.value))
-            reports.append(OracleReport(name + " [weighted]", n, None, brute, walk.at("ell", n)))
+            reports.append(OracleReport(name + " [weighted]", n, None, brute, _unblocked(split[n], blocked)))
     return reports
 
 
@@ -264,8 +288,8 @@ GENERALIZED_M_MAX = 2  # the classes suite checks m = 1..2 at each of its n
 SUITE_LIMITS = {"formulas": BRUTE_CAP - 1, "classes": 5, "bijections": 7}
 """formulas: the simulation oracle refuses past BRUTE_CAP.  Its walk fills both
 profiles in about 0.1 s at n = 7 and 1.1 s at n = 8 (4.78 M functions); verify_all
-over every suite takes about 0.047 s at n_max = 6 and 0.18 s at 7 on its first
-call in a fresh process, 0.030 s and 0.08 s warm (2-vCPU host).
+over every suite takes about 0.035 s at n_max = 6 and 0.14 s at 7 on its first
+call in a fresh process, 0.024 s and 0.066 s warm (2-vCPU host).
 classes: not cost.  Both sides of the evaluation oracle at m = 1, 2 take
 0.002 s at n = 5, 0.01 s at n = 6 and 0.2 s at n = 8 (one process, 2-vCPU
 host), but raising the limit changes what ``verify --n-max 6`` prints."""

@@ -7,7 +7,10 @@ window statistic ``ell_weight``: the product over positions i of the length
 of the longest window ending at i whose values are all <= p(i).  That
 product counts the parking functions whose outcome permutation equals p;
 ``avoider_walk`` sums it, and the matching count for block permutations,
-over an avoidance class.
+over an avoidance class.  Given marks, patterns of size <= 3 that it does
+not prune, the walk also splits the ell sums by which marks each avoider
+contains, so one walk serves the class of every set of marks added to its
+patterns.
 
 Containment has two questions.  ``contains_sequence`` asks it of a whole
 sequence: linear scans up to size 3, then the end query at each prefix.
@@ -249,6 +252,11 @@ def ends_with_occurrence(seq: Sequence[int], pattern: Permutation) -> bool:
     )
 
 
+# one bit per pattern of size <= 3 in a containment mask: 1, 12, 21, then S_3 in
+# lexicographic order; the oracle's tallies and the walk's marks share it
+_MASK_BIT = {q: 1 << b for b, q in enumerate([(1,), (1, 2), (2, 1), *itertools.permutations((1, 2, 3))])}
+
+
 def _s3_blocked(seq: Sequence[int], q: tuple[int, ...]) -> list[tuple[float, float]]:
     """The values x of a new last entry that end an occurrence of q, a
     pattern of size <= 3, as open intervals lo < x < hi (an open end is
@@ -353,11 +361,13 @@ class BudgetExceeded(ValueError):
 # Entries the avoider walk may scan: 1.6-15 s of CPython on a 2-vCPU host
 # (pk {1234} refuses n = 11 after 1.6 s, pf {132} n = 13 after 2.3 s, pk
 # {12345} n = 9 after 15 s).  Counted in entries, not nodes: Av_n(12) has one
-# node per level but O(n^2) work per level.  A pattern of size <= 4 is priced
-# at one linear end query per candidate, a larger one at its subsets of the
-# earlier entries.  Sizes <= 4 keep that per-candidate price, though one scan
-# per node serves all their candidates, so which calls answer and which
-# refuse does not depend on how fast the scan is; only how soon they refuse.
+# node per level but O(n^2) work per level.  A pattern of size <= 4, or a
+# mark, is priced at one linear end query per candidate, a larger pattern at
+# its subsets of the earlier entries.  Sizes <= 4 and marks keep that
+# per-candidate price, though one scan per node serves all their candidates,
+# so which calls answer and which refuse does not depend on how fast the
+# scan is; only how soon they refuse.  The walk of all of S_<=n marking S_3
+# answers n = 9 and refuses n = 10 (after 0.65 s).
 WALK_BUDGET = 50_000_000
 
 
@@ -366,8 +376,10 @@ class AvoiderSums(Record):
     reached; no size past that has an avoider."""
 
     # ell: sum of ell_weight over Av_n(P), the pk count; blocks: parking functions
-    # whose block permutation is in Av_n(P); leaves: Av_{n_max}(P), when kept
-    __slots__ = ("ell", "blocks", "leaves")
+    # whose block permutation is in Av_n(P); leaves: Av_{n_max}(P), when kept;
+    # split: per n, the ell sum by the _MASK_BIT mask of the marks each avoider
+    # contains (empty without marks)
+    __slots__ = ("ell", "blocks", "leaves", "split")
 
     def at(self, weight: str, n: int) -> int:
         """The ``weight`` sum ("ell" or "blocks") at size n; 0 past the walk's depth."""
@@ -375,7 +387,9 @@ class AvoiderSums(Record):
         return sums[n] if n < len(sums) else 0
 
 
-def avoider_walk(n_max: int, patterns: PatternSet, keep_leaves: bool = False) -> AvoiderSums:
+def avoider_walk(
+    n_max: int, patterns: PatternSet, keep_leaves: bool = False, marks: Iterable[Permutation] = ()
+) -> AvoiderSums:
     """Depth-first over the avoiders of size <= n_max, with two running weights.
 
     A size-k avoider grows by a last entry of each rank r in 1..k+1 (entries
@@ -393,32 +407,54 @@ def avoider_walk(n_max: int, patterns: PatternSet, keep_leaves: bool = False) ->
     last one.  The children of size n_max are only summed, not built, unless
     keep_leaves asks for them.
 
+    marks: patterns of size <= 3, none of them in ``patterns``, that split
+    the ell sums instead of pruning.  Each node carries the ``_MASK_BIT``
+    mask of the marks it contains; a child adds the marks whose
+    ``_s3_blocked`` intervals cover its rank, scanned only for the marks its
+    parent lacks.  ``split[n]`` maps each mask to the ell sum over the
+    size-n avoiders with that mask, so the ell sum over the avoiders of
+    ``patterns`` plus a set S of marks is the sum over the masks that share
+    no bit with S's.
+    Without marks the walk keeps no masks and ``split`` is empty.
+
     The budget prices a node of size k at k+1 candidates, each k+1 entries
-    plus, per pattern of size m, k (m <= 4) or C(k, m-1) * m; past
-    WALK_BUDGET in all the walk raises BudgetExceeded.  The sums grow only
-    as deep as the walk reaches.
+    plus, per pattern of size m, k (m <= 4) or C(k, m-1) * m, and k per
+    mark; past WALK_BUDGET in all the walk raises BudgetExceeded.  The sums
+    grow only as deep as the walk reaches.
     """
-    ell, blocks, leaves = [], [], []
+    marks = tuple(marks)
+    marked = {_MASK_BIT.get(q.entries): q.entries for q in marks}  # bit -> mark
+    if None in marked:
+        bad = ", ".join(str(q) for q in marks if q.entries not in _MASK_BIT)
+        raise ValueError(f"marks must have size 1..3: {bad}")
+    if both := set(marks) & set(patterns):
+        raise ValueError(f"{', '.join(map(str, both))} both avoided and marked")
+    ell, blocks, leaves, split = [], [], [], []
     sizes = [q.n for q in patterns]
     scanned = [(_s3_blocked if q.n <= 3 else _s4_blocked, q.entries) for q in patterns if q.n <= 4]
     queried = [q for q in patterns if q.n > 4]  # one end query per candidate
     cost = []  # cost[k]: the scan of one child of a size-k node, set when the walk first reaches k
     spent = 0
-    stack = [((), 1, [1])]  # (entries, ell product, block weights by last block slot + 1)
+    stack = [((), 1, [1], 0)]  # (entries, ell product, block weights by last block slot + 1, mask)
     while stack:
-        seq, w_ell, w_slots = stack.pop()
+        seq, w_ell, w_slots, held = stack.pop()
         k = len(seq)
         if k == len(ell):
             ell.append(0)
             blocks.append(0)
+            if marked:
+                split.append({})
         ell[k] += w_ell
         blocks[k] += sum(w_slots)
+        if marked:
+            split[k][held] = split[k].get(held, 0) + w_ell
         if k == n_max:
             if keep_leaves:
                 leaves.append(seq)
             continue
         if k == len(cost):
-            cost.append(k + 1 + sum(k if m <= 4 else math.comb(k, m - 1) * m for m in sizes))
+            queries = sum(k if m <= 4 else math.comb(k, m - 1) * m for m in sizes)
+            cost.append(k + 1 + queries + k * len(marked))
         spent += (k + 1) * cost[k]
         if spent > WALK_BUDGET:
             raise BudgetExceeded(f"avoider walk for {patterns} to n={n_max}: past {WALK_BUDGET} entries")
@@ -428,11 +464,21 @@ def avoider_walk(n_max: int, patterns: PatternSet, keep_leaves: bool = False) ->
             for lo, hi in scan(seq, q):
                 blocked[lo + 1 if lo > 0 else 1] += 1
                 blocked[hi + 1 if hi <= k else k + 2] -= 1
+        if marked:
+            masks = [held] * (k + 2)  # masks[r]: the mask of the child of rank r
+            by_mask = {}  # the summed children's ell factors by mask
+            for bit, q in marked.items():
+                if not held & bit:
+                    for lo, hi in _s3_blocked(seq, q):
+                        for r in range(lo + 1 if lo > 0 else 1, hi + 1 if hi <= k else k + 2):
+                            masks[r] |= bit
         below = [k] * (k + 2)  # below[r]: the entries at seq's end under rank r
         top = 0  # the largest of the last t entries
         for t, v in enumerate(reversed(seq)):
             if v > top:
                 below[top + 1:v + 1] = [t] * (v - top)
+                if v == k:  # no entry before it changes below
+                    break
                 top = v
         opened = [0, *itertools.accumulate(w_slots)]  # a new block after the last one
         extended = opened[1:] + opened[-1:]  # or the last block extended
@@ -453,17 +499,26 @@ def avoider_walk(n_max: int, patterns: PatternSet, keep_leaves: bool = False) ->
                 factors += below[r] + 1
                 n_extended += grows
                 n_opened += not grows
+                if marked:
+                    by_mask[masks[r]] = by_mask.get(masks[r], 0) + below[r] + 1
             else:
                 child = (*[v + (v >= r) for v in seq], r)
-                stack.append((child, w_ell * (below[r] + 1), extended if grows else opened))
+                mask = masks[r] if marked else 0
+                stack.append((child, w_ell * (below[r] + 1), extended if grows else opened, mask))
         if factors:
             if k + 1 == len(ell):
                 ell.append(0)
                 blocks.append(0)
+                if marked:
+                    split.append({})
             ell[k + 1] += w_ell * factors
             total = sum(opened)
             blocks[k + 1] += n_opened * total + n_extended * (total + opened[-1])
-    return AvoiderSums(ell, blocks, leaves)
+            if marked:
+                tally = split[k + 1]
+                for mask, factor in by_mask.items():
+                    tally[mask] = tally.get(mask, 0) + w_ell * factor
+    return AvoiderSums(ell, blocks, leaves, split)
 
 
 def avoidance_class(n: int, patterns: PatternSet) -> list[Permutation]:

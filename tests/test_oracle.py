@@ -91,8 +91,9 @@ def test_verify_walks_once_per_size(monkeypatch, cold_oracle):
 
 
 def test_verify_pk_walks_each_class_once(monkeypatch, cold_oracle):
-    """One walk per subset for the weighted column, and one more row walk for
-    each of the 16 subsets that hold both 123 and 321 and so have no closed form."""
+    """One walk that marks S_3 serves every subset's weighted column, and one
+    pruned row walk serves each of the 16 subsets that hold both 123 and 321
+    and so have no closed form."""
     calls = []
     real = oracle.avoider_walk
 
@@ -104,7 +105,7 @@ def test_verify_pk_walks_each_class_once(monkeypatch, cold_oracle):
     monkeypatch.setattr(counting, "avoider_walk", counted)
     reports = oracle.verify_pk(6)
     assert reports and all(r.agree for r in reports)
-    assert len(calls) <= 63 + 16
+    assert len(calls) == 1 + 16
 
 
 def test_verify_bijections_checks_no_domain_twice(monkeypatch):

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import random
+import time
 import typing
 from typing import Sequence
 
@@ -371,3 +372,52 @@ def test_avoider_walk_prices_only_the_sizes_it_reaches(monkeypatch):
     assert (sums.ell, sums.blocks) == ([1], [1])
     assert (sums.at("ell", 1), sums.at("blocks", 10**6)) == (0, 0)
     assert calls == [(0, 4)]
+
+
+def _unmarked(split, patterns):
+    """Per n, the split sum over the masks that share no bit with the patterns'."""
+    blocked = sum(permutations._MASK_BIT[q.entries] for q in patterns)
+    return [sum(value for mask, value in by_mask.items() if not mask & blocked) for by_mask in split]
+
+
+@pytest.mark.parametrize("n_max", range(9))
+def test_split_walk_sums_each_pruned_walk(n_max):
+    # one walk that marks S_3 instead of pruning it against each subset's own
+    # pruned walk, size by size, and 0 past the class's last non-empty size
+    sums = avoider_walk(n_max, PatternSet(()), marks=S3_PATTERNS)
+    assert len(sums.split) == n_max + 1
+    assert [sum(by_mask.values()) for by_mask in sums.split] == sums.ell
+    for patterns in all_s3_subsets():
+        row, pruned = _unmarked(sums.split, patterns), avoider_walk(n_max, patterns).ell
+        assert row == pruned + [0] * (n_max + 1 - len(pruned)), str(patterns)
+
+
+def test_split_walk_with_patterns_and_kept_leaves():
+    # marks on top of pruning patterns (scanned and end-queried), and the
+    # leaves built rather than summed, split the same sums
+    for text in ("1234", "12345", "21"):
+        patterns = parse_pattern_set(text)
+        sums = avoider_walk(7, patterns, marks=S3_PATTERNS)
+        assert sums.split == avoider_walk(7, patterns, keep_leaves=True, marks=S3_PATTERNS).split
+        for subset in all_s3_subsets():
+            pruned = avoider_walk(7, PatternSet((*patterns, *subset))).ell
+            row = _unmarked(sums.split, subset)
+            assert row == pruned + [0] * (len(row) - len(pruned)), (text, str(subset))
+    assert avoider_walk(7, pattern_set("132")).split == []  # no marks, no split
+
+
+def test_marks_are_size_3_at_most_and_not_avoided():
+    for marks in ([perm("1234")], [perm("12"), perm("2143")]):
+        with pytest.raises(ValueError, match="size"):
+            avoider_walk(5, PatternSet(()), marks=marks)
+    with pytest.raises(ValueError, match="both"):
+        avoider_walk(5, pattern_set("132", "1234"), marks=S3_PATTERNS)
+
+
+def test_split_walk_budget():
+    # marks are priced like patterns of size <= 3, so the walk of all of S_10
+    # refuses, and soon
+    t0 = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        avoider_walk(10, PatternSet(()), marks=S3_PATTERNS)
+    assert time.perf_counter() - t0 < 2.0

@@ -31,7 +31,7 @@ from views import AscentWord, Cluster, phi_123_132_labeled
 SAMPLES = {
     "Permutation": lambda: Permutation((2, 1, 3)),
     "PatternSet": lambda: PatternSet((perm("132"), perm("12"), perm("132"))),
-    "AvoiderSums": lambda: AvoiderSums([1, 1, 2], [1, 1, 3], [(1, 2), (2, 1)]),
+    "AvoiderSums": lambda: AvoiderSums([1, 1, 2], [1, 1, 3], [(1, 2), (2, 1)], [{0: 1}, {0: 1}, {0: 1, 2: 1}]),
     "ParkingOutcome": lambda: ParkingOutcome((1, 2), perm("12")),
     "ParkingFunction": lambda: ParkingFunction((1, 1)),
     "LatticePath": lambda: LatticePath(("U", "D", "D"), m=2),
@@ -50,7 +50,9 @@ SAMPLES = {
 # what the frozen dataclasses printed; the other classes define their own repr
 DEFAULT_REPRS = {
     "PatternSet": "PatternSet(patterns=(Permutation('12'), Permutation('132')))",
-    "AvoiderSums": "AvoiderSums(ell=[1, 1, 2], blocks=[1, 1, 3], leaves=[(1, 2), (2, 1)])",
+    "AvoiderSums": (
+        "AvoiderSums(ell=[1, 1, 2], blocks=[1, 1, 3], leaves=[(1, 2), (2, 1)], split=[{0: 1}, {0: 1}, {0: 1, 2: 1}])"
+    ),
     "ParkingOutcome": "ParkingOutcome(spots=(1, 2), rho=Permutation('12'))",
     "AscentWord": "AscentWord(runs=(1, 2))",
     "CountResult": "CountResult(value=5, method='formula')",
